@@ -15,7 +15,7 @@ from .counting import (
     parse_composition,
     parse_system_file,
 )
-from .errors import BadRangeError, ConfigError, TrueCountError
+from .errors import BadRangeError, ConfigError, ParseError, TrueCountError
 from .exact import sigma_n_approx, sigma_n_exact, tc_distribution
 from .kelly import (
     FuzzyAdvantage,
@@ -42,6 +42,19 @@ POSITION7_NOTE = (
     "published figures for that seat are half the model value (convention unknown)."
 )
 
+# Seat-model defaults of ``sigma-table`` and ``simulate``.
+DEFAULT_SEATS = 7
+DEFAULT_POSITION = 1
+DEFAULT_HAND_MEAN = 2.6
+
+
+def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers such as ``"1,4,7"``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+
 
 def _resolve_system(name: str, system_file: str | None):
     if system_file:
@@ -65,14 +78,13 @@ def cmd_sigma_table(
     system,
     decks: int,
     penetration: float,
-    seats: int = 7,
-    positions: list[int] | None = None,
-    hand_mean: float = 2.6,
+    seats: int,
+    positions: list[int],
+    hand_mean: float,
 ) -> ReportTable:
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
-    positions = positions or [1, 4, 7]
     for p in positions:
         if not 1 <= p <= seats:
             raise BadRangeError(f"position {p} outside 1..{seats}")
@@ -258,69 +270,55 @@ def _require(config: dict, key: str, cast, default=None):
         raise ConfigError(f"bad value for config key {key!r}: {config[key]!r}") from exc
 
 
-def run_simulation(config: dict) -> SimulationReport:
-    """Dispatch a parsed simulation config to the engine."""
+def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
+    """Run a parsed simulation config.
+
+    Returns the report and the closed-form predictions rendered next to its
+    empirical statistics in the table format.
+    """
     mode = config.get("mode", "seat-sigma")
     seed = _require(config, "seed", int)
     trials = _require(config, "trials", int)
+    lines: list[str] = []
     if mode == "seat-sigma":
         system = get_system(_require(config, "system", str))
         decks = _require(config, "decks", int)
         penetration = _require(config, "penetration", float)
-        seats = _require(config, "seats", int, default=7)
-        position = _require(config, "position", int, default=1)
-        hand_mean = _require(config, "hand_mean", float, default=2.6)
+        seats = _require(config, "seats", int, default=DEFAULT_SEATS)
+        position = _require(config, "position", int, default=DEFAULT_POSITION)
+        hand_mean = _require(config, "hand_mean", float, default=DEFAULT_HAND_MEAN)
         model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
-        return simulate_seat_sigma(system, decks, penetration, model, trials, seed)
-    if mode == "tc-increment":
-        system = get_system(_require(config, "system", str))
-        decks = _require(config, "decks", int)
-        penetration = _require(config, "penetration", float)
-        n_cards = [int(x) for x in str(_require(config, "n_cards", str)).split(",")]
-        return simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
-    if mode == "bankroll":
-        hands = _require(config, "hands", int)
-        if "p" in config:
-            model = FixedAdvantageModel(_require(config, "p", float))
-        else:
-            model = TwoPointAdvantageModel(
-                _require(config, "p0", float), _require(config, "var_p0", float)
-            )
-        return simulate_bankroll(model, hands, trials, seed)
-    raise ConfigError(f"unknown mode {mode!r}")
-
-
-def _prediction_lines(config: dict, report: SimulationReport) -> list[str]:
-    """Closed-form predictions rendered next to the empirical statistics."""
-    lines = []
-    mode = config.get("mode", "seat-sigma")
-    if mode == "seat-sigma":
-        system = get_system(config["system"])
-        decks = int(config["decks"])
-        penetration = float(config["penetration"])
-        seats = int(config.get("seats", 7))
-        position = int(config.get("position", 1))
-        hand_mean = float(config.get("hand_mean", 2.6))
-        model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
+        report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
         remaining = 52 * decks * (1 - penetration)
         for label, pair in (("sigma_bet", "bet_play"), ("sigma_play", "play_dealer")):
             pred = 52 * sigma_n_approx(remaining, n_cards_between(model, pair), system)
             lines.append(f"predicted {label} (closed form): {pred:.6f}")
-    elif mode == "bankroll" and "p" in config:
-        p = float(config["p"])
-        hands = int(config["hands"])
-        if p > 0.5:
-            stats = growth_stats_binomial(p)
-            lines.append(f"predicted growth mean (closed form): {stats.mean:.6e}")
+        return report, lines
+    if mode == "tc-increment":
+        system = get_system(_require(config, "system", str))
+        decks = _require(config, "decks", int)
+        penetration = _require(config, "penetration", float)
+        n_cards = _require(config, "n_cards", _parse_int_list)
+        report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
+        return report, lines
+    if mode == "bankroll":
+        hands = _require(config, "hands", int)
+        if "p" in config:
+            p = _require(config, "p", float)
+            model = FixedAdvantageModel(p)
+            basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
+        else:
+            p0 = _require(config, "p0", float)
+            var_p0 = _require(config, "var_p0", float)
+            model = TwoPointAdvantageModel(p0, var_p0)
+            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
+            basis, stats = "first order", fuzzy
+        report = simulate_bankroll(model, hands, trials, seed)
+        if stats is not None:
+            lines.append(f"predicted growth mean ({basis}): {stats.mean:.6e}")
             lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
-    elif mode == "bankroll":
-        p0, var_p0 = float(config["p0"]), float(config["var_p0"])
-        hands = int(config["hands"])
-        if p0 > 0.5:
-            stats = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0))
-            lines.append(f"predicted growth mean (first order): {stats.mean:.6e}")
-            lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
-    return lines
+        return report, lines
+    raise ConfigError(f"unknown mode {mode!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system-file", default=None)
     p.add_argument("--decks", type=int, default=8)
     p.add_argument("--penetration", type=float, required=True)
-    p.add_argument("--seats", type=int, default=7)
+    p.add_argument("--seats", type=int, default=DEFAULT_SEATS)
     p.add_argument("--positions", default="1,4,7", help="comma-separated seat list")
-    p.add_argument("--hand-mean", type=float, default=2.6)
+    p.add_argument("--hand-mean", type=float, default=DEFAULT_HAND_MEAN)
     add_format(p)
 
     p = sub.add_parser("exact", help="exact true-count law for a composition")
@@ -400,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             out.write(cmd_systems().render(args.format))
         elif args.command == "sigma-table":
             system = _resolve_system(args.system, args.system_file)
-            positions = [int(x) for x in args.positions.split(",")]
+            positions = _parse_int_list(args.positions)
             table = cmd_sigma_table(
                 system, args.decks, args.penetration, args.seats, positions,
                 args.hand_mean,
@@ -428,14 +426,14 @@ def main(argv: list[str] | None = None) -> int:
                 value = getattr(args, key, None)
                 if value is not None:
                     config[key] = value
-            report = run_simulation(config)
+            report, lines = run_simulation(config)
             if args.format == "json":
                 out.write(report.to_json() + "\n")
             elif args.format == "csv":
                 out.write(report.to_csv())
             else:
                 out.write(report.to_json() + "\n")
-                for line in _prediction_lines(config, report):
+                for line in lines:
                     out.write(line + "\n")
     except TrueCountError as exc:
         print(f"error: {exc}", file=sys.stderr)

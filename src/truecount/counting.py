@@ -104,11 +104,6 @@ def make_count_system(name: str, weights_by_rank: Mapping[str, object]) -> Count
     return CountSystem(name=name, weights=weights, rank_multiplicity=mult)
 
 
-def sigma0(system: CountSystem) -> float:
-    """Weight standard deviation of a system over a full 52-card deck."""
-    return system.sigma0()
-
-
 _BUILTIN_WEIGHTS: dict[str, dict[str, object]] = {
     "hi-lo": {
         "A": -1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1,
@@ -241,14 +236,6 @@ def fresh_shoe(system: CountSystem, decks: int) -> WeightComposition:
     return WeightComposition(
         {w: m * decks for w, m in system.weight_multiplicities().items()}
     )
-
-
-def deplete(comp: WeightComposition, removed: Iterable) -> WeightComposition:
-    return comp.deplete(removed)
-
-
-def true_count(comp: WeightComposition, units: str = "card") -> Fraction:
-    return comp.true_count(units)
 
 
 def parse_composition(spec: str) -> WeightComposition:

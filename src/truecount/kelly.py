@@ -28,6 +28,8 @@ class GrowthStats:
 
     def std(self, n: int = 1) -> float:
         """Std of G_n; variance scales as 1/n for independent rounds."""
+        if n < 1:
+            raise BadRangeError(f"need n >= 1 rounds, got {n}")
         return math.sqrt(self.variance / n)
 
     def mean_over(self, n: int) -> float:
@@ -154,6 +156,9 @@ def long_run(eps: float, sigma_bet: float, threshold: float = 2.0) -> float:
 
     Uses the small-edge closed form threshold^2 (1 + sigma_bet^2) / eps^2.
     """
+    for name, value in (("eps", eps), ("sigma_bet", sigma_bet), ("threshold", threshold)):
+        if not math.isfinite(value):
+            raise BadRangeError(f"need a finite {name}, got {value}")
     if eps <= 0:
         raise BadRangeError(f"need eps > 0, got {eps}")
     if sigma_bet < 0:

@@ -1,44 +1,16 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Vectorised numpy kernels for the per-trial Monte Carlo accounting.
 
-The default backend compiles the per-trial loops with numba's ``@njit``;
-setting ``TRUECOUNT_NO_NUMBA=1`` in the environment selects the pure-numpy
-implementations instead.  Both backends do the same integer arithmetic on
-the same inputs and therefore return identical results; see
-``benchmarks/bench_kernels.py`` for a speed comparison.
+Every kernel is integer arithmetic (cumulative sums and counts) over arrays
+drawn by :mod:`truecount.sim`, so its result does not depend on how the
+trials are batched.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("TRUECOUNT_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-try:  # pragma: no cover - import guard
-    if _DISABLE:
-        raise ImportError("numba disabled by TRUECOUNT_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
 # -- seat-sigma tallies ------------------------------------------------------
@@ -48,7 +20,7 @@ def backend_name() -> str:
 # card counts between the bet/play and play/dealer moments.  Outputs are the
 # scaled running counts at the three moments.
 
-def seat_tallies_numpy(r_cut, tail, n_bet, n_play):
+def seat_tallies(r_cut, tail, n_bet, n_play):
     trials = r_cut.shape[0]
     cums = np.cumsum(tail.astype(np.int64), axis=1)
     rows = np.arange(trials)
@@ -58,92 +30,20 @@ def seat_tallies_numpy(r_cut, tail, n_bet, n_play):
     return r_cut.copy(), r_play, r_dealer
 
 
-@njit(cache=True)
-def _seat_tallies_jit(r_cut, tail, n_bet, n_play):  # pragma: no cover - jitted
-    trials = r_cut.shape[0]
-    r_bet = np.empty(trials, dtype=np.int64)
-    r_play = np.empty(trials, dtype=np.int64)
-    r_dealer = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        r = r_cut[t]
-        r_bet[t] = r
-        for i in range(n_bet[t]):
-            r += tail[t, i]
-        r_play[t] = r
-        for i in range(n_bet[t], n_bet[t] + n_play[t]):
-            r += tail[t, i]
-        r_dealer[t] = r
-    return r_bet, r_play, r_dealer
-
-
-def seat_tallies_numba(r_cut, tail, n_bet, n_play):
-    return _seat_tallies_jit(
-        np.ascontiguousarray(r_cut, dtype=np.int64),
-        np.ascontiguousarray(tail, dtype=np.int64),
-        np.ascontiguousarray(n_bet, dtype=np.int64),
-        np.ascontiguousarray(n_play, dtype=np.int64),
-    )
-
-
 # -- bankroll win counting ---------------------------------------------------
 #
 # Fixed advantage: count wins among n uniforms.  Fuzzy advantage: a second
 # uniform stream picks the high/low advantage state per hand; returns the
 # per-state hand and win counts.
 
-def count_wins_numpy(u, p):
+def count_wins(u, p):
     return int(np.count_nonzero(u < p))
 
 
-@njit(cache=True)
-def _count_wins_jit(u, p):  # pragma: no cover - jitted
-    wins = 0
-    for i in range(u.shape[0]):
-        if u[i] < p:
-            wins += 1
-    return wins
-
-
-def count_wins_numba(u, p):
-    return int(_count_wins_jit(u, float(p)))
-
-
-def count_wins_two_state_numpy(u_state, u_win, p_lo, p_hi):
+def count_wins_two_state(u_state, u_win, p_lo, p_hi):
     hi = u_state < 0.5
     win = u_win < np.where(hi, p_hi, p_lo)
     n_hi = int(np.count_nonzero(hi))
     w_hi = int(np.count_nonzero(hi & win))
     w_lo = int(np.count_nonzero(win)) - w_hi
     return n_hi, w_hi, w_lo
-
-
-@njit(cache=True)
-def _count_wins_two_state_jit(u_state, u_win, p_lo, p_hi):  # pragma: no cover
-    n_hi = 0
-    w_hi = 0
-    w_lo = 0
-    for i in range(u_state.shape[0]):
-        if u_state[i] < 0.5:
-            n_hi += 1
-            if u_win[i] < p_hi:
-                w_hi += 1
-        elif u_win[i] < p_lo:
-            w_lo += 1
-    return n_hi, w_hi, w_lo
-
-
-def count_wins_two_state_numba(u_state, u_win, p_lo, p_hi):
-    n_hi, w_hi, w_lo = _count_wins_two_state_jit(
-        u_state, u_win, float(p_lo), float(p_hi)
-    )
-    return int(n_hi), int(w_hi), int(w_lo)
-
-
-if _HAVE_NUMBA:
-    seat_tallies = seat_tallies_numba
-    count_wins = count_wins_numba
-    count_wins_two_state = count_wins_two_state_numba
-else:
-    seat_tallies = seat_tallies_numpy
-    count_wins = count_wins_numpy
-    count_wins_two_state = count_wins_two_state_numpy

@@ -3,8 +3,9 @@
 Reproducibility contract: trial ``i`` of a run with master seed ``s`` draws
 from ``numpy.random.Philox(key=s, counter=i * 2**128)``, so reports are
 bit-identical for a given (seed, trials, config) on any machine and under
-any trial scheduling.  The per-trial accounting runs through the kernels in
-:mod:`truecount.kernels` (numba by default, numpy via ``TRUECOUNT_NO_NUMBA``).
+any trial scheduling.  Seeds must lie in ``[0, 2**128)``, the Philox key
+range.  The per-trial accounting runs through the numpy kernels in
+:mod:`truecount.kernels`.
 """
 from __future__ import annotations
 
@@ -27,8 +28,10 @@ from .seats import SeatCardModel
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Counter-split Philox stream for one trial."""
+    if not 0 <= master_seed < 2**128:
+        raise BadRangeError(f"seed must be in [0, 2**128), got {master_seed}")
     return np.random.Generator(
-        np.random.Philox(key=master_seed & (2**128 - 1), counter=trial * 2**128)
+        np.random.Philox(key=master_seed, counter=trial * 2**128)
     )
 
 
@@ -105,7 +108,7 @@ def _cut_index(decks: int, penetration: float) -> int:
 
 
 def predicted_increment_std(
-    system: CountSystem, decks: int, penetration: float, n: float
+    system: CountSystem, decks: int, penetration: float, n: int
 ) -> float:
     """Closed-form std (deck units) of the true-count change over n cards.
 
@@ -113,6 +116,9 @@ def predicted_increment_std(
     the cut, with no large-deck approximations, so it is the exact target
     the simulator converges to.
     """
+    if not (float(n).is_integer() and n >= 0):
+        raise BadRangeError(f"n must be a whole number of cards, got {n}")
+    n = int(n)
     n0 = 52 * decks
     cut = _cut_index(decks, penetration)
     remaining = n0 - cut
@@ -121,7 +127,7 @@ def predicted_increment_std(
     s0_sq = Fraction(system.sigma0_squared())
     var_tc_cut = Fraction(cut) * s0_sq / ((n0 - 1) * remaining)
     mean_sigma1_sq = (s0_sq - var_tc_cut) / (remaining - 1) ** 2
-    var = Fraction(remaining - 1, remaining - int(n)) * int(n) * mean_sigma1_sq
+    var = Fraction(remaining - 1, remaining - n) * n * mean_sigma1_sq
     return 52 * math.sqrt(var)
 
 
@@ -148,9 +154,10 @@ def simulate_tc_increment(
     n0 = shoe.size
     cut = _cut_index(decks, penetration)
     max_n = n_cards[-1]
-    if cut + max_n > n0:
+    # Strict, as in seat-sigma: the true count after n cards needs one unseen.
+    if cut + max_n >= n0:
         raise ShoeExhaustedError(
-            f"need {cut + max_n} cards but the shoe holds {n0}"
+            f"n={max_n} leaves no card unseen: {n0 - cut} remain past the cut"
         )
     r_cut = np.empty(trials, dtype=np.int64)
     tail = np.empty((trials, max_n), dtype=np.int64)

@@ -13,6 +13,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_typed_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 class TestSystems:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "systems")
@@ -57,6 +63,11 @@ class TestSigmaTable:
             capsys, "sigma-table", "--penetration", "0.5", "--positions", "9"
         )
         assert code == 2
+
+    def test_non_integer_position_exit_2(self, capsys):
+        assert_typed_error(
+            capsys, "sigma-table", "--penetration", "0.5", "--positions", "1,x"
+        )
 
     def test_custom_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
@@ -113,6 +124,9 @@ class TestKelly:
         code, out, _ = run_cli(capsys, "kelly", "--p0", "0.4")
         assert code == 0
         assert "0.00000000" in out
+
+    def test_zero_hands_exit_2(self, capsys):
+        assert_typed_error(capsys, "kelly", "--p0", "0.52", "--hands", "0")
 
 
 class TestLongrun:
@@ -185,6 +199,20 @@ class TestSimulateCommand:
             capsys, "simulate", "--config", str(tmp_path / "absent.cfg")
         )
         assert code == 2
+
+    def test_n_cards_leaving_no_card_exit_2(self, capsys):
+        assert_typed_error(
+            capsys, "simulate", "--mode", "tc-increment", "--system", "hi-lo",
+            "--decks", "1", "--penetration", "0.5", "--n-cards", "26",
+            "--trials", "20", "--seed", "1",
+        )
+
+    def test_non_integer_n_cards_exit_2(self, capsys):
+        assert_typed_error(
+            capsys, "simulate", "--mode", "tc-increment", "--system", "hi-lo",
+            "--decks", "8", "--penetration", "0.5", "--n-cards", "1,x",
+            "--trials", "20", "--seed", "1",
+        )
 
     def test_csv_determinism(self, capsys):
         args = (

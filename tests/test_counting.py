@@ -18,7 +18,6 @@ from truecount import (
     make_count_system,
     parse_composition,
     parse_system_file,
-    true_count,
 )
 from truecount.counting import InvalidMultiplicityError, as_weight
 
@@ -115,7 +114,7 @@ class TestComposition:
 
     def test_true_count_empty_deck(self):
         with pytest.raises(EmptyDeckError):
-            true_count(composition({1: 0}))
+            composition({1: 0}).true_count()
 
     def test_true_count_bad_units(self):
         with pytest.raises(ParseError):

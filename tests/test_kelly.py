@@ -81,6 +81,10 @@ class TestGrowthStats:
             with pytest.raises(BadRangeError):
                 growth_stats_binomial(p)
 
+    def test_std_needs_a_round(self):
+        with pytest.raises(BadRangeError):
+            growth_stats_binomial(0.52).std(0)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(BadRangeError):
             GrowthStats(0.0, -1.0)
@@ -159,6 +163,14 @@ class TestLongRun:
             long_run(0.01, -1.0)
         with pytest.raises(BadRangeError):
             long_run(0.01, 1.0, 0.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 2.0), (0.01, math.nan, 2.0), (0.01, 1.0, math.nan),
+        (math.inf, 1.0, 2.0), (0.01, math.inf, 2.0), (0.01, 1.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(BadRangeError):
+            long_run(*args)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,5 @@
-"""Monte Carlo engine: determinism, backend parity, and closed-form checks."""
+"""Monte Carlo engine: determinism, kernel arithmetic, and closed-form checks."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -42,50 +39,42 @@ class TestTrialRng:
         b = trial_rng(2, 0).random(4)
         assert not np.array_equal(a, b)
 
+    def test_seed_outside_philox_key_range(self):
+        for seed in (-1, 2**128):
+            with pytest.raises(BadRangeError):
+                trial_rng(seed, 0)
+        trial_rng(2**128 - 1, 0)
 
-class TestKernelBackends:
-    def test_numpy_and_jit_paths_agree(self):
+
+class TestKernels:
+    def test_match_per_trial_loops(self):
         rng = np.random.default_rng(3)
         r_cut = rng.integers(-50, 50, size=64).astype(np.int64)
         tail = rng.integers(-2, 3, size=(64, 25)).astype(np.int64)
         n_bet = rng.integers(0, 20, size=64).astype(np.int64)
         n_play = rng.integers(0, 5, size=64).astype(np.int64)
-        a = kernels.seat_tallies_numpy(r_cut, tail, n_bet, n_play)
-        b = kernels.seat_tallies_numba(r_cut, tail, n_bet, n_play)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        r_bet, r_play, r_dealer = kernels.seat_tallies(r_cut, tail, n_bet, n_play)
+        for t in range(64):
+            r = int(r_cut[t])
+            assert r_bet[t] == r
+            for i in range(n_bet[t]):
+                r += int(tail[t, i])
+            assert r_play[t] == r
+            for i in range(n_bet[t], n_bet[t] + n_play[t]):
+                r += int(tail[t, i])
+            assert r_dealer[t] == r
 
-        u = rng.random(1000)
-        assert kernels.count_wins_numpy(u, 0.52) == kernels.count_wins_numba(u, 0.52)
+        u, u2 = rng.random(1000), rng.random(1000)
+        assert kernels.count_wins(u, 0.52) == sum(1 for x in u if x < 0.52)
 
-        u2 = rng.random(1000)
-        assert kernels.count_wins_two_state_numpy(
-            u, u2, 0.5, 0.54
-        ) == kernels.count_wins_two_state_numba(u, u2, 0.5, 0.54)
-
-    def test_env_flag_selects_numpy_backend(self):
-        env = dict(os.environ, TRUECOUNT_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from truecount import kernels; print(kernels.backend_name())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-
-def _report_json(no_numba: bool) -> str:
-    code = (
-        "from truecount import get_system, SeatCardModel, simulate_seat_sigma\n"
-        "m = SeatCardModel(seats=7, position=7)\n"
-        "r = simulate_seat_sigma(get_system('hi-lo'), 8, 0.5, m, 300, 99)\n"
-        "print(r.to_json())\n"
-    )
-    env = dict(os.environ, TRUECOUNT_NO_NUMBA="1" if no_numba else "")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    return out.stdout
+        n_hi = w_hi = w_lo = 0
+        for state, win in zip(u, u2):
+            if state < 0.5:
+                n_hi += 1
+                w_hi += win < 0.54
+            else:
+                w_lo += win < 0.5
+        assert kernels.count_wins_two_state(u, u2, 0.5, 0.54) == (n_hi, w_hi, w_lo)
 
 
 class TestDeterminism:
@@ -96,9 +85,6 @@ class TestDeterminism:
         b = simulate_seat_sigma(get_system("hi-lo"), **kwargs)
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
-
-    def test_backends_give_identical_reports(self):
-        assert _report_json(no_numba=False) == _report_json(no_numba=True)
 
 
 class TestTcIncrement:
@@ -119,6 +105,9 @@ class TestTcIncrement:
     def test_shoe_exhaustion(self, hi_lo):
         with pytest.raises(ShoeExhaustedError):
             simulate_tc_increment(hi_lo, 1, 0.9, [10], 10, 0)
+        # n equal to the cards left past the cut leaves no true count.
+        with pytest.raises(ShoeExhaustedError):
+            simulate_tc_increment(hi_lo, 1, 0.5, [26], 10, 0)
 
     def test_bad_args(self, hi_lo):
         with pytest.raises(BadRangeError):
@@ -208,3 +197,11 @@ class TestPredictedIncrementStd:
     def test_range_check(self, hi_lo):
         with pytest.raises(BadRangeError):
             predicted_increment_std(hi_lo, 1, 0.9, 10)
+
+    def test_non_integral_n_rejected(self, hi_lo):
+        for n in (10.9, -1, math.nan):
+            with pytest.raises(BadRangeError):
+                predicted_increment_std(hi_lo, 8, 0.5, n)
+        assert predicted_increment_std(hi_lo, 8, 0.5, 10.0) == predicted_increment_std(
+            hi_lo, 8, 0.5, 10
+        )
