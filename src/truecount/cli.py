@@ -7,6 +7,7 @@ Subcommands: ``systems``, ``sigma-table``, ``exact``, ``verify``, ``kelly``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .counting import (
@@ -15,7 +16,13 @@ from .counting import (
     parse_composition,
     parse_system_file,
 )
-from .errors import BadRangeError, ConfigError, ParseError, TrueCountError
+from .errors import (
+    BadRangeError,
+    ConfigError,
+    InvariantError,
+    ParseError,
+    TrueCountError,
+)
 from .exact import sigma_n_approx, sigma_n_exact, tc_distribution
 from .kelly import (
     FuzzyAdvantage,
@@ -124,7 +131,7 @@ def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
     var = dist.variance()
     closed = sigma_n_exact(comp, n)
     if var != closed.squared:
-        raise AssertionError(
+        raise InvariantError(
             f"enumerated variance {var} != closed form {closed.squared}"
         )
     table = ReportTable(
@@ -166,6 +173,8 @@ def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, bool]:
 
 def cmd_kelly(p0: float, var_p0: float = 0.0, hands: int = 1) -> ReportTable:
     """Kelly fraction and growth statistics for a (possibly noisy) advantage."""
+    if not (math.isfinite(var_p0) and var_p0 >= 0):
+        raise BadRangeError(f"need a finite var_p0 >= 0, got {var_p0}")
     fraction = kelly_fraction(p0)
     if p0 <= 0.5:
         stats = GrowthStats(0.0, 0.0)

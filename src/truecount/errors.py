@@ -47,3 +47,7 @@ class ShoeExhaustedError(TrueCountError):
 
 class ConfigError(TrueCountError):
     """Simulation config file is missing or has invalid keys."""
+
+
+class InvariantError(TrueCountError):
+    """An exact result broke an identity it must satisfy (a library bug)."""

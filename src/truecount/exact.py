@@ -1,20 +1,24 @@
 """Exact distribution of the true count after n removals.
 
 The distribution is materialized over removal censuses (how many cards of
-each weight class were removed) instead of ordered removal sequences; the
-census probabilities are multivariate hypergeometric and everything is
-computed in big-integer / rational arithmetic.  Square roots appear only
-when a standard deviation is presented as a float.
+each weight class were removed) instead of ordered removal sequences.  One
+census DP per composition counts, for every n, the n-card subsets by the
+running count their removal leaves; a law is held as those integer
+multiplicities over the common denominator C(N, n) * scale * (N - n), and
+its moments come from integer power sums.  Rationals appear only in the
+results; square roots only when a standard deviation is presented as a
+float.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .counting import CountSystem, WeightComposition, as_weight
-from .errors import BadRangeError, InfeasiblePrefixError
+from .errors import BadRangeError, InfeasiblePrefixError, InvariantError
 
 
 class SigmaResult(NamedTuple):
@@ -26,21 +30,52 @@ class SigmaResult(NamedTuple):
 
 @dataclass(frozen=True)
 class TrueCountDistribution:
-    """Finite rational law of the true count after ``n`` removals."""
+    """Finite rational law of the true count after ``n`` removals.
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]  # (value, probability), sorted
+    ``ways[x]`` is the number of ``n``-card subsets of ``source`` whose
+    removal leaves the running count ``x / scale``.  Such a removal leaves
+    the true count ``x / (scale * (N - n))``, with probability
+    ``ways[x] / C(N, n)``.
+    """
+
+    ways: dict[int, int]
+    scale: int
     n: int
     source: WeightComposition
 
+    def __post_init__(self):
+        # Integer power sums of x and the two denominators, computed once.
+        s0 = s1 = s2 = 0
+        for x, ways in self.ways.items():
+            wx = ways * x
+            s0 += ways
+            s1 += wx
+            s2 += wx * x
+        N = self.source.total
+        denominators = (math.comb(N, self.n), self.scale * (N - self.n))
+        object.__setattr__(self, "_sums", (s0, s1, s2, *denominators))
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """``(value, probability)`` pairs sorted by value."""
+        *_, c, d = self._sums
+        return tuple(
+            (Fraction(x, d), Fraction(self.ways[x], c)) for x in sorted(self.ways)
+        )
+
     def probabilities_sum(self) -> Fraction:
-        return sum((p for _, p in self.atoms), Fraction(0))
+        s0, _, _, c, _ = self._sums
+        return Fraction(s0, c)
 
     def mean(self) -> Fraction:
-        return sum((v * p for v, p in self.atoms), Fraction(0))
+        _, s1, _, c, d = self._sums
+        return Fraction(s1, c * d)
 
     def variance(self) -> Fraction:
-        m = self.mean()
-        return sum((p * (v - m) ** 2 for v, p in self.atoms), Fraction(0))
+        """Sum of p * (v - mean)**2, exact even if the p do not sum to 1."""
+        s0, s1, s2, c, d = self._sums
+        # E[v^2] - mean^2 * (2 - sum p), over the common denominator c^3 d^2.
+        return Fraction(s2 * c * c - s1 * s1 * (2 * c - s0), c**3 * d * d)
 
     def to_json_dict(self, units: str = "card") -> dict:
         scale = 52 if units == "deck" else 1
@@ -62,27 +97,41 @@ def _scaled_weights(comp: WeightComposition) -> tuple[list[tuple[int, int]], int
     return items, scale
 
 
-def _census_weight_sums(items: Sequence[tuple[int, int]], n: int) -> dict[int, int]:
-    """Map scaled removed-weight sum -> number of n-card subsets achieving it.
+def _census_layers(
+    items: Sequence[tuple[int, int]], lo: int, hi: int
+) -> list[dict[int, int]]:
+    """For each n in ``lo..hi``: scaled running count after n removals -> subsets.
 
-    Dynamic programming over weight classes; the returned multiplicities are
-    products of binomial coefficients summed over censuses, so they total
-    C(N, n) exactly.
+    Dynamic programming over weight classes, one layer per number of cards
+    removed; branches that cannot end in ``lo..hi`` removals are pruned.
+    The multiplicities are products of binomial coefficients summed over
+    censuses, so layer n totals C(N, n) exactly.
     """
-    states: dict[tuple[int, int], int] = {(0, 0): 1}  # (cards removed, sum) -> ways
+    start = -sum(w * l for w, l in items)  # scale * R before any removal
+    layers: list[dict[int, int]] = [{start: 1}] + [{} for _ in range(hi)]
     remaining = sum(l for _, l in items)
     for w, l in items:
         remaining -= l
-        new: dict[tuple[int, int], int] = {}
-        for (r, s), ways in states.items():
-            # Prune branches that can no longer reach n removals.
-            c_min = max(0, n - r - remaining)
-            c_max = min(l, n - r)
-            for c in range(c_min, c_max + 1):
-                key = (r + c, s + c * w)
-                new[key] = new.get(key, 0) + ways * math.comb(l, c)
-        states = new
-    return {s: ways for (r, s), ways in states.items() if r == n}
+        binom = [math.comb(l, c) for c in range(l + 1)]
+        new: list[dict[int, int]] = [{} for _ in range(hi + 1)]
+        for r, sums in enumerate(layers):
+            if not sums:
+                continue
+            for c in range(max(0, lo - r - remaining), min(l, hi - r) + 1):
+                target, shift, b = new[r + c], c * w, binom[c]
+                for x, ways in sums.items():
+                    key = x + shift
+                    target[key] = target.get(key, 0) + ways * b
+        layers = new
+    return layers[lo:]
+
+
+def _laws(comp: WeightComposition, lo: int, hi: int) -> list[TrueCountDistribution]:
+    items, scale = _scaled_weights(comp)
+    return [
+        TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
+        for n, ways in enumerate(_census_layers(items, lo, hi), start=lo)
+    ]
 
 
 def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
@@ -90,16 +139,13 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     N = comp.total
     if not 1 <= n < N:
         raise BadRangeError(f"need 1 <= n < N, got n={n}, N={N}")
-    items, scale = _scaled_weights(comp)
-    sums = _census_weight_sums(items, n)
-    denom = math.comb(N, n)
-    R = comp.running_count
-    atoms: dict[Fraction, Fraction] = {}
-    for s, ways in sums.items():
-        value = (R + Fraction(s, scale)) / (N - n)
-        atoms[value] = atoms.get(value, Fraction(0)) + Fraction(ways, denom)
-    ordered = tuple(sorted(atoms.items()))
-    return TrueCountDistribution(atoms=ordered, n=n, source=comp)
+    return _laws(comp, n, n)[0]
+
+
+def tc_distributions(comp: WeightComposition) -> list[TrueCountDistribution]:
+    """Exact laws of the true count for every n = 1 .. N-1, from one DP."""
+    N = comp.total
+    return _laws(comp, 1, N - 1) if N >= 2 else []
 
 
 def expected_tc(comp: WeightComposition, n: int) -> Fraction:
@@ -112,7 +158,7 @@ def expected_tc(comp: WeightComposition, n: int) -> Fraction:
     mean = dist.mean()
     expected = comp.true_count("card")
     if mean != expected:
-        raise AssertionError(
+        raise InvariantError(
             f"enumerated mean {mean} != R/N = {expected} for n={n}"
         )
     return mean

@@ -47,8 +47,8 @@ class FuzzyAdvantage:
     def __post_init__(self):
         if not 0 < self.p0 < 1:
             raise BadRangeError(f"need 0 < p0 < 1, got {self.p0}")
-        if self.var_p0 < 0:
-            raise BadRangeError(f"need var_p0 >= 0, got {self.var_p0}")
+        if not (math.isfinite(self.var_p0) and self.var_p0 >= 0):
+            raise BadRangeError(f"need a finite var_p0 >= 0, got {self.var_p0}")
         if self.var_p0 > self.p0 * (1 - self.p0):
             raise BadRangeError(
                 f"var_p0 {self.var_p0} exceeds the probability bound "

@@ -20,8 +20,8 @@ MOMENT_PAIRS = ("bet_play", "play_dealer")
 
 def _law_for_mean(extra_mean: float) -> tuple[tuple[int, float], ...]:
     """Two-point law on {floor(h), floor(h)+1} with the requested mean."""
-    if extra_mean < 0:
-        raise BadRangeError(f"extra-card mean must be >= 0, got {extra_mean}")
+    if not (math.isfinite(extra_mean) and extra_mean >= 0):
+        raise BadRangeError(f"extra-card mean must be finite and >= 0, got {extra_mean}")
     base = math.floor(extra_mean)
     frac = extra_mean - base
     if frac == 0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .counting import CountSystem, fresh_shoe
-from .errors import BadRangeError, ShoeExhaustedError
+from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import kelly_fraction
 from .seats import SeatCardModel
 
@@ -344,7 +344,7 @@ def simulate_bankroll(
     else:
         raise BadRangeError(f"unsupported advantage model {adv_model!r}")
     if not np.all(np.isfinite(growth)):
-        raise AssertionError("bankroll hit zero despite a sub-unit Kelly fraction")
+        raise InvariantError("bankroll hit zero despite a sub-unit Kelly fraction")
     notes: list[str] = []
     report = SimulationReport(
         kind="bankroll",

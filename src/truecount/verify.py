@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .counting import WeightComposition
 from .exact import (
@@ -18,7 +19,7 @@ from .exact import (
     check_lemma34,
     check_lemma6,
     sigma1_exact,
-    tc_distribution,
+    tc_distributions,
 )
 from .kelly import verify_kelly_optimality
 
@@ -41,10 +42,11 @@ class VerificationResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, detail: str):
+    def record(self, ok: bool, detail: str | Callable[[], str]):
+        """Count one check; ``detail`` may be a callable, run only on failure."""
         self.checked += 1
         if not ok:
-            self.failures.append(detail)
+            self.failures.append(detail() if callable(detail) else detail)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -90,11 +92,12 @@ def verify_lemmas(
     """Exhaustive small-deck plus seeded random checks of the four identities."""
     result = VerificationResult("lemmas")
 
-    def note(report, comp, extra=""):
+    def note(report, comp, **context):
         result.record(
             report.equal,
-            f"{report.name} comp={dict(comp.counts)} {extra}: "
-            f"lhs={report.lhs} rhs={report.rhs}",
+            lambda: f"{report.name} comp={dict(comp.counts)} "
+            + " ".join(f"{key}={value}" for key, value in context.items())
+            + f": lhs={report.lhs} rhs={report.rhs}",
         )
 
     for weights in WEIGHT_SETS[:2]:
@@ -111,12 +114,12 @@ def verify_lemmas(
                     p = len(prefix)
                     for v0 in weights:
                         if p <= total - 2:
-                            note(check_lemma1(comp, prefix, v0), comp, f"prefix={prefix}")
+                            note(check_lemma1(comp, prefix, v0), comp, prefix=prefix)
                     for q in (0, 1):
                         if p + q > total - 2:
                             continue
                         for vs in itertools.product(weights, repeat=q + 1):
-                            note(check_lemma2(comp, prefix, vs), comp, f"prefix={prefix}")
+                            note(check_lemma2(comp, prefix, vs), comp, prefix=prefix)
                     for k in (1, 2):
                         for q in (0, 1):
                             if p + k + q > total - 1:
@@ -125,14 +128,15 @@ def verify_lemmas(
                                 note(
                                     check_lemma34(comp, prefix, k, vs),
                                     comp,
-                                    f"prefix={prefix} k={k}",
+                                    prefix=prefix,
+                                    k=k,
                                 )
                 for n in range(1, min(3, total)):
                     for ws in itertools.product(weights, repeat=n):
                         note(
                             check_lemma6(comp.running_count, total, n, ws),
                             comp,
-                            f"ws={ws}",
+                            ws=ws,
                         )
 
     rng = random.Random(seed)
@@ -142,20 +146,20 @@ def verify_lemmas(
         weights = comp.weights()
         prefix = _random_feasible_sequence(rng, comp, rng.randint(0, min(3, total - 2)))
         v0 = rng.choice(weights)
-        note(check_lemma1(comp, prefix, v0), comp, f"prefix={prefix}")
+        note(check_lemma1(comp, prefix, v0), comp, prefix=prefix)
 
         q = rng.randint(0, min(2, total - 2 - len(prefix)))
         vs = [rng.choice(weights) for _ in range(q + 1)]
-        note(check_lemma2(comp, prefix, vs), comp, f"prefix={prefix}")
+        note(check_lemma2(comp, prefix, vs), comp, prefix=prefix)
 
         k = rng.randint(1, max(1, min(3, total - 1 - len(prefix) - q)))
         if len(prefix) + k + q <= total - 1:
-            note(check_lemma34(comp, prefix, k, vs), comp, f"prefix={prefix} k={k}")
+            note(check_lemma34(comp, prefix, k, vs), comp, prefix=prefix, k=k)
 
         n = rng.randint(1, total - 1)
         ws = [rng.choice(weights) for _ in range(n)]
         r = Fraction(rng.randint(-10, 10), rng.choice((1, 2)))
-        note(check_lemma6(r, total, n, ws), comp, f"R={r} ws={ws}")
+        note(check_lemma6(r, total, n, ws), comp, R=r, ws=ws)
     return result
 
 
@@ -167,31 +171,32 @@ def _feasible(comp: WeightComposition, seq) -> bool:
 
 
 def _check_moments(result: VerificationResult, comp: WeightComposition):
+    """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance."""
     total = comp.total
     expected_mean = comp.true_count("card")
     s1_sq = sigma1_exact(comp).squared
-    for n in range(1, total):
-        dist = tc_distribution(comp, n)
+    for dist in tc_distributions(comp):
+        n = dist.n
+        prob_sum, mean, var = dist.probabilities_sum(), dist.mean(), dist.variance()
         result.record(
-            dist.probabilities_sum() == 1,
-            f"probs sum != 1 for comp={dict(comp.counts)} n={n}",
+            prob_sum == 1,
+            lambda: f"probs sum {prob_sum} != 1 for comp={dict(comp.counts)} n={n}",
         )
         result.record(
-            dist.mean() == expected_mean,
-            f"mean {dist.mean()} != R/N {expected_mean} for "
-            f"comp={dict(comp.counts)} n={n}",
+            mean == expected_mean,
+            lambda: f"mean {mean} != R/N {expected_mean} for comp={dict(comp.counts)} n={n}",
         )
         closed = Fraction(total - 1, total - n) * n * s1_sq
         result.record(
-            dist.variance() == closed,
-            f"variance {dist.variance()} != closed form {closed} for "
+            var == closed,
+            lambda: f"variance {var} != closed form {closed} for "
             f"comp={dict(comp.counts)} n={n}",
         )
 
 
 def verify_theorem(
     seed: int = 0,
-    exhaustive_limits: tuple[int, ...] = (16, 12, 10, 10),
+    exhaustive_limits: tuple[int, ...] = (40, 24, 16, 16),
     sampled_totals: tuple[int, ...] = (14, 18, 22, 26, 30),
     samples_per_total: int = 4,
 ) -> VerificationResult:
@@ -222,7 +227,7 @@ def verify_kelly(
         report = verify_kelly_optimality(p0, tolerance)
         result.record(
             report.passed,
-            f"p0={p0}: argmax={report.argmax} expected={report.expected} "
+            lambda: f"p0={p0}: argmax={report.argmax} expected={report.expected} "
             f"gap={report.gap} concave={report.concave_at_max}",
         )
     return result

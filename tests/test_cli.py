@@ -1,8 +1,10 @@
 """CLI subcommands, formats, config parsing, and exit codes."""
 import json
+from fractions import Fraction
 
 import pytest
 
+from truecount import SigmaResult, cli
 from truecount.cli import main, parse_config, run_simulation
 from truecount.errors import ConfigError
 
@@ -69,6 +71,11 @@ class TestSigmaTable:
             capsys, "sigma-table", "--penetration", "0.5", "--positions", "1,x"
         )
 
+    def test_nan_hand_mean_exit_2(self, capsys):
+        assert_typed_error(
+            capsys, "sigma-table", "--penetration", "0.5", "--hand-mean", "nan"
+        )
+
     def test_custom_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text(
@@ -106,6 +113,14 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", "-c", "nope", "-n", "1")
         assert code == 2
 
+    def test_broken_invariant_exit_2(self, capsys, monkeypatch):
+        # A closed form that disagrees with the enumerated law is a typed
+        # error, not a traceback.
+        monkeypatch.setattr(
+            cli, "sigma_n_exact", lambda comp, n: SigmaResult(1.0, Fraction(1))
+        )
+        assert_typed_error(capsys, "exact", "-c", "+1:2,-1:2", "-n", "2")
+
 
 class TestVerify:
     def test_kelly_scope_passes(self, capsys):
@@ -127,6 +142,12 @@ class TestKelly:
 
     def test_zero_hands_exit_2(self, capsys):
         assert_typed_error(capsys, "kelly", "--p0", "0.52", "--hands", "0")
+
+    @pytest.mark.parametrize("var_p0", ["nan", "inf", "-0.0001"])
+    def test_bad_var_p0_exit_2(self, capsys, var_p0):
+        assert_typed_error(
+            capsys, "kelly", "--p0", "0.52", f"--var-p0={var_p0}", "--hands", "10"
+        )
 
 
 class TestLongrun:
@@ -211,6 +232,13 @@ class TestSimulateCommand:
         assert_typed_error(
             capsys, "simulate", "--mode", "tc-increment", "--system", "hi-lo",
             "--decks", "8", "--penetration", "0.5", "--n-cards", "1,x",
+            "--trials", "20", "--seed", "1",
+        )
+
+    def test_nan_hand_mean_exit_2(self, capsys):
+        assert_typed_error(
+            capsys, "simulate", "--mode", "seat-sigma", "--system", "hi-lo",
+            "--decks", "8", "--penetration", "0.5", "--hand-mean", "nan",
             "--trials", "20", "--seed", "1",
         )
 

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from truecount import (
     BadRangeError,
+    InvariantError,
+    TrueCountDistribution,
     composition,
     expected_tc,
     get_system,
@@ -20,7 +22,9 @@ from truecount import (
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
+    tc_distributions,
 )
+from truecount import exact
 
 
 def brute_force_distribution(counts, n):
@@ -55,6 +59,12 @@ class TestDistributionAgainstBruteForce:
         for n in range(1, comp.total):
             dist = tc_distribution(comp, n)
             assert dict(dist.atoms) == brute_force_distribution(counts, n)
+
+    @pytest.mark.parametrize("counts", SMALL_DECKS)
+    def test_all_n_from_one_dp(self, counts):
+        laws = tc_distributions(composition(counts))
+        for n, law in enumerate(laws, start=1):
+            assert dict(law.atoms) == brute_force_distribution(counts, n)
 
     def test_probabilities_sum_to_one(self):
         comp = composition({1: 7, -1: 7, 0: 4})
@@ -94,6 +104,33 @@ class TestMoments:
             dist = tc_distribution(comp, n)
             assert dist.variance() == Fraction(N - 1, N - n) * n * s1
             assert sigma_n_exact(comp, n).squared == dist.variance()
+
+    def test_moments_match_atoms_for_any_census(self):
+        # The power-sum moments equal the sums over atoms, also for a census
+        # whose probabilities do not add up to 1.
+        comp = composition({1: 3, -1: 2, Fraction(1, 2): 2})
+        for law in tc_distributions(comp):
+            ways = dict(law.ways)
+            ways[min(ways)] += 2
+            bent = TrueCountDistribution(ways, law.scale, law.n, comp)
+            for dist in (law, bent):
+                mass = sum(p for _, p in dist.atoms)
+                mean = sum(v * p for v, p in dist.atoms)
+                assert dist.probabilities_sum() == mass
+                assert dist.mean() == mean
+                assert dist.variance() == sum(p * (v - mean) ** 2 for v, p in dist.atoms)
+
+    def test_wrong_mean_raises_invariant_error(self, monkeypatch):
+        def bent(comp, n):
+            law = tc_distributions(comp)[n - 1]
+            ways = dict(law.ways)
+            ways[min(ways)] -= 1
+            ways[max(ways)] += 1
+            return TrueCountDistribution(ways, law.scale, n, comp)
+
+        monkeypatch.setattr(exact, "tc_distribution", bent)
+        with pytest.raises(InvariantError):
+            expected_tc(composition({1: 2, -1: 2}), 2)
 
     def test_sigma1_worked_example(self):
         # 13 cards left: 5 high, 5 low, 3 medium; R = 0.
@@ -155,17 +192,31 @@ class TestSerialization:
         assert deck["atoms"][0] == {"value": "-52", "prob": "1/6"}
 
 
+SMALL_COUNTS = st.dictionaries(
+    st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)]),
+    st.integers(min_value=0, max_value=4),
+    min_size=2,
+).filter(lambda c: 2 <= sum(c.values()) <= 9)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    counts=st.dictionaries(
-        st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)]),
-        st.integers(min_value=0, max_value=4),
-        min_size=2,
-    ).filter(lambda c: 2 <= sum(c.values()) <= 9),
-    data=st.data(),
-)
+@given(counts=SMALL_COUNTS, data=st.data())
 def test_distribution_matches_brute_force_random(counts, data):
     comp = composition(counts)
     n = data.draw(st.integers(min_value=1, max_value=comp.total - 1))
     dist = tc_distribution(comp, n)
     assert dict(dist.atoms) == brute_force_distribution(counts, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=SMALL_COUNTS)
+def test_all_n_laws_match_single_n(counts):
+    # One DP for every n gives the same laws as the DP restricted to one n.
+    comp = composition(counts)
+    laws = tc_distributions(comp)
+    assert [law.n for law in laws] == list(range(1, comp.total))
+    for n in range(1, comp.total):
+        single = tc_distribution(comp, n)
+        assert laws[n - 1].atoms == single.atoms
+        assert laws[n - 1].mean() == single.mean()
+        assert laws[n - 1].variance() == single.variance()

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import composition
+from truecount import TrueCountDistribution, composition, tc_distributions, verify
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import check_lemma1, check_lemma2, check_lemma34, check_lemma6
 from truecount.verify import (
+    VerificationResult,
     compositions_over,
     verify_kelly,
     verify_lemmas,
@@ -124,11 +125,66 @@ class TestSweeps:
         assert result.checked == 5
 
     def test_failure_is_reported(self):
-        from truecount.verify import VerificationResult
-
         result = VerificationResult("demo")
         result.record(True, "fine")
         result.record(False, "boom")
         assert not result.passed
         assert result.failures == ["boom"]
         assert "FAIL" in result.summary()
+
+    def test_callable_detail_runs_only_on_failure(self):
+        calls = []
+
+        def detail():
+            calls.append(1)
+            return "late"
+
+        result = VerificationResult("demo")
+        result.record(True, detail)
+        assert calls == []
+        result.record(False, detail)
+        assert result.failures == ["late"] and calls == [1]
+
+
+def _bent_laws(move: bool):
+    """``tc_distributions`` with one subset added to (or moved within) each census.
+
+    Adding a subset at the lowest running count breaks the total mass;
+    moving one from the lowest to the highest keeps the mass but shifts
+    the mean.
+    """
+
+    def laws(comp):
+        out = []
+        for law in tc_distributions(comp):
+            ways = dict(law.ways)
+            lo, hi = min(ways), max(ways)
+            ways[lo] += -1 if move else 1
+            if move:
+                ways[hi] += 1
+            out.append(TrueCountDistribution(ways, law.scale, law.n, law.source))
+        return out
+
+    return laws
+
+
+class TestMomentChecksCatchWrongCensus:
+    COMP = {1: 3, -1: 2, 0: 2}
+
+    def _check(self, monkeypatch, move):
+        monkeypatch.setattr(verify, "tc_distributions", _bent_laws(move))
+        result = VerificationResult("theorem")
+        verify._check_moments(result, composition(self.COMP))
+        assert result.checked == 3 * (sum(self.COMP.values()) - 1)
+        return result.failures
+
+    def test_extra_subset(self, monkeypatch):
+        failures = self._check(monkeypatch, move=False)
+        for kind in ("probs sum", "mean", "variance"):
+            assert any(f.startswith(kind) for f in failures), kind
+
+    def test_moved_subset(self, monkeypatch):
+        failures = self._check(monkeypatch, move=True)
+        assert not any(f.startswith("probs sum") for f in failures)
+        # Every law has at least two running counts, so every mean moves.
+        assert sum(f.startswith("mean") for f in failures) == 6
