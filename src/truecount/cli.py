@@ -38,6 +38,7 @@ from .sim import (
     FixedAdvantageModel,
     SimulationReport,
     TwoPointAdvantageModel,
+    predicted_seat_sigma,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,
@@ -234,6 +235,7 @@ def cmd_longrun(
 _CONFIG_KEYS = {
     "mode",
     "system",
+    "system_file",
     "decks",
     "penetration",
     "seats",
@@ -279,18 +281,25 @@ def _require(config: dict, key: str, cast, default=None):
         raise ConfigError(f"bad value for config key {key!r}: {config[key]!r}") from exc
 
 
+def _config_system(config: dict):
+    """The config's count system: a builtin name, or a ``system_file``."""
+    system_file = config.get("system_file")
+    name = config.get("system", "") if system_file else _require(config, "system", str)
+    return _resolve_system(name, system_file)
+
+
 def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
     """Run a parsed simulation config.
 
-    Returns the report and the closed-form predictions rendered next to its
-    empirical statistics in the table format.
+    Returns the report and the exact or closed-form predictions rendered
+    next to its empirical statistics in the table format.
     """
     mode = config.get("mode", "seat-sigma")
     seed = _require(config, "seed", int)
     trials = _require(config, "trials", int)
     lines: list[str] = []
     if mode == "seat-sigma":
-        system = get_system(_require(config, "system", str))
+        system = _config_system(config)
         decks = _require(config, "decks", int)
         penetration = _require(config, "penetration", float)
         seats = _require(config, "seats", int, default=DEFAULT_SEATS)
@@ -298,13 +307,12 @@ def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
         hand_mean = _require(config, "hand_mean", float, default=DEFAULT_HAND_MEAN)
         model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
-        remaining = 52 * decks * (1 - penetration)
-        for label, pair in (("sigma_bet", "bet_play"), ("sigma_play", "play_dealer")):
-            pred = 52 * sigma_n_approx(remaining, n_cards_between(model, pair), system)
-            lines.append(f"predicted {label} (closed form): {pred:.6f}")
+        predicted = predicted_seat_sigma(system, decks, penetration, model)
+        for label, pred in zip(("sigma_bet", "sigma_play"), predicted):
+            lines.append(f"predicted {label} (exact): {pred:.6f}")
         return report, lines
     if mode == "tc-increment":
-        system = get_system(_require(config, "system", str))
+        system = _config_system(config)
         decks = _require(config, "decks", int)
         penetration = _require(config, "penetration", float)
         n_cards = _require(config, "n_cards", _parse_int_list)
@@ -382,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    choices=("seat-sigma", "bankroll", "tc-increment"))
     p.add_argument("--system", default=None)
+    p.add_argument("--system-file", default=None)
     p.add_argument("--decks", default=None)
     p.add_argument("--penetration", default=None)
     p.add_argument("--seats", default=None)

@@ -1,8 +1,8 @@
-"""Vectorised numpy kernels for the per-trial Monte Carlo accounting.
+"""Vectorised numpy kernel for the per-trial seat accounting.
 
-Every kernel is integer arithmetic (cumulative sums and counts) over arrays
-drawn by :mod:`truecount.sim`, so its result does not depend on how the
-trials are batched.
+The kernel is integer arithmetic (cumulative sums) over arrays drawn by
+:mod:`truecount.sim`, so its result does not depend on how the trials are
+batched.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ def backend_name() -> str:
 # -- seat-sigma tallies ------------------------------------------------------
 #
 # Inputs: the running-count contribution of the cards seen up to the cut
-# (scaled to integers), the next cards of each permuted shoe, and per-trial
-# card counts between the bet/play and play/dealer moments.  Outputs are the
+# (scaled to integers), the next cards of each shoe, and per-trial card
+# counts between the bet/play and play/dealer moments.  Outputs are the
 # scaled running counts at the three moments.
 
 def seat_tallies(r_cut, tail, n_bet, n_play):
@@ -28,22 +28,3 @@ def seat_tallies(r_cut, tail, n_bet, n_play):
     total = n_bet + n_play
     r_dealer = r_cut + np.where(total > 0, cums[rows, np.maximum(total, 1) - 1], 0)
     return r_cut.copy(), r_play, r_dealer
-
-
-# -- bankroll win counting ---------------------------------------------------
-#
-# Fixed advantage: count wins among n uniforms.  Fuzzy advantage: a second
-# uniform stream picks the high/low advantage state per hand; returns the
-# per-state hand and win counts.
-
-def count_wins(u, p):
-    return int(np.count_nonzero(u < p))
-
-
-def count_wins_two_state(u_state, u_win, p_lo, p_hi):
-    hi = u_state < 0.5
-    win = u_win < np.where(hi, p_hi, p_lo)
-    n_hi = int(np.count_nonzero(hi))
-    w_hi = int(np.count_nonzero(hi & win))
-    w_lo = int(np.count_nonzero(win)) - w_hi
-    return n_hi, w_hi, w_lo

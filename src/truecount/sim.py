@@ -1,11 +1,18 @@
 """Seeded Monte Carlo engine for seat-sigma and bankroll experiments.
 
-Reproducibility contract: trial ``i`` of a run with master seed ``s`` draws
-from ``numpy.random.Philox(key=s, counter=i * 2**128)``, so reports are
-bit-identical for a given (seed, trials, config) on any machine and under
-any trial scheduling.  Seeds must lie in ``[0, 2**128)``, the Philox key
-range.  The per-trial accounting runs through the numpy kernels in
-:mod:`truecount.kernels`.
+Reproducibility contract (stream version 2): trials run in chunks of
+:data:`CHUNK`, and chunk ``c`` of a run with master seed ``s`` draws from
+``numpy.random.Philox(key=s, counter=c * 2**128)``, so reports are
+byte-identical for a given (seed, trials, config, numpy version) on any
+machine and under any chunk scheduling.  Seeds must lie in ``[0, 2**128)``,
+the Philox key range.
+
+A shoe trial never shuffles the shoe: it needs only the running count at
+the cut and the next few cards.  The census of the cards dealt before the
+cut is drawn multivariate hypergeometric for the whole chunk, then the tail
+card by card, each uniform among the cards left, which is the law of a
+uniformly shuffled shoe.  A bankroll trial draws its win counts as
+binomials.  The seat accounting runs through :mod:`truecount.kernels`.
 """
 from __future__ import annotations
 
@@ -26,13 +33,29 @@ from .kelly import kelly_fraction
 from .seats import SeatCardModel
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Counter-split Philox stream for one trial."""
+#: Trials per random stream.  Part of the stream contract, not an option.
+CHUNK = 4096
+
+#: Version of the stream contract, written into JSON reports.
+STREAM_VERSION = 2
+
+
+def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
+    """Counter-split Philox stream for one chunk of :data:`CHUNK` trials."""
     if not 0 <= master_seed < 2**128:
         raise BadRangeError(f"seed must be in [0, 2**128), got {master_seed}")
     return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=trial * 2**128)
+        np.random.Philox(key=master_seed, counter=chunk * 2**128)
     )
+
+
+def _by_chunk(seed: int, trials: int, draw) -> list[np.ndarray]:
+    """Concatenate the arrays of ``draw(stream, size)`` over a run's chunks."""
+    parts = [
+        draw(trial_rng(seed, c), min(CHUNK, trials - start))
+        for c, start in enumerate(range(0, trials, CHUNK))
+    ]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,7 @@ class SimulationReport:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
+            "stream_version": STREAM_VERSION,
             "seed": self.seed,
             "trials": self.trials,
             "config": self.config,
@@ -79,6 +103,8 @@ class SimulationReport:
 
 
 def _stat_row(samples: np.ndarray, notes: list[str], label: str) -> StatRow:
+    if not np.all(np.isfinite(samples)):
+        raise InvariantError(f"{label}: non-finite sample")
     mean = float(np.mean(samples))
     if samples.size < 2:
         notes.append(f"{label}: insufficient-sample (need >= 2 trials for a std)")
@@ -87,18 +113,41 @@ def _stat_row(samples: np.ndarray, notes: list[str], label: str) -> StatRow:
     return StatRow(mean, std, std / math.sqrt(samples.size))
 
 
-def _shoe_cards(system: CountSystem, decks: int) -> tuple[np.ndarray, int]:
-    """Shoe expanded to one integer-scaled weight per card."""
+def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer-scaled weight and card count of each weight class of a shoe."""
     comp = fresh_shoe(system, decks)
     scale = 1
     for w in comp.counts:
         scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    parts = [
-        np.full(l, int(w * scale), dtype=np.int64)
-        for w, l in sorted(comp.counts.items())
-        if l > 0
-    ]
-    return np.concatenate(parts), scale
+    classes = [(int(w * scale), l) for w, l in sorted(comp.counts.items()) if l > 0]
+    weights, counts = (np.array(col, dtype=np.int64) for col in zip(*classes))
+    return weights, counts, scale
+
+
+def _draw_cut_and_tail(
+    rng: np.random.Generator,
+    size: int,
+    weights: np.ndarray,
+    counts: np.ndarray,
+    cut: int,
+    tail_len: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled running count at the cut and the next ``tail_len`` card weights."""
+    census = rng.multivariate_hypergeometric(counts, cut, size=size)
+    r_cut = census @ weights
+    # Cards left in each class and the classes before it, one row per class:
+    # a uniform position among the cards left falls in the first class whose
+    # row exceeds it.
+    cum_left = np.cumsum(counts - census, axis=1).T.copy()
+    classes = np.arange(counts.size)[:, None]
+    n_left = int(counts.sum()) - cut
+    tail = np.empty((size, tail_len), dtype=np.int64)
+    for j in range(tail_len):
+        u = rng.integers(0, n_left - j, size=size)
+        cls = (u >= cum_left).sum(axis=0)
+        tail[:, j] = weights[cls]
+        cum_left -= classes >= cls
+    return r_cut, tail
 
 
 def _cut_index(decks: int, penetration: float) -> int:
@@ -107,28 +156,74 @@ def _cut_index(decks: int, penetration: float) -> int:
     return round(52 * decks * penetration)
 
 
+def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction:
+    """Exact variance (card units) of the true-count change over n cards.
+
+    The composition left after ``seen`` of the ``n0`` cards is a uniform
+    subset of the shoe, so the per-composition dispersion averages in
+    closed form, with no large-deck approximations.
+    """
+    remaining = n0 - seen
+    if n >= remaining:
+        raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
+    if n == 0:
+        return Fraction(0)
+    var_tc_cut = Fraction(seen) * s0_sq / ((n0 - 1) * remaining)
+    mean_sigma1_sq = (s0_sq - var_tc_cut) / (remaining - 1) ** 2
+    return Fraction(remaining - 1, remaining - n) * n * mean_sigma1_sq
+
+
 def predicted_increment_std(
     system: CountSystem, decks: int, penetration: float, n: int
 ) -> float:
-    """Closed-form std (deck units) of the true-count change over n cards.
+    """Exact std (deck units) of the true-count change over n cards past the cut.
 
-    Averages the per-composition dispersion over the random composition at
-    the cut, with no large-deck approximations, so it is the exact target
-    the simulator converges to.
+    It is the target the tc-increment simulator converges to.
     """
     if not (float(n).is_integer() and n >= 0):
         raise BadRangeError(f"n must be a whole number of cards, got {n}")
-    n = int(n)
+    s0_sq = Fraction(system.sigma0_squared())
+    cut = _cut_index(decks, penetration)
+    return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
+
+
+def _convolve(law: Sequence[tuple[int, float]], k: int) -> dict[int, float]:
+    """Law of the sum of ``k`` independent draws from ``law``."""
+    out = {0: 1.0}
+    for _ in range(k):
+        nxt: dict[int, float] = {}
+        for total, p in out.items():
+            for h, q in law:
+                nxt[total + h] = nxt.get(total + h, 0.0) + p * q
+        out = nxt
+    return out
+
+
+def predicted_seat_sigma(
+    system: CountSystem, decks: int, penetration: float, model: SeatCardModel
+) -> tuple[float, float]:
+    """Exact std (deck units) of sigma_bet and sigma_play for one seat.
+
+    The true-count change over n unseen cards does not depend on which
+    cards they are, and the card counts between the moments do not depend
+    on the card order, so each variance is the increment variance averaged
+    over the law of the counts: n_bet = 2 (seats + 1) plus the extra cards
+    of the seats ahead, n_play = the extra cards of this seat and those
+    behind it.  It is the target the seat-sigma simulator converges to.
+    """
     n0 = 52 * decks
     cut = _cut_index(decks, penetration)
-    remaining = n0 - cut
-    if n >= remaining:
-        raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
     s0_sq = Fraction(system.sigma0_squared())
-    var_tc_cut = Fraction(cut) * s0_sq / ((n0 - 1) * remaining)
-    mean_sigma1_sq = (s0_sq - var_tc_cut) / (remaining - 1) ** 2
-    var = Fraction(remaining - 1, remaining - n) * n * mean_sigma1_sq
-    return 52 * math.sqrt(var)
+    base_deal = 2 * (model.seats + 1)
+    ahead = _convolve(model.extra_cards_law, model.position - 1)
+    behind = _convolve(model.extra_cards_law, model.seats - model.position + 1)
+    var_bet = var_play = 0.0
+    for h, p in ahead.items():
+        n_bet = base_deal + h
+        var_bet += p * _increment_variance(s0_sq, n0, cut, n_bet)
+        for n_play, q in behind.items():
+            var_play += p * q * _increment_variance(s0_sq, n0, cut + n_bet, n_play)
+    return 52 * math.sqrt(var_bet), 52 * math.sqrt(var_play)
 
 
 def simulate_tc_increment(
@@ -141,17 +236,17 @@ def simulate_tc_increment(
 ) -> SimulationReport:
     """Measure the true-count change over exactly n unseen cards.
 
-    Each trial shuffles a fresh shoe, reveals cards to the penetration
-    point, then reveals ``n`` more; the report carries one statistic per
-    requested ``n`` (deck units).
+    Each trial deals a shuffled shoe to the penetration point, then reveals
+    ``n`` more cards; the report carries one statistic per requested ``n``
+    (deck units).
     """
     if trials < 1:
         raise BadRangeError(f"trials must be >= 1, got {trials}")
     n_cards = sorted(set(int(n) for n in n_cards))
     if not n_cards or n_cards[0] < 1:
         raise BadRangeError(f"n_cards must be positive integers, got {n_cards}")
-    shoe, scale = _shoe_cards(system, decks)
-    n0 = shoe.size
+    weights, counts, scale = _shoe_classes(system, decks)
+    n0 = int(counts.sum())
     cut = _cut_index(decks, penetration)
     max_n = n_cards[-1]
     # Strict, as in seat-sigma: the true count after n cards needs one unseen.
@@ -159,12 +254,10 @@ def simulate_tc_increment(
         raise ShoeExhaustedError(
             f"n={max_n} leaves no card unseen: {n0 - cut} remain past the cut"
         )
-    r_cut = np.empty(trials, dtype=np.int64)
-    tail = np.empty((trials, max_n), dtype=np.int64)
-    for t in range(trials):
-        perm = trial_rng(seed, t).permutation(shoe)
-        r_cut[t] = perm[:cut].sum()
-        tail[t] = perm[cut : cut + max_n]
+    r_cut, tail = _by_chunk(
+        seed, trials,
+        lambda rng, size: _draw_cut_and_tail(rng, size, weights, counts, cut, max_n),
+    )
     remaining = n0 - cut
     tc_cut = 52.0 * r_cut / (scale * remaining)
     notes: list[str] = []
@@ -192,12 +285,12 @@ def simulate_tc_increment(
 
 
 def _sample_extras(
-    rng: np.random.Generator, model: SeatCardModel
+    rng: np.random.Generator, model: SeatCardModel, size: int
 ) -> np.ndarray:
-    """One extra-card draw per seat from the model's hand-length law."""
+    """Extra cards of every seat in ``size`` trials, from the hand-length law."""
     values = np.array([h for h, _ in model.extra_cards_law], dtype=np.int64)
     cum = np.cumsum([p for _, p in model.extra_cards_law])
-    u = rng.random(model.seats)
+    u = rng.random((size, model.seats))
     return values[np.searchsorted(cum, u, side="right").clip(max=values.size - 1)]
 
 
@@ -212,8 +305,8 @@ def simulate_seat_sigma(
     """Empirical bet->play and play->dealer true-count dispersion for a seat."""
     if trials < 1:
         raise BadRangeError(f"trials must be >= 1, got {trials}")
-    shoe, scale = _shoe_cards(system, decks)
-    n0 = shoe.size
+    weights, counts, scale = _shoe_classes(system, decks)
+    n0 = int(counts.sum())
     cut = _cut_index(decks, penetration)
     base_deal = 2 * (model.seats + 1)
     # Strict: the dealer moment still needs at least one card in the shoe.
@@ -223,20 +316,14 @@ def simulate_seat_sigma(
             f"worst-case hand needs {worst} cards but the shoe holds {n0}"
         )
     max_tail = base_deal + model.seats * model.max_extra
-    r_cut = np.empty(trials, dtype=np.int64)
-    tail = np.empty((trials, max_tail), dtype=np.int64)
-    n_bet = np.empty(trials, dtype=np.int64)
-    n_play = np.empty(trials, dtype=np.int64)
-    extras_total = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        perm = rng.permutation(shoe)
-        extras = _sample_extras(rng, model)
-        r_cut[t] = perm[:cut].sum()
-        tail[t] = perm[cut : cut + max_tail]
-        n_bet[t] = base_deal + extras[: model.position - 1].sum()
-        n_play[t] = extras[model.position - 1 :].sum()
-        extras_total[t] = extras.sum()
+
+    def draw(rng, size):
+        r_cut, tail = _draw_cut_and_tail(rng, size, weights, counts, cut, max_tail)
+        return r_cut, tail, _sample_extras(rng, model, size)
+
+    r_cut, tail, extras = _by_chunk(seed, trials, draw)
+    n_bet = base_deal + extras[:, : model.position - 1].sum(axis=1)
+    n_play = extras[:, model.position - 1 :].sum(axis=1)
     r_bet, r_play, r_dealer = kernels.seat_tallies(r_cut, tail, n_bet, n_play)
     remaining = n0 - cut
     tc_bet = 52.0 * r_bet / (scale * remaining)
@@ -261,7 +348,7 @@ def simulate_seat_sigma(
     report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, notes, "sigma_bet")
     report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, notes, "sigma_play")
     report.stats["cards_per_hand"] = _stat_row(
-        2.0 + extras_total / model.seats, notes, "cards_per_hand"
+        2.0 + extras.sum(axis=1) / model.seats, notes, "cards_per_hand"
     )
     return report
 
@@ -314,37 +401,36 @@ def simulate_bankroll(
         raise BadRangeError(
             f"need n_hands >= 1 and trials >= 1, got {n_hands}, {trials}"
         )
-    growth = np.empty(trials, dtype=np.float64)
     if isinstance(adv_model, FixedAdvantageModel):
         f = kelly_fraction(adv_model.p)
         up, down = math.log1p(f), math.log1p(-f)
-        for t in range(trials):
-            u = trial_rng(seed, t).random(n_hands)
-            wins = kernels.count_wins(u, adv_model.p)
-            growth[t] = (wins * up + (n_hands - wins) * down) / n_hands
+        (wins,) = _by_chunk(
+            seed, trials, lambda rng, size: (rng.binomial(n_hands, adv_model.p, size),)
+        )
+        growth = (wins * up + (n_hands - wins) * down) / n_hands
         config = {"model": "fixed", "p": adv_model.p}
     elif isinstance(adv_model, TwoPointAdvantageModel):
         p_lo, p_hi = adv_model.levels
         f_lo, f_hi = kelly_fraction(p_lo), kelly_fraction(p_hi)
         up_lo, down_lo = math.log1p(f_lo), math.log1p(-f_lo)
         up_hi, down_hi = math.log1p(f_hi), math.log1p(-f_hi)
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            u_state = rng.random(n_hands)
-            u_win = rng.random(n_hands)
-            n_hi, w_hi, w_lo = kernels.count_wins_two_state(u_state, u_win, p_lo, p_hi)
-            n_lo = n_hands - n_hi
-            growth[t] = (
-                w_hi * up_hi
-                + (n_hi - w_hi) * down_hi
-                + w_lo * up_lo
-                + (n_lo - w_lo) * down_lo
-            ) / n_hands
+
+        def draw(rng, size):
+            # Each hand is high with probability 1/2, then won at its level.
+            n_hi = rng.binomial(n_hands, 0.5, size)
+            return n_hi, rng.binomial(n_hi, p_hi), rng.binomial(n_hands - n_hi, p_lo)
+
+        n_hi, w_hi, w_lo = _by_chunk(seed, trials, draw)
+        n_lo = n_hands - n_hi
+        growth = (
+            w_hi * up_hi
+            + (n_hi - w_hi) * down_hi
+            + w_lo * up_lo
+            + (n_lo - w_lo) * down_lo
+        ) / n_hands
         config = {"model": "two-point", "p0": adv_model.p0, "var_p0": adv_model.var_p0}
     else:
         raise BadRangeError(f"unsupported advantage model {adv_model!r}")
-    if not np.all(np.isfinite(growth)):
-        raise InvariantError("bankroll hit zero despite a sub-unit Kelly fraction")
     notes: list[str] = []
     report = SimulationReport(
         kind="bankroll",

@@ -22,6 +22,7 @@ from truecount import (
     long_run,
     n_cards_between,
     predicted_increment_std,
+    predicted_seat_sigma,
     sigma1_exact,
     sigma_n_approx,
     simulate_bankroll,
@@ -244,6 +245,29 @@ def test_criterion_7_monte_carlo():
         ok,
         f"worst seat/increment z {worst_z:.2f}, bankroll z {z_mean:.2f}/{z_std:.2f}, "
         f"{elapsed:.0f}s",
+    )
+
+
+def test_criterion_7b_exact_seat_sigma():
+    # Every seat of an 8-deck shoe against the exact finite-shoe prediction,
+    # with the default 0/1/2 extra-card law.  The normal-theory standard
+    # error of a std understates the play-moment spread of the last seats,
+    # whose increments are mostly zero, so the gate is stricter there.
+    t0 = time.time()
+    hi_lo = get_system("hi-lo")
+    worst_z = 0.0
+    for position in range(1, 8):
+        model = SeatCardModel(7, position)
+        report = simulate_seat_sigma(hi_lo, 8, 0.5, model, 100_000, SEED)
+        exact = predicted_seat_sigma(hi_lo, 8, 0.5, model)
+        for label, predicted in zip(("sigma_bet", "sigma_play"), exact):
+            emp = report.stats[label].std
+            se = emp / math.sqrt(2 * (report.trials - 1))
+            worst_z = max(worst_z, abs(emp - predicted) / se)
+    record(
+        "7b (exact seat sigma, 8 decks)",
+        worst_z < 4,
+        f"7 seats, worst z {worst_z:.2f}, {time.time() - t0:.0f}s",
     )
 
 

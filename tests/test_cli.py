@@ -198,6 +198,48 @@ class TestSimulateCommand:
         assert "sigma_bet" in out
         assert "predicted sigma_bet" in out
 
+    def test_exact_seat_prediction(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--mode", "seat-sigma", "--system", "hi-lo",
+            "--decks", "8", "--penetration", "0.5", "--position", "7",
+            "--trials", "50", "--seed", "3",
+        )
+        assert code == 0
+        # The CLI's 2.6 cards per hand is 0 or 1 extra card with 0.4/0.6.
+        assert out.endswith(
+            "predicted sigma_bet (exact): 1.021418\n"
+            "predicted sigma_play (exact): 0.188248\n"
+        )
+
+    def test_system_file(self, capsys, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("A -1\n2 1\n3 1\n4 1\n5 1\n6 1\n7 0\n8 0\n9 0\nT -1\n")
+        args = (
+            "simulate", "--mode", "tc-increment", "--decks", "8",
+            "--penetration", "0.5", "--n-cards", "1,4", "--trials", "60",
+            "--seed", "12", "--format", "json",
+        )
+        code, out, _ = run_cli(capsys, *args, "--system-file", str(path))
+        assert code == 0
+        from_file = json.loads(out)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"system_file = {path}\n")
+        code, out, _ = run_cli(capsys, *args, "--config", str(cfg), "--system", "hi-lo")
+        assert code == 0
+        named = json.loads(out)
+        assert from_file["config"]["system"] == "custom"
+        assert named["config"]["system"] == "hi-lo"
+        assert from_file["stats"] == named["stats"]
+        code, out, _ = run_cli(capsys, *args, "--system", "hi-lo")
+        assert json.loads(out)["stats"] == named["stats"]
+
+    def test_missing_system_file_exit_2(self, capsys, tmp_path):
+        assert_typed_error(
+            capsys, "simulate", "--mode", "tc-increment", "--decks", "8",
+            "--penetration", "0.5", "--n-cards", "1", "--trials", "5", "--seed", "1",
+            "--system-file", str(tmp_path / "absent.txt"),
+        )
+
     def test_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("mode = bankroll\np = 0.52\nhands = 50\ntrials = 5\nseed = 1\n")

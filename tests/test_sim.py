@@ -1,4 +1,4 @@
-"""Monte Carlo engine: determinism, kernel arithmetic, and closed-form checks."""
+"""Monte Carlo engine: stream contract, sampler law, kernel arithmetic, and closed-form checks."""
 import math
 
 import numpy as np
@@ -14,13 +14,15 @@ from truecount import (
     growth_stats_binomial,
     growth_var_fuzzy,
     FuzzyAdvantage,
+    InvariantError,
     predicted_increment_std,
+    predicted_seat_sigma,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,
     trial_rng,
 )
-from truecount import kernels
+from truecount import kernels, sim
 
 
 class TestTrialRng:
@@ -29,7 +31,7 @@ class TestTrialRng:
         b = trial_rng(123, 5).random(4)
         assert np.array_equal(a, b)
 
-    def test_streams_differ_across_trials(self):
+    def test_streams_differ_across_chunks(self):
         a = trial_rng(123, 5).random(4)
         b = trial_rng(123, 6).random(4)
         assert not np.array_equal(a, b)
@@ -44,6 +46,31 @@ class TestTrialRng:
             with pytest.raises(BadRangeError):
                 trial_rng(seed, 0)
         trial_rng(2**128 - 1, 0)
+
+    @pytest.mark.parametrize("run", [
+        lambda t: simulate_seat_sigma(
+            get_system("halves"), 8, 0.5, SeatCardModel(7, 3), t, 9
+        ),
+        lambda t: simulate_tc_increment(get_system("hi-lo"), 2, 0.5, [1, 5], t, 9),
+        lambda t: simulate_bankroll(FixedAdvantageModel(0.52), 100, t, 9),
+        lambda t: simulate_bankroll(TwoPointAdvantageModel(0.54, 4e-4), 100, t, 9),
+    ], ids=["seat-sigma", "tc-increment", "bankroll-fixed", "bankroll-two-point"])
+    def test_first_chunk_independent_of_run_length(self, monkeypatch, run):
+        samples: list[tuple[str, np.ndarray]] = []
+        stat_row = sim._stat_row
+
+        def keep(values, notes, label):
+            samples.append((label, values))
+            return stat_row(values, notes, label)
+
+        monkeypatch.setattr(sim, "_stat_row", keep)
+        run(sim.CHUNK + 5)
+        longer = samples.copy()
+        samples.clear()
+        run(sim.CHUNK)
+        assert [label for label, _ in longer] == [label for label, _ in samples]
+        for (_, a), (_, b) in zip(longer, samples):
+            assert a.size == sim.CHUNK + 5 and np.array_equal(a[: sim.CHUNK], b)
 
 
 class TestKernels:
@@ -64,17 +91,49 @@ class TestKernels:
                 r += int(tail[t, i])
             assert r_dealer[t] == r
 
-        u, u2 = rng.random(1000), rng.random(1000)
-        assert kernels.count_wins(u, 0.52) == sum(1 for x in u if x < 0.52)
 
-        n_hi = w_hi = w_lo = 0
-        for state, win in zip(u, u2):
-            if state < 0.5:
-                n_hi += 1
-                w_hi += win < 0.54
-            else:
-                w_lo += win < 0.5
-        assert kernels.count_wins_two_state(u, u2, 0.5, 0.54) == (n_hi, w_hi, w_lo)
+class TestExactLaw:
+    def test_cut_count_and_next_card(self, hi_lo):
+        # One hi-lo deck cut at 26: the census of the dealt half is
+        # multivariate hypergeometric, the next card uniform among the rest.
+        weights, counts, scale = sim._shoe_classes(hi_lo, 1)
+        assert (weights.tolist(), counts.tolist(), scale) == ([-1, 0, 1], [20, 12, 20], 1)
+        cut, trials = 26, 200_000
+        r_cut, tail = sim._by_chunk(
+            4, trials,
+            lambda rng, size: sim._draw_cut_and_tail(rng, size, weights, counts, cut, 1),
+        )
+        prob: dict[tuple[int, int], float] = {}
+        for lo in range(21):
+            for hi in range(21):
+                zero = cut - lo - hi
+                if not 0 <= zero <= 12:
+                    continue
+                p_census = (
+                    math.comb(20, lo) * math.comb(12, zero) * math.comb(20, hi)
+                    / math.comb(52, cut)
+                )
+                for w, left in zip((-1, 0, 1), (20 - lo, 12 - zero, 20 - hi)):
+                    key = (hi - lo, w)
+                    prob[key] = prob.get(key, 0.0) + p_census * left / (52 - cut)
+        assert sum(prob.values()) == pytest.approx(1.0)
+        seen: dict[tuple[int, int], int] = {}
+        for key in zip(r_cut.tolist(), tail[:, 0].tolist()):
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= set(prob)
+        cells = [key for key, p in prob.items() if p * trials >= 5]
+        assert len(cells) > 60
+        for key in cells:
+            p = prob[key]
+            z = (seen.get(key, 0) / trials - p) / math.sqrt(p * (1 - p) / trials)
+            assert abs(z) < 5, (key, z)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stat_row_rejects_non_finite_sample(self, bad):
+        with pytest.raises(InvariantError, match="growth_rate"):
+            sim._stat_row(np.array([0.1, bad, 0.2]), [], "growth_rate")
 
 
 class TestDeterminism:
@@ -205,3 +264,20 @@ class TestPredictedIncrementStd:
         assert predicted_increment_std(hi_lo, 8, 0.5, 10.0) == predicted_increment_std(
             hi_lo, 8, 0.5, 10
         )
+
+
+class TestPredictedSeatSigma:
+    def test_last_seat_at_eight_decks(self, hi_lo):
+        bet, play = predicted_seat_sigma(hi_lo, 8, 0.5, SeatCardModel(7, 7))
+        assert bet == pytest.approx(1.021695, abs=5e-7)
+        assert play == pytest.approx(0.188515, abs=5e-7)
+
+    def test_fixed_hand_length_is_one_increment(self, hi_lo):
+        # Three cards per hand: n_bet = 16 + (position - 1) cards exactly.
+        model = SeatCardModel.with_hand_mean(7, 4, 3.0)
+        bet, _ = predicted_seat_sigma(hi_lo, 8, 0.5, model)
+        assert bet == pytest.approx(predicted_increment_std(hi_lo, 8, 0.5, 19), rel=1e-12)
+
+    def test_shoe_exhaustion(self, hi_lo):
+        with pytest.raises(BadRangeError):
+            predicted_seat_sigma(hi_lo, 1, 0.7, SeatCardModel(7, 1))
