@@ -7,6 +7,7 @@ Subcommands: ``systems``, ``sigma-table``, ``exact``, ``verify``, ``kelly``,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -64,11 +65,13 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _resolve_system(name: str, system_file: str | None):
+def _resolve_system(name: str | None, system_file: str | None):
+    """The system in ``system_file`` (named ``custom`` unless named), else
+    the builtin ``name`` (``hi-lo`` when None)."""
     if system_file:
         with open(system_file, "r", encoding="utf-8") as fh:
             return parse_system_file(fh.read(), name=name or "custom")
-    return get_system(name)
+    return get_system("hi-lo" if name is None else name)
 
 
 def cmd_systems() -> ReportTable:
@@ -284,7 +287,7 @@ def _require(config: dict, key: str, cast, default=None):
 def _config_system(config: dict):
     """The config's count system: a builtin name, or a ``system_file``."""
     system_file = config.get("system_file")
-    name = config.get("system", "") if system_file else _require(config, "system", str)
+    name = config.get("system") if system_file else _require(config, "system", str)
     return _resolve_system(name, system_file)
 
 
@@ -338,7 +341,9 @@ def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
     raise ConfigError(f"unknown mode {mode!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="truecount",
         description="True-count dispersion, Kelly long-run analytics, and Monte Carlo checks",
@@ -352,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("sigma-table", help="sigma_bet / sigma_play by seat position")
-    p.add_argument("--system", default="hi-lo")
+    p.add_argument("--system", default=None,
+                   help="builtin system (default hi-lo), or the name given "
+                   "to the --system-file system (default custom)")
     p.add_argument("--system-file", default=None)
     p.add_argument("--decks", type=int, default=8)
     p.add_argument("--penetration", type=float, required=True)

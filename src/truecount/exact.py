@@ -11,6 +11,7 @@ float.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .counting import CountSystem, WeightComposition, as_weight
-from .errors import BadRangeError, InfeasiblePrefixError, InvariantError
+from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError, InvariantError
 
 
 class SigmaResult(NamedTuple):
@@ -35,7 +36,9 @@ class TrueCountDistribution:
     ``ways[x]`` is the number of ``n``-card subsets of ``source`` whose
     removal leaves the running count ``x / scale``.  Such a removal leaves
     the true count ``x / (scale * (N - n))``, with probability
-    ``ways[x] / C(N, n)``.
+    ``ways[x] / C(N, n)``.  ``sums`` holds the integer power sums
+    ``(S0, S1, S2)`` of ``x`` weighted by ``ways``, then the two
+    denominators ``C(N, n)`` and ``scale * (N - n)``.
     """
 
     ways: dict[int, int]
@@ -53,29 +56,34 @@ class TrueCountDistribution:
             s2 += wx * x
         N = self.source.total
         denominators = (math.comb(N, self.n), self.scale * (N - self.n))
-        object.__setattr__(self, "_sums", (s0, s1, s2, *denominators))
+        object.__setattr__(self, "sums", (s0, s1, s2, *denominators))
 
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """``(value, probability)`` pairs sorted by value."""
-        *_, c, d = self._sums
+        *_, c, d = self.sums
         return tuple(
             (Fraction(x, d), Fraction(self.ways[x], c)) for x in sorted(self.ways)
         )
 
     def probabilities_sum(self) -> Fraction:
-        s0, _, _, c, _ = self._sums
+        s0, _, _, c, _ = self.sums
         return Fraction(s0, c)
 
     def mean(self) -> Fraction:
-        _, s1, _, c, d = self._sums
+        _, s1, _, c, d = self.sums
         return Fraction(s1, c * d)
+
+    def variance_numerator(self) -> int:
+        """The variance times c^3 d^2, with c, d the two denominators of ``sums``."""
+        s0, s1, s2, c, _ = self.sums
+        # E[v^2] - mean^2 * (2 - sum p), over the common denominator c^3 d^2.
+        return s2 * c * c - s1 * s1 * (2 * c - s0)
 
     def variance(self) -> Fraction:
         """Sum of p * (v - mean)**2, exact even if the p do not sum to 1."""
-        s0, s1, s2, c, d = self._sums
-        # E[v^2] - mean^2 * (2 - sum p), over the common denominator c^3 d^2.
-        return Fraction(s2 * c * c - s1 * s1 * (2 * c - s0), c**3 * d * d)
+        *_, c, d = self.sums
+        return Fraction(self.variance_numerator(), c**3 * d * d)
 
     def to_json_dict(self, units: str = "card") -> dict:
         scale = 52 if units == "deck" else 1
@@ -87,7 +95,7 @@ class TrueCountDistribution:
         }
 
 
-def _scaled_weights(comp: WeightComposition) -> tuple[list[tuple[int, int]], int]:
+def scaled_weights(comp: WeightComposition) -> tuple[list[tuple[int, int]], int]:
     """Integer-scale the weight classes: returns ([(w_scaled, l_w)], scale)."""
     weights = comp.weights()
     scale = 1
@@ -127,7 +135,7 @@ def _census_layers(
 
 
 def _laws(comp: WeightComposition, lo: int, hi: int) -> list[TrueCountDistribution]:
-    items, scale = _scaled_weights(comp)
+    items, scale = scaled_weights(comp)
     return [
         TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
         for n, ways in enumerate(_census_layers(items, lo, hi), start=lo)
@@ -201,124 +209,135 @@ def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Identity checkers: both sides evaluated as exact rationals.
+# Identity checkers: each side an integer numerator over a positive integer
+# denominator, compared by cross-multiplication.
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of a combinatorial identity, for diagnosable failures."""
+class IdentityReport(NamedTuple):
+    """Both sides of a combinatorial identity, for diagnosable failures.
+
+    Each side is held as an integer numerator over a positive integer
+    denominator; ``lhs`` and ``rhs`` give them as reduced fractions.
+    """
 
     name: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs_num: int
+    lhs_den: int
+    rhs_num: int
+    rhs_den: int
 
     @property
     def equal(self) -> bool:
-        return self.lhs == self.rhs
+        return self.lhs_num * self.rhs_den == self.rhs_num * self.lhs_den
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.lhs_den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.rhs_den)
 
 
-def _depleted_count(comp: WeightComposition, removed: Sequence[Fraction], w: Fraction) -> int:
-    # May go negative inside sums over infeasible branches; that is fine,
-    # the identities hold algebraically.
-    return comp.counts.get(w, 0) - sum(1 for r in removed if r == w)
+def _layout(comp: WeightComposition, prefix: Sequence, vs: Sequence):
+    """Counts by weight class after ``prefix``, and the class of each of ``vs``.
 
-
-def _check_prefix(comp: WeightComposition, prefix: Sequence) -> list[Fraction]:
+    Classes are indexed by position; a weight of ``vs`` absent from ``comp``
+    gets a class of its own with no cards.
+    """
     prefix = [as_weight(w) for w in prefix]
     try:
-        comp.deplete(prefix)
-    except Exception as exc:
+        comp = comp.deplete(prefix)
+    except EmptyClassError as exc:
         raise InfeasiblePrefixError(f"prefix {prefix} not drawable") from exc
-    return prefix
+    index = {w: i for i, w in enumerate(comp.counts)}
+    counts = list(comp.counts.values())
+    slots = []
+    for v in vs:
+        v = as_weight(v)
+        i = index.get(v)
+        if i is None:
+            i = index[v] = len(counts)
+            counts.append(0)
+        slots.append(i)
+    return counts, slots
+
+
+def _removal_identity(
+    name: str, comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
+) -> IdentityReport:
+    """Chance that the draws after ``prefix`` are ``vs``, with and without k removals.
+
+    d_w is the count of class w after the prefix, and left_j the count of
+    v_j's class when v_j is drawn.  Right: prod_j left_j over the falling
+    factorial (N - p)(N - p - 1)...(N - p - q).  Left: k unseen cards are
+    removed at random first; a removal census c (c_w cards of class w) has
+    chance prod_w C(d_w, c_w) / C(N - p, k) and leaves left_j - c_(v_j)
+    cards for draw j, over (N - p - k)...(N - p - k - q).
+    """
+    counts, slots = _layout(comp, prefix, vs)
+    N, p, draws = comp.total, len(prefix), len(vs)
+    left = [counts[i] - slots[:j].count(i) for j, i in enumerate(slots)]
+    lhs = 0
+    for census in itertools.combinations_with_replacement(
+        [i for i, l in enumerate(counts) if l], k
+    ):
+        ways = 1
+        for i in set(census):
+            ways *= math.comb(counts[i], census.count(i))
+        for l, i in zip(left, slots):
+            ways *= l - census.count(i)
+        lhs += ways
+    return IdentityReport(
+        name,
+        lhs, math.comb(N - p, k) * math.perm(N - p - k, draws),
+        math.prod(left), math.perm(N - p, draws),
+    )
 
 
 def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityReport:
     """One random removal does not change the chance of next drawing v0."""
-    prefix = _check_prefix(comp, prefix)
-    v0 = as_weight(v0)
     N, p = comp.total, len(prefix)
     if p > N - 2:
         raise BadRangeError(f"need len(prefix) <= N - 2, got {p} with N={N}")
-    lhs = Fraction(0)
-    for w in comp.weights():
-        lhs += (
-            Fraction(_depleted_count(comp, prefix, w), N - p)
-            * Fraction(_depleted_count(comp, [*prefix, w], v0), N - p - 1)
-        )
-    rhs = Fraction(_depleted_count(comp, prefix, v0), N - p)
-    return IdentityReport("lemma1", lhs, rhs)
+    return _removal_identity("lemma1", comp, prefix, 1, [v0])
 
 
 def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> IdentityReport:
     """Ordered-clump version: removal of one random card preserves the law."""
-    prefix = _check_prefix(comp, prefix)
-    vs = [as_weight(v) for v in vs]
     N, p, q = comp.total, len(prefix), len(vs) - 1
     if not vs:
         raise BadRangeError("need at least one v weight")
     if p + q > N - 2:
         raise BadRangeError(f"need p + q <= N - 2, got p={p}, q={q}, N={N}")
-    lhs = Fraction(0)
-    for w in comp.weights():
-        term = Fraction(_depleted_count(comp, prefix, w), N - p)
-        for j, v in enumerate(vs):
-            removed = [*prefix, *vs[:j], w]
-            term *= Fraction(_depleted_count(comp, removed, v), N - p - 1 - j)
-        lhs += term
-    rhs = Fraction(1)
-    for j, v in enumerate(vs):
-        removed = [*prefix, *vs[:j]]
-        rhs *= Fraction(_depleted_count(comp, removed, v), N - p - j)
-    return IdentityReport("lemma2", lhs, rhs)
+    return _removal_identity("lemma2", comp, prefix, 1, vs)
 
 
 def check_lemma34(
     comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
 ) -> IdentityReport:
-    """k-fold removal invariance (ordered-tuple sum over k removed cards)."""
-    prefix = _check_prefix(comp, prefix)
-    vs = [as_weight(v) for v in vs]
+    """k-fold removal invariance (sum over the census of the k removed cards)."""
     N, p, q = comp.total, len(prefix), len(vs) - 1
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
     if not vs or p + k + q > N - 1:
         raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
-    weights = comp.weights()
-
-    def tuple_sum(removed_tuple: list[Fraction], depth: int, acc: Fraction) -> Fraction:
-        if depth == k:
-            term = acc
-            for j, v in enumerate(vs):
-                removed = [*prefix, *vs[:j], *removed_tuple]
-                term *= Fraction(_depleted_count(comp, removed, v), N - p - k - j)
-            return term
-        total = Fraction(0)
-        for w in weights:
-            c = _depleted_count(comp, [*prefix, *removed_tuple], w)
-            if c == 0:
-                continue
-            total += tuple_sum(
-                [*removed_tuple, w],
-                depth + 1,
-                acc * Fraction(c, N - p - depth),
-            )
-        return total
-
-    lhs = tuple_sum([], 0, Fraction(1))
-    rhs = Fraction(1)
-    for j, v in enumerate(vs):
-        removed = [*prefix, *vs[:j]]
-        rhs *= Fraction(_depleted_count(comp, removed, v), N - p - j)
-    return IdentityReport("lemma34", lhs, rhs)
+    return _removal_identity("lemma34", comp, prefix, k, vs)
 
 
 def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:
-    """Telescoping identity tying the n-removal increment to one-card terms."""
+    """Telescoping identity tying the n-removal increment to one-card terms.
+
+    R and the weights are scaled to integers r, s_i over their common
+    denominator D.  Left: (r + sum s) / (D (N - n)) - r / (D N).  Right:
+    (N - 1) / (N - n) times the sum of (r + s_i) / (D (N - 1)) - r / (D N).
+    """
     R = as_weight(R)
     ws = [as_weight(w) for w in ws]
     if not 1 <= n < N or len(ws) != n:
         raise BadRangeError(f"need 1 <= n < N and len(ws) == n, got n={n}, N={N}")
-    lhs = (R + sum(ws)) / (N - n) - Fraction(R, N)
-    rhs = Fraction(N - 1, N - n) * sum(
-        ((R + w) / (N - 1) - Fraction(R, N) for w in ws), Fraction(0)
-    )
-    return IdentityReport("lemma6", lhs, rhs)
+    D = math.lcm(R.denominator, *(w.denominator for w in ws))
+    r = R.numerator * (D // R.denominator)
+    s = [w.numerator * (D // w.denominator) for w in ws]
+    lhs = (r + sum(s)) * N - r * (N - n)
+    rhs = (N - 1) * sum((r + si) * N - r * (N - 1) for si in s)
+    return IdentityReport("lemma6", lhs, D * N * (N - n), rhs, D * N * (N - 1) * (N - n))

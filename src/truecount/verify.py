@@ -1,8 +1,9 @@
 """Verification sweeps: exact identity checks and closed-form cross-checks.
 
 These drive both the ``verify`` CLI subcommand and the acceptance tests.
-Every identity is evaluated in exact rational arithmetic; the Kelly sweep
-uses the bracketing search with its stated tolerance.
+Every identity is evaluated exactly, each side an integer numerator over an
+integer denominator, and the sides are compared by cross-multiplication;
+the Kelly sweep uses the bracketing search with its stated tolerance.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from .exact import (
     check_lemma2,
     check_lemma34,
     check_lemma6,
-    sigma1_exact,
+    scaled_weights,
+    sigma_n_exact,
     tc_distributions,
 )
 from .kelly import verify_kelly_optimality
@@ -171,26 +173,37 @@ def _feasible(comp: WeightComposition, seq) -> bool:
 
 
 def _check_moments(result: VerificationResult, comp: WeightComposition):
-    """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance."""
-    total = comp.total
-    expected_mean = comp.true_count("card")
-    s1_sq = sigma1_exact(comp).squared
-    for dist in tc_distributions(comp):
-        n = dist.n
-        prob_sum, mean, var = dist.probabilities_sum(), dist.mean(), dist.variance()
+    """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance.
+
+    Each law's moments are its integer power sums over its denominators
+    (``TrueCountDistribution.sums``).  With the weights scaled to integers,
+    r = scale * R and q = sum (scale * w)^2 l_w, the mean is r / (scale * N)
+    and the closed form sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
+    n (N q - r^2) / ((N - n) scale^2 N^2 (N - 1)).  Sides are compared by
+    cross-multiplication; fractions are built only for a failure's detail.
+    """
+    N = comp.total
+    items, scale = scaled_weights(comp)
+    r = -sum(w * l for w, l in items)
+    spread = N * sum(w * w * l for w, l in items) - r * r
+    for law in tc_distributions(comp):
+        n = law.n
+        s0, s1, _, c, d = law.sums
         result.record(
-            prob_sum == 1,
-            lambda: f"probs sum {prob_sum} != 1 for comp={dict(comp.counts)} n={n}",
+            s0 == c,
+            lambda: f"probs sum {law.probabilities_sum()} != 1 "
+            f"for comp={dict(comp.counts)} n={n}",
         )
         result.record(
-            mean == expected_mean,
-            lambda: f"mean {mean} != R/N {expected_mean} for comp={dict(comp.counts)} n={n}",
+            s1 * scale * N == r * c * d,
+            lambda: f"mean {law.mean()} != R/N {comp.true_count('card')} "
+            f"for comp={dict(comp.counts)} n={n}",
         )
-        closed = Fraction(total - 1, total - n) * n * s1_sq
         result.record(
-            var == closed,
-            lambda: f"variance {var} != closed form {closed} for "
-            f"comp={dict(comp.counts)} n={n}",
+            law.variance_numerator() * (N - n) * scale**2 * N**2 * (N - 1)
+            == n * spread * c**3 * d**2,
+            lambda: f"variance {law.variance()} != closed form "
+            f"{sigma_n_exact(comp, n).squared} for comp={dict(comp.counts)} n={n}",
         )
 
 

@@ -87,6 +87,50 @@ class TestSigmaTable:
         )
         assert code == 0
         assert "0.877" in out
+        assert out.startswith("custom: sigma by position")
+
+    def test_system_file_errors_name_it_custom(self, capsys, tmp_path):
+        path = tmp_path / "sum8.txt"
+        path.write_text("A 1\n2 1\n" + "".join(f"{r} 0\n" for r in "3456789T"))
+        code, out, err = run_cli(
+            capsys, "sigma-table", "--penetration", "0.5", "--system-file", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: custom: full-deck weight sum is 8, not 0\n"
+        assert "hi-lo" not in err
+
+
+class TestParserBuiltOnce:
+    # A good command, a bad one (argparse exits 2 with usage), another subcommand.
+    COMMANDS = (
+        ("systems", "--format", "csv"),
+        ("kelly", "--p0", "0.52", "--hands", "many"),
+        ("longrun", "--eps", "0.01", "--sigma-bet-a", "0.5", "--format", "csv"),
+    )
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_one(self, capsys):
+        cli.build_parser.cache_clear()
+        reused = [self._run(capsys, argv) for argv in self.COMMANDS]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.COMMANDS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0]
+        assert reused[1][1] == ""
+        assert reused[1][2].startswith("usage: truecount kelly")
+        assert reused[0][1].startswith("Builtin count systems")
+        assert reused[2][1].startswith('"Long run at eps=0.01')
 
 
 class TestExact:

@@ -1,4 +1,7 @@
 """Combinatorial identity checkers and the verification sweeps."""
+import itertools
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from truecount import TrueCountDistribution, composition, tc_distributions, verify
 from truecount.errors import BadRangeError, InfeasiblePrefixError
-from truecount.exact import check_lemma1, check_lemma2, check_lemma34, check_lemma6
+from truecount.exact import (
+    IdentityReport,
+    check_lemma1,
+    check_lemma2,
+    check_lemma34,
+    check_lemma6,
+)
 from truecount.verify import (
+    WEIGHT_SETS,
     VerificationResult,
     compositions_over,
     verify_kelly,
@@ -50,6 +60,12 @@ class TestIdentityCheckers:
         report = check_lemma6(0, 4, 2, [1, 1])
         assert report.lhs == 1
         assert report.equal
+
+    def test_sides_compared_by_cross_multiplication(self):
+        report = IdentityReport("demo", 2, 4, -3, -6)
+        assert report.equal
+        assert (report.lhs, report.rhs) == (Fraction(1, 2), Fraction(1, 2))
+        assert not report._replace(lhs_num=3).equal
 
     def test_infeasible_prefix(self, comp):
         with pytest.raises(InfeasiblePrefixError):
@@ -98,6 +114,84 @@ def test_lemma6_random(r_num, n_total, data):
         )
     )
     assert check_lemma6(Fraction(r_num, 2), n_total, n, ws).equal
+
+
+def _draw_frequency(deck, head, gap, tail):
+    """Among ordered draws of distinct cards that start with ``head``, the
+    share whose cards after ``gap`` more are ``tail``."""
+    head, tail = list(head), list(tail)
+    draws = hits = 0
+    for positions in itertools.permutations(range(len(deck)), len(head) + gap + len(tail)):
+        cards = [deck[i] for i in positions]
+        if cards[: len(head)] == head:
+            draws += 1
+            hits += cards[len(head) + gap :] == tail
+    return Fraction(hits, draws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lemmas_match_ordered_draw_frequencies(data):
+    """Both sides of lemmas 1, 2 and 3-4 against enumerated draws of a small deck."""
+    weights = data.draw(st.sampled_from(WEIGHT_SETS))
+    deck = data.draw(st.lists(st.sampled_from(weights), min_size=3, max_size=7))
+    N = len(deck)
+    p = data.draw(st.integers(min_value=0, max_value=min(2, N - 2)))
+    prefix = data.draw(st.permutations(deck))[:p]
+    q = data.draw(st.integers(min_value=0, max_value=min(1, N - 2 - p)))
+    # Drawn from the whole weight set, so a weight may have no cards in the deck.
+    vs = data.draw(st.lists(st.sampled_from(weights), min_size=q + 1, max_size=q + 1))
+    comp = composition(Counter(deck))
+
+    report = check_lemma1(comp, prefix, vs[0])
+    assert report.lhs == _draw_frequency(deck, prefix, 1, vs[:1])
+    assert report.rhs == _draw_frequency(deck, prefix, 0, vs[:1])
+    report = check_lemma2(comp, prefix, vs)
+    assert report.lhs == _draw_frequency(deck, prefix, 1, vs)
+    assert report.rhs == _draw_frequency(deck, prefix, 0, vs)
+    for k in (1, 2):
+        if p + k + q <= N - 1:
+            report = check_lemma34(comp, prefix, k, vs)
+            assert report.lhs == _draw_frequency(deck, prefix, k, vs)
+            assert report.rhs == _draw_frequency(deck, prefix, 0, vs)
+
+
+def _assert_reduced(*texts):
+    for text in texts:
+        assert str(Fraction(text)) == text
+
+
+class TestFailuresAreDiagnosable:
+    def test_off_by_one_lemma_side(self, monkeypatch):
+        real = verify.check_lemma2
+
+        def bent(*args):
+            report = real(*args)
+            return report._replace(rhs_num=report.rhs_num + 1)
+
+        monkeypatch.setattr(verify, "check_lemma2", bent)
+        result = verify_lemmas(exhaustive_n=3)
+        assert not result.passed
+        first = result.failures[0]
+        assert first.startswith("lemma2 comp=")
+        lhs, rhs = re.search(r": lhs=(\S+) rhs=(\S+)$", first).groups()
+        _assert_reduced(lhs, rhs)
+        assert Fraction(lhs) != Fraction(rhs)
+
+    def test_off_by_one_variance_numerator(self, monkeypatch):
+        real = TrueCountDistribution.variance_numerator
+        monkeypatch.setattr(
+            TrueCountDistribution, "variance_numerator", lambda law: real(law) + 1
+        )
+        result = VerificationResult("theorem")
+        verify._check_moments(result, composition({1: 3, -1: 2, 0: 2}))
+        assert len(result.failures) == 6
+        assert all(f.startswith("variance ") for f in result.failures)
+        var, closed = re.match(
+            r"variance (\S+) != closed form (\S+) for comp=", result.failures[0]
+        ).groups()
+        _assert_reduced(var, closed)
+        assert Fraction(var) != Fraction(closed)
 
 
 class TestSweeps:
