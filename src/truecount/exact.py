@@ -263,19 +263,19 @@ def _layout(comp: WeightComposition, prefix: Sequence, vs: Sequence):
 
 
 def _removal_identity(
-    name: str, comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
+    name: str, counts: Sequence[int], slots: Sequence[int], k: int
 ) -> IdentityReport:
-    """Chance that the draws after ``prefix`` are ``vs``, with and without k removals.
+    """Chance that the next draws are of classes ``slots``, with and without k removals.
 
-    d_w is the count of class w after the prefix, and left_j the count of
-    v_j's class when v_j is drawn.  Right: prod_j left_j over the falling
-    factorial (N - p)(N - p - 1)...(N - p - q).  Left: k unseen cards are
-    removed at random first; a removal census c (c_w cards of class w) has
-    chance prod_w C(d_w, c_w) / C(N - p, k) and leaves left_j - c_(v_j)
-    cards for draw j, over (N - p - k)...(N - p - k - q).
+    ``counts`` lists the cards left in each class after the prefix, M in
+    all, and ``slots`` the class of each drawn weight v_j.  left_j is the
+    count of v_j's class when v_j is drawn.  Right: prod_j left_j over the
+    falling factorial M(M - 1)...(M - q).  Left: k unseen cards are removed
+    at random first; a removal census c (c_i cards of class i) has chance
+    prod_i C(counts_i, c_i) / C(M, k) and leaves left_j - c_(slot_j) cards
+    for draw j, over (M - k)...(M - k - q).
     """
-    counts, slots = _layout(comp, prefix, vs)
-    N, p, draws = comp.total, len(prefix), len(vs)
+    M, draws = sum(counts), len(slots)
     left = [counts[i] - slots[:j].count(i) for j, i in enumerate(slots)]
     lhs = 0
     for census in itertools.combinations_with_replacement(
@@ -289,8 +289,8 @@ def _removal_identity(
         lhs += ways
     return IdentityReport(
         name,
-        lhs, math.comb(N - p, k) * math.perm(N - p - k, draws),
-        math.prod(left), math.perm(N - p, draws),
+        lhs, math.comb(M, k) * math.perm(M - k, draws),
+        math.prod(left), math.perm(M, draws),
     )
 
 
@@ -299,7 +299,7 @@ def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityRepor
     N, p = comp.total, len(prefix)
     if p > N - 2:
         raise BadRangeError(f"need len(prefix) <= N - 2, got {p} with N={N}")
-    return _removal_identity("lemma1", comp, prefix, 1, [v0])
+    return _removal_identity("lemma1", *_layout(comp, prefix, [v0]), 1)
 
 
 def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> IdentityReport:
@@ -309,7 +309,7 @@ def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> Ide
         raise BadRangeError("need at least one v weight")
     if p + q > N - 2:
         raise BadRangeError(f"need p + q <= N - 2, got p={p}, q={q}, N={N}")
-    return _removal_identity("lemma2", comp, prefix, 1, vs)
+    return _removal_identity("lemma2", *_layout(comp, prefix, vs), 1)
 
 
 def check_lemma34(
@@ -321,7 +321,7 @@ def check_lemma34(
         raise BadRangeError(f"need k >= 1, got {k}")
     if not vs or p + k + q > N - 1:
         raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
-    return _removal_identity("lemma34", comp, prefix, k, vs)
+    return _removal_identity("lemma34", *_layout(comp, prefix, vs), k)
 
 
 def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import BadRangeError, ConvergenceError
 
@@ -77,32 +80,45 @@ def growth_stats_binomial(p: float) -> GrowthStats:
     return GrowthStats(mean, variance)
 
 
-def log_growth(p0: float, f: float) -> float:
-    """Expected log growth when betting fraction f at expected advantage p0."""
-    return p0 * math.log1p(f) + (1 - p0) * math.log1p(-f)
+def log_growth(p0, f):
+    """Expected log growth when betting fraction f at expected advantage p0.
+
+    Elementwise: p0 and f may be floats or numpy arrays of a common shape.
+    """
+    return p0 * np.log1p(f) + (1 - p0) * np.log1p(-f)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int = 500) -> float:
-    a, b = lo, hi
+def _golden_max(fn, lo, hi, tol: float, max_iter: int = 500) -> np.ndarray:
+    """Golden-section maxima of the elementwise unimodal ``fn`` over ``[lo, hi]``.
+
+    ``lo`` and ``hi`` are arrays, one bracket per point; each step narrows
+    every bracket still wider than ``tol`` at once, and a point whose
+    bracket is narrower stays frozen.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(max_iter):
-        if b - a < tol:
+        live = b - a >= tol
+        if not live.any():
             return (a + b) / 2
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
+        # Where fc > fd the maximum lies in [a, d]: d becomes the new b, c
+        # the new d, and a probe goes in at the new c; otherwise mirrored.
+        left = live & (fc > fd)
+        right = live & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_probe = fn(probe)
+        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
+        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
     raise ConvergenceError(f"golden-section search did not reach tol={tol}")
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     p0: float
     argmax: float
     expected: float
@@ -118,21 +134,32 @@ class OptimalityReport:
         return self.gap < self.tolerance and self.concave_at_max
 
 
+def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[OptimalityReport]:
+    """Numerically maximize the growth functional at every p0 and compare with 2p0-1.
+
+    One golden-section search over the whole array of p0, each point in the
+    bracket [0, 1 - 1e-9] to ``tolerance / 100``, then the second
+    difference at each argmax for concavity.
+    """
+    p0 = np.asarray(p0s, dtype=float)
+    bad = ~((p0 > 0.5) & (p0 < 1))
+    if bad.any():
+        raise BadRangeError(f"need 1/2 < p0 < 1, got {p0[bad][0]}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise BadRangeError(f"need a finite tolerance > 0, got {tolerance}")
+    fn = lambda f: log_growth(p0, f)
+    argmax = _golden_max(fn, np.zeros_like(p0), np.full_like(p0, 1.0 - 1e-9), tol=tolerance / 100)
+    h = 1e-4
+    concave = fn(argmax - h) - 2 * fn(argmax) + fn(argmax + h) < 0
+    return [
+        OptimalityReport(p, x, 2 * p - 1, tolerance, c)
+        for p, x, c in zip(p0.tolist(), argmax.tolist(), concave.tolist())
+    ]
+
+
 def verify_kelly_optimality(p0: float, tolerance: float = 1e-6) -> OptimalityReport:
     """Numerically maximize the growth functional and compare against 2p0-1."""
-    if not 0.5 < p0 < 1:
-        raise BadRangeError(f"need 1/2 < p0 < 1, got {p0}")
-    fn = lambda f: log_growth(p0, f)
-    argmax = _golden_max(fn, 0.0, 1.0 - 1e-9, tol=tolerance / 100)
-    h = 1e-4
-    second_diff = fn(argmax - h) - 2 * fn(argmax) + fn(argmax + h)
-    return OptimalityReport(
-        p0=p0,
-        argmax=argmax,
-        expected=2 * p0 - 1,
-        tolerance=tolerance,
-        concave_at_max=second_diff < 0,
-    )
+    return optimality_reports([p0], tolerance)[0]
 
 
 def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:

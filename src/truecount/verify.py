@@ -2,19 +2,29 @@
 
 These drive both the ``verify`` CLI subcommand and the acceptance tests.
 Every identity is evaluated exactly, each side an integer numerator over an
-integer denominator, and the sides are compared by cross-multiplication;
-the Kelly sweep uses the bracketing search with its stated tolerance.
+integer denominator, and the sides are compared by cross-multiplication.
+The exhaustive lemma sweep works in weight-class index space: prefixes,
+their feasibility and the drawn weights are tuples of class indices over a
+composition's counts, fed to the same integer core as the weight-level
+checkers, so no weight is hashed per check.  The Kelly sweep runs one
+golden-section search over the whole p0 grid, every point to the stated
+tolerance, and records one check per point.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .counting import WeightComposition
+from .errors import BadRangeError
 from .exact import (
+    _removal_identity,
     check_lemma1,
     check_lemma2,
     check_lemma34,
@@ -23,7 +33,7 @@ from .exact import (
     sigma_n_exact,
     tc_distributions,
 )
-from .kelly import verify_kelly_optimality
+from .kelly import optimality_reports
 
 #: Weight sets used by the exhaustive sweeps.
 WEIGHT_SETS: tuple[tuple[Fraction, ...], ...] = (
@@ -88,58 +98,83 @@ def _random_feasible_sequence(rng: random.Random, comp: WeightComposition, lengt
     return pool[:length]
 
 
+def _removal_instances(weights, comp: WeightComposition):
+    """The lemma 1, 2 and 3-4 checks of the exhaustive sweep on ``comp``.
+
+    Yields ``(name, prefix, k, vs, counts)`` in class-index space: class i
+    holds the cards of ``weights[i]``, ``prefix`` and ``vs`` are tuples of
+    class indices, and ``counts`` lists the cards left in each class after
+    the prefix.  The prefixes are every drawable one of length 0 to 2.
+    """
+    total = comp.total
+    have = [comp.counts[w] for w in weights]
+    classes = range(len(weights))
+    for p in (0, 1, 2):
+        for prefix in itertools.product(classes, repeat=p):
+            counts = list(have)
+            for i in prefix:
+                counts[i] -= 1
+            if min(counts) < 0:
+                continue
+            if p <= total - 2:
+                for v0 in classes:
+                    yield "lemma1", prefix, 1, (v0,), counts
+            for q in (0, 1):
+                if p + q <= total - 2:
+                    for vs in itertools.product(classes, repeat=q + 1):
+                        yield "lemma2", prefix, 1, vs, counts
+            for k in (1, 2):
+                for q in (0, 1):
+                    if p + k + q <= total - 1:
+                        for vs in itertools.product(classes, repeat=q + 1):
+                            yield "lemma34", prefix, k, vs, counts
+
+
 def verify_lemmas(
-    seed: int = 0, exhaustive_n: int = 8, random_instances: int = 100, random_n_max: int = 20
+    seed: int = 0,
+    exhaustive_n: int = 8,
+    random_instances: int = 100,
+    random_n_max: int = 20,
+    weight_sets: Sequence[Sequence[Fraction]] = WEIGHT_SETS[:2],
 ) -> VerificationResult:
-    """Exhaustive small-deck plus seeded random checks of the four identities."""
+    """Exhaustive small-deck plus seeded random checks of the four identities.
+
+    The exhaustive block covers every composition of 2 to ``exhaustive_n``
+    cards over each of ``weight_sets``; it evaluates lemmas 1, 2 and 3-4 in
+    class-index space (``_removal_instances``) with the same integer core
+    as the weight-level checkers.
+    """
     result = VerificationResult("lemmas")
 
-    def note(report, comp, **context):
-        result.record(
-            report.equal,
-            lambda: f"{report.name} comp={dict(comp.counts)} "
+    def describe(report, comp, **context) -> str:
+        return (
+            f"{report.name} comp={dict(comp.counts)} "
             + " ".join(f"{key}={value}" for key, value in context.items())
-            + f": lhs={report.lhs} rhs={report.rhs}",
+            + f": lhs={report.lhs} rhs={report.rhs}"
         )
 
-    for weights in WEIGHT_SETS[:2]:
+    def note(report, comp, **context):
+        result.record(report.equal, lambda: describe(report, comp, **context))
+
+    for weights in weight_sets:
         for total in range(2, exhaustive_n + 1):
             for comp in compositions_over(weights, total):
-                prefixes = [()]
-                for length in (1, 2):
-                    prefixes += [
-                        p
-                        for p in itertools.product(weights, repeat=length)
-                        if _feasible(comp, p)
-                    ]
-                for prefix in prefixes:
-                    p = len(prefix)
-                    for v0 in weights:
-                        if p <= total - 2:
-                            note(check_lemma1(comp, prefix, v0), comp, prefix=prefix)
-                    for q in (0, 1):
-                        if p + q > total - 2:
-                            continue
-                        for vs in itertools.product(weights, repeat=q + 1):
-                            note(check_lemma2(comp, prefix, vs), comp, prefix=prefix)
-                    for k in (1, 2):
-                        for q in (0, 1):
-                            if p + k + q > total - 1:
-                                continue
-                            for vs in itertools.product(weights, repeat=q + 1):
-                                note(
-                                    check_lemma34(comp, prefix, k, vs),
-                                    comp,
-                                    prefix=prefix,
-                                    k=k,
-                                )
+                for name, prefix, k, vs, counts in _removal_instances(weights, comp):
+                    report = _removal_identity(name, counts, vs, k)
+                    result.record(
+                        report.equal,
+                        lambda: describe(
+                            report,
+                            comp,
+                            prefix=tuple(weights[i] for i in prefix),
+                            k=k,
+                            vs=tuple(weights[i] for i in vs),
+                        ),
+                    )
+                R = comp.running_count
                 for n in range(1, min(3, total)):
                     for ws in itertools.product(weights, repeat=n):
-                        note(
-                            check_lemma6(comp.running_count, total, n, ws),
-                            comp,
-                            ws=ws,
-                        )
+                        note(check_lemma6(R, total, n, ws), comp, ws=ws)
 
     rng = random.Random(seed)
     for _ in range(random_instances):
@@ -163,13 +198,6 @@ def verify_lemmas(
         r = Fraction(rng.randint(-10, 10), rng.choice((1, 2)))
         note(check_lemma6(r, total, n, ws), comp, R=r, ws=ws)
     return result
-
-
-def _feasible(comp: WeightComposition, seq) -> bool:
-    counts: dict = {}
-    for w in seq:
-        counts[w] = counts.get(w, 0) + 1
-    return all(comp.counts.get(w, 0) >= c for w, c in counts.items())
 
 
 def _check_moments(result: VerificationResult, comp: WeightComposition):
@@ -229,18 +257,30 @@ def verify_theorem(
     return result
 
 
+def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The p0 grid lo, lo + step, ... up to hi, never past it."""
+    if not 0.5 < lo <= hi < 1:
+        raise BadRangeError(f"need 1/2 < lo <= hi < 1, got lo={lo}, hi={hi}")
+    if not (math.isfinite(step) and step > 0):
+        raise BadRangeError(f"need a finite step > 0, got {step}")
+    # The 1e-9 absorbs rounding in (hi - lo) / step when hi is a whole
+    # number of steps from lo.
+    return lo + np.arange(math.floor((hi - lo) / step + 1e-9) + 1) * step
+
+
 def verify_kelly(
     lo: float = 0.505, hi: float = 0.95, step: float = 0.005, tolerance: float = 1e-6
 ) -> VerificationResult:
-    """Bracketing-search optimality of the 2p-1 fraction over a p grid."""
+    """Golden-section optimality of the 2p-1 fraction over a p grid.
+
+    One search runs over the whole grid at once (``optimality_reports``);
+    each point is one check.
+    """
     result = VerificationResult("kelly")
-    steps = round((hi - lo) / step)
-    for i in range(steps + 1):
-        p0 = lo + i * step
-        report = verify_kelly_optimality(p0, tolerance)
+    for report in optimality_reports(_kelly_grid(lo, hi, step), tolerance):
         result.record(
             report.passed,
-            lambda: f"p0={p0}: argmax={report.argmax} expected={report.expected} "
+            lambda: f"p0={report.p0}: argmax={report.argmax} expected={report.expected} "
             f"gap={report.gap} concave={report.concave_at_max}",
         )
     return result

@@ -1,11 +1,14 @@
 """Kelly growth closed forms, optimality search, and the fuzzy correction."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from truecount import verify
 from truecount import (
     BadRangeError,
+    ConvergenceError,
     FuzzyAdvantage,
     GrowthStats,
     advantage_variance,
@@ -15,7 +18,7 @@ from truecount import (
     long_run,
     verify_kelly_optimality,
 )
-from truecount.kelly import log_growth
+from truecount.kelly import GOLDEN, _golden_max, log_growth, optimality_reports
 
 
 def exact_two_point_growth(p0: float, var_p0: float) -> GrowthStats:
@@ -100,6 +103,102 @@ class TestOptimality:
     def test_out_of_range(self):
         with pytest.raises(BadRangeError):
             verify_kelly_optimality(0.4)
+
+
+def scalar_golden_max(fn, lo, hi, tol):
+    """Reference: the one-point golden-section search the batched one replaced."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a >= tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+    return (a + b) / 2
+
+
+class TestKellyGrid:
+    @pytest.mark.parametrize("lo, hi, count", [(0.5005, 0.6, 200), (0.9, 0.999, 199)])
+    def test_argmax_within_tolerance_near_the_ends(self, lo, hi, count):
+        reports = optimality_reports(verify._kelly_grid(lo, hi, 0.0005), tolerance=1e-6)
+        assert len(reports) == count
+        assert all(r.gap < r.tolerance and r.concave_at_max for r in reports)
+
+    def test_batched_search_matches_the_one_point_search(self):
+        p0 = verify._kelly_grid(0.5005, 0.999, 0.0035)
+        batched = _golden_max(
+            lambda f: log_growth(p0, f), np.zeros_like(p0), np.full_like(p0, 1 - 1e-9), 1e-8
+        )
+        for p, x in zip(p0.tolist(), batched.tolist()):
+            assert x == scalar_golden_max(lambda f: log_growth(p, f), 0.0, 1 - 1e-9, 1e-8)
+
+    def test_search_that_cannot_converge(self):
+        p0 = np.array([0.55, 0.6])
+        with pytest.raises(ConvergenceError):
+            _golden_max(lambda f: log_growth(p0, f), np.zeros(2), np.ones(2) - 1e-9, 1e-8, max_iter=1)
+
+    def test_planted_wrong_expected_names_each_p0(self, monkeypatch):
+        real = verify.optimality_reports
+        bent_points = (1, 3)
+
+        def bent(p0s, tolerance):
+            return [
+                r._replace(expected=r.expected + 1e-3) if i in bent_points else r
+                for i, r in enumerate(real(p0s, tolerance))
+            ]
+
+        monkeypatch.setattr(verify, "optimality_reports", bent)
+        result = verify.verify_kelly(lo=0.55, hi=0.75, step=0.05)
+        assert result.checked == 5
+        grid = verify._kelly_grid(0.55, 0.75, 0.05).tolist()
+        named = [f"p0={grid[i]}" for i in bent_points]
+        assert [f.split(":")[0] for f in result.failures] == named
+
+    @pytest.mark.parametrize("lo, hi, step, count", [
+        (0.505, 0.95, 0.005, 90),  # the CLI's grid
+        (0.55, 0.75, 0.05, 5),
+        (0.6, 0.61, 0.005, 3),
+        (0.7, 0.7, 0.01, 1),
+    ])
+    def test_grid_point_counts(self, lo, hi, step, count):
+        assert len(verify._kelly_grid(lo, hi, step)) == count
+
+    def test_benchmark_style_grids_have_801_points(self):
+        for j in range(450):
+            lo = round(0.505 + j * 1e-4, 4)
+            grid = verify._kelly_grid(lo, round(lo + 800 * 0.0005, 4), 0.0005)
+            assert len(grid) == 801
+
+    def test_grid_stops_at_hi(self):
+        # hi is not a whole number of steps from lo: rounding the step count
+        # up would put a point at p0 = 1.
+        result = verify.verify_kelly(lo=0.99, hi=0.999999, step=0.005)
+        assert result.passed and result.checked == 2
+        assert verify._kelly_grid(0.99, 0.999999, 0.005).max() <= 0.999999
+
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0},
+        {"step": -0.005},
+        {"step": math.nan},
+        {"step": math.inf},
+        {"lo": math.nan},
+        {"hi": math.nan},
+        {"lo": 0.7, "hi": 0.6},
+        {"lo": 0.5},
+        {"hi": 1.0},
+        {"tolerance": 0.0},
+        {"tolerance": -1e-6},
+        {"tolerance": math.nan},
+    ])
+    def test_bad_grid_rejected(self, kwargs):
+        with pytest.raises(BadRangeError):
+            verify.verify_kelly(**kwargs)
 
 
 class TestFuzzyAdvantage:

@@ -178,6 +178,24 @@ class TestFailuresAreDiagnosable:
         _assert_reduced(lhs, rhs)
         assert Fraction(lhs) != Fraction(rhs)
 
+    def test_off_by_one_in_the_index_space_core(self, monkeypatch):
+        """The exhaustive block's details give the prefix and drawn weights as weights."""
+        real = verify._removal_identity
+
+        def bent(*args):
+            report = real(*args)
+            return report._replace(rhs_num=report.rhs_num + 1)
+
+        monkeypatch.setattr(verify, "_removal_identity", bent)
+        result = verify_lemmas(exhaustive_n=3, random_instances=0)
+        assert not result.passed
+        first = result.failures[0]
+        assert first.startswith("lemma1 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} ")
+        assert " prefix=() k=1 vs=(Fraction(-1, 1),): " in first
+        lhs, rhs = re.search(r": lhs=(\S+) rhs=(\S+)$", first).groups()
+        _assert_reduced(lhs, rhs)
+        assert Fraction(lhs) != Fraction(rhs)
+
     def test_off_by_one_variance_numerator(self, monkeypatch):
         real = TrueCountDistribution.variance_numerator
         monkeypatch.setattr(
@@ -192,6 +210,38 @@ class TestFailuresAreDiagnosable:
         ).groups()
         _assert_reduced(var, closed)
         assert Fraction(var) != Fraction(closed)
+
+
+class TestIndexSpaceSweep:
+    def test_core_matches_weight_level_checkers(self):
+        """Every lemma 1, 2 and 3-4 check of the exhaustive sweep, both ways."""
+        checkers = {
+            "lemma1": lambda comp, prefix, k, vs: check_lemma1(comp, prefix, vs[0]),
+            "lemma2": lambda comp, prefix, k, vs: check_lemma2(comp, prefix, vs),
+            "lemma34": check_lemma34,
+        }
+        compared = lemma6 = 0
+        for weights in WEIGHT_SETS[:2]:
+            for total in range(2, 6):
+                for comp in compositions_over(weights, total):
+                    lemma6 += sum(len(weights) ** n for n in range(1, min(3, total)))
+                    for name, prefix, k, vs, counts in verify._removal_instances(weights, comp):
+                        core = verify._removal_identity(name, counts, vs, k)
+                        public = checkers[name](
+                            comp, [weights[i] for i in prefix], k, [weights[i] for i in vs]
+                        )
+                        assert (core.name, core.lhs, core.rhs, core.equal) == (
+                            public.name, public.lhs, public.rhs, public.equal
+                        )
+                        compared += 1
+        assert compared + lemma6 == verify_lemmas(exhaustive_n=5, random_instances=0).checked
+
+    def test_wider_weight_sets_exhaustively(self):
+        # Four weight classes, integer and half-integer: every composition of
+        # up to 6 cards (the largest n that takes under 2 s on a 2-core host).
+        result = verify_lemmas(exhaustive_n=6, random_instances=0, weight_sets=WEIGHT_SETS[2:])
+        assert result.passed, result.failures[:3]
+        assert result.checked == 193_912
 
 
 class TestSweeps:
