@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,37 +88,37 @@ def log_growth(p0, f):
     return p0 * np.log1p(f) + (1 - p0) * np.log1p(-f)
 
 
-def _golden_max(fn, lo, hi, tol: float, max_iter: int = 500) -> np.ndarray:
+def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int = 500) -> np.ndarray:
     """Golden-section maxima of the elementwise unimodal ``fn`` over ``[lo, hi]``.
 
-    ``lo`` and ``hi`` are arrays, one bracket per point; each step narrows
-    every bracket still wider than ``tol`` at once, and a point whose
-    bracket is narrower stays frozen.
+    ``fn`` maps an array of probes to an array of values, one per point,
+    and every point starts from the same bracket.  Each step narrows every
+    point's bracket by the golden ratio, so all of them cross ``tol``
+    together; the search stops once the widest one has.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
+    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
+    a, b = np.full_like(fc, lo), np.full_like(fc, hi)
     for _ in range(max_iter):
-        live = b - a >= tol
-        if not live.any():
+        if np.max(b - a) < tol:
             return (a + b) / 2
         # Where fc > fd the maximum lies in [a, d]: d becomes the new b, c
         # the new d, and a probe goes in at the new c; otherwise mirrored.
-        left = live & (fc > fd)
-        right = live & ~left
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
         probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         f_probe = fn(probe)
-        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
-        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
+        c, fc, d, fd = (
+            np.where(left, probe, d),
+            np.where(left, f_probe, fd),
+            np.where(left, c, probe),
+            np.where(left, fc, f_probe),
+        )
     raise ConvergenceError(f"golden-section search did not reach tol={tol}")
 
 
-class OptimalityReport(NamedTuple):
+@dataclass(frozen=True)
+class OptimalityReport:
     p0: float
     argmax: float
     expected: float
@@ -139,7 +139,9 @@ def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[Op
 
     One golden-section search over the whole array of p0, each point in the
     bracket [0, 1 - 1e-9] to ``tolerance / 100``, then the second
-    difference at each argmax for concavity.
+    difference at each argmax for concavity.  Its step is 1e-4, shrunk to
+    half the distance to f = 1 where that is closer, so the probe stays
+    inside the domain of the growth functional.
     """
     p0 = np.asarray(p0s, dtype=float)
     bad = ~((p0 > 0.5) & (p0 < 1))
@@ -148,8 +150,8 @@ def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[Op
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise BadRangeError(f"need a finite tolerance > 0, got {tolerance}")
     fn = lambda f: log_growth(p0, f)
-    argmax = _golden_max(fn, np.zeros_like(p0), np.full_like(p0, 1.0 - 1e-9), tol=tolerance / 100)
-    h = 1e-4
+    argmax = _golden_max(fn, 0.0, 1.0 - 1e-9, tol=tolerance / 100)
+    h = np.minimum(1e-4, (1 - argmax) / 2)
     concave = fn(argmax - h) - 2 * fn(argmax) + fn(argmax + h) < 0
     return [
         OptimalityReport(p, x, 2 * p - 1, tolerance, c)

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -135,12 +135,11 @@ def verify_lemmas(
     exhaustive_n: int = 8,
     random_instances: int = 100,
     random_n_max: int = 20,
-    weight_sets: Sequence[Sequence[Fraction]] = WEIGHT_SETS[:2],
 ) -> VerificationResult:
     """Exhaustive small-deck plus seeded random checks of the four identities.
 
     The exhaustive block covers every composition of 2 to ``exhaustive_n``
-    cards over each of ``weight_sets``; it evaluates lemmas 1, 2 and 3-4 in
+    cards over each of the first two weight sets; it evaluates lemmas 1, 2 and 3-4 in
     class-index space (``_removal_instances``) with the same integer core
     as the weight-level checkers.
     """
@@ -156,7 +155,7 @@ def verify_lemmas(
     def note(report, comp, **context):
         result.record(report.equal, lambda: describe(report, comp, **context))
 
-    for weights in weight_sets:
+    for weights in WEIGHT_SETS[:2]:
         for total in range(2, exhaustive_n + 1):
             for comp in compositions_over(weights, total):
                 for name, prefix, k, vs, counts in _removal_instances(weights, comp):
@@ -257,6 +256,10 @@ def verify_theorem(
     return result
 
 
+#: Most points a Kelly grid may have; the search holds the whole grid in memory.
+KELLY_MAX_POINTS = 10**5
+
+
 def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The p0 grid lo, lo + step, ... up to hi, never past it."""
     if not 0.5 < lo <= hi < 1:
@@ -265,7 +268,12 @@ def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise BadRangeError(f"need a finite step > 0, got {step}")
     # The 1e-9 absorbs rounding in (hi - lo) / step when hi is a whole
     # number of steps from lo.
-    return lo + np.arange(math.floor((hi - lo) / step + 1e-9) + 1) * step
+    steps = (hi - lo) / step + 1e-9
+    if not steps < KELLY_MAX_POINTS:
+        raise BadRangeError(
+            f"a grid from {lo} to {hi} by {step} has more than {KELLY_MAX_POINTS} points"
+        )
+    return lo + np.arange(math.floor(steps) + 1) * step
 
 
 def verify_kelly(

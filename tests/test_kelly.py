@@ -1,5 +1,7 @@
 """Kelly growth closed forms, optimality search, and the fuzzy correction."""
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,16 +134,14 @@ class TestKellyGrid:
 
     def test_batched_search_matches_the_one_point_search(self):
         p0 = verify._kelly_grid(0.5005, 0.999, 0.0035)
-        batched = _golden_max(
-            lambda f: log_growth(p0, f), np.zeros_like(p0), np.full_like(p0, 1 - 1e-9), 1e-8
-        )
+        batched = _golden_max(lambda f: log_growth(p0, f), 0.0, 1 - 1e-9, 1e-8)
         for p, x in zip(p0.tolist(), batched.tolist()):
             assert x == scalar_golden_max(lambda f: log_growth(p, f), 0.0, 1 - 1e-9, 1e-8)
 
     def test_search_that_cannot_converge(self):
         p0 = np.array([0.55, 0.6])
         with pytest.raises(ConvergenceError):
-            _golden_max(lambda f: log_growth(p0, f), np.zeros(2), np.ones(2) - 1e-9, 1e-8, max_iter=1)
+            _golden_max(lambda f: log_growth(p0, f), 0.0, 1 - 1e-9, 1e-8, max_iter=1)
 
     def test_planted_wrong_expected_names_each_p0(self, monkeypatch):
         real = verify.optimality_reports
@@ -149,7 +149,7 @@ class TestKellyGrid:
 
         def bent(p0s, tolerance):
             return [
-                r._replace(expected=r.expected + 1e-3) if i in bent_points else r
+                dataclasses.replace(r, expected=r.expected + 1e-3) if i in bent_points else r
                 for i, r in enumerate(real(p0s, tolerance))
             ]
 
@@ -182,11 +182,31 @@ class TestKellyGrid:
         assert result.passed and result.checked == 2
         assert verify._kelly_grid(0.99, 0.999999, 0.005).max() <= 0.999999
 
+    def test_concavity_probe_stays_below_one(self):
+        # At p0 >= 0.99995 the argmax is within 1e-4 of f = 1, where a
+        # centred second difference of step 1e-4 would leave the domain.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = verify.verify_kelly(lo=0.9999, hi=0.99999, step=0.00001)
+            report = verify_kelly_optimality(0.9999999)
+        assert result.passed and result.checked == 10
+        assert report.passed
+
+    def test_grid_size_is_bounded(self):
+        step = 2.0**-20
+        lo, hi = 0.625, 0.625 + (verify.KELLY_MAX_POINTS - 1) * step
+        assert len(verify._kelly_grid(lo, hi, step)) == verify.KELLY_MAX_POINTS
+        with pytest.raises(BadRangeError):
+            verify._kelly_grid(lo, hi + step, step)
+
     @pytest.mark.parametrize("kwargs", [
         {"step": 0.0},
         {"step": -0.005},
         {"step": math.nan},
         {"step": math.inf},
+        {"step": 1e-6},
+        {"step": 1e-300},
+        {"step": 5e-324},
         {"lo": math.nan},
         {"hi": math.nan},
         {"lo": 0.7, "hi": 0.6},
