@@ -10,9 +10,11 @@ import argparse
 import functools
 import math
 import sys
+from typing import Callable
 
 from .counting import (
     builtin_systems,
+    check_decks,
     get_system,
     parse_composition,
     parse_system_file,
@@ -94,6 +96,7 @@ def cmd_sigma_table(
     hand_mean: float,
 ) -> ReportTable:
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
+    check_decks(decks)
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
     for p in positions:
@@ -130,7 +133,7 @@ def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
     comp = parse_composition(comp_spec)
     dist = tc_distribution(comp, n)
     scale = 52 if units == "deck" else 1
-    rows = [(str(v * scale), str(p), float(v * scale), float(p)) for v, p in dist.atoms]
+    rows = [(str(v * scale), str(p)) for v, p in dist.atoms]
     mean = dist.mean()
     var = dist.variance()
     closed = sigma_n_exact(comp, n)
@@ -291,16 +294,20 @@ def _config_system(config: dict):
     return _resolve_system(name, system_file)
 
 
-def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
+def run_simulation(
+    config: dict,
+) -> tuple[SimulationReport, Callable[[], list[str]]]:
     """Run a parsed simulation config.
 
-    Returns the report and the exact or closed-form predictions rendered
-    next to its empirical statistics in the table format.
+    Returns the report and a function giving the exact or closed-form
+    predictions rendered next to its empirical statistics in the table
+    format; only that format calls it.
     """
     mode = config.get("mode", "seat-sigma")
     seed = _require(config, "seed", int)
     trials = _require(config, "trials", int)
-    lines: list[str] = []
+    if trials < 2:
+        raise BadRangeError(f"trials must be >= 2 for a std, got {trials}")
     if mode == "seat-sigma":
         system = _config_system(config)
         decks = _require(config, "decks", int)
@@ -310,17 +317,22 @@ def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
         hand_mean = _require(config, "hand_mean", float, default=DEFAULT_HAND_MEAN)
         model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
-        predicted = predicted_seat_sigma(system, decks, penetration, model)
-        for label, pred in zip(("sigma_bet", "sigma_play"), predicted):
-            lines.append(f"predicted {label} (exact): {pred:.6f}")
-        return report, lines
+
+        def predictions() -> list[str]:
+            predicted = predicted_seat_sigma(system, decks, penetration, model)
+            return [
+                f"predicted {label} (exact): {pred:.6f}"
+                for label, pred in zip(("sigma_bet", "sigma_play"), predicted)
+            ]
+
+        return report, predictions
     if mode == "tc-increment":
         system = _config_system(config)
         decks = _require(config, "decks", int)
         penetration = _require(config, "penetration", float)
         n_cards = _require(config, "n_cards", _parse_int_list)
         report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
-        return report, lines
+        return report, lambda: []
     if mode == "bankroll":
         hands = _require(config, "hands", int)
         if "p" in config:
@@ -334,10 +346,11 @@ def run_simulation(config: dict) -> tuple[SimulationReport, list[str]]:
             fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
             basis, stats = "first order", fuzzy
         report = simulate_bankroll(model, hands, trials, seed)
+        lines = []
         if stats is not None:
             lines.append(f"predicted growth mean ({basis}): {stats.mean:.6e}")
             lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
-        return report, lines
+        return report, lambda: lines
     raise ConfigError(f"unknown mode {mode!r}")
 
 
@@ -451,14 +464,14 @@ def main(argv: list[str] | None = None) -> int:
                 value = getattr(args, key, None)
                 if value is not None:
                     config[key] = value
-            report, lines = run_simulation(config)
+            report, predictions = run_simulation(config)
             if args.format == "json":
                 out.write(report.to_json() + "\n")
             elif args.format == "csv":
                 out.write(report.to_csv())
             else:
                 out.write(report.to_json() + "\n")
-                for line in lines:
+                for line in predictions():
                     out.write(line + "\n")
     except TrueCountError as exc:
         print(f"error: {exc}", file=sys.stderr)

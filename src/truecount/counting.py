@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -52,28 +54,61 @@ def as_weight(value) -> Fraction:
 
 @dataclass(frozen=True)
 class CountSystem:
-    """A balanced card-counting scheme: per-rank weights and multiplicities."""
+    """A balanced card-counting scheme: per-rank weights and multiplicities.
+
+    ``weights`` and ``rank_multiplicity`` are read-only copies, so an
+    instance can be shared (the builtins are built once per process) and
+    its per-deck constants computed once.
+    """
 
     name: str
     weights: Mapping[str, Fraction]
     rank_multiplicity: Mapping[str, int]
 
-    def weight_multiplicities(self) -> dict[Fraction, int]:
-        """Cards per 52-card deck aggregated by weight class."""
+    def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        object.__setattr__(
+            self, "rank_multiplicity", MappingProxyType(dict(self.rank_multiplicity))
+        )
+
+    @cached_property
+    def _per_deck(self) -> Mapping[Fraction, int]:
         agg: dict[Fraction, int] = {}
         for rank, w in self.weights.items():
             agg[w] = agg.get(w, 0) + self.rank_multiplicity[rank]
-        return agg
+        return MappingProxyType(agg)
 
-    def sigma0_squared(self) -> Fraction:
+    @cached_property
+    def _sigma0_squared(self) -> Fraction:
         return sum(
-            (w * w * Fraction(m, 52) for w, m in self.weight_multiplicities().items()),
+            (w * w * Fraction(m, 52) for w, m in self._per_deck.items()),
             Fraction(0),
         )
 
+    @cached_property
+    def scaled_classes(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Per-deck weight classes in increasing weight order, as integers.
+
+        ``(weights, counts, scale)``: each class's weight times ``scale``,
+        the least common denominator of the weights, and its cards per deck.
+        """
+        scale = 1
+        for w in self._per_deck:
+            scale = scale * w.denominator // math.gcd(scale, w.denominator)
+        classes = [(int(w * scale), m) for w, m in sorted(self._per_deck.items()) if m > 0]
+        weights, counts = zip(*classes)
+        return weights, counts, scale
+
+    def weight_multiplicities(self) -> dict[Fraction, int]:
+        """Cards per 52-card deck aggregated by weight class."""
+        return dict(self._per_deck)
+
+    def sigma0_squared(self) -> Fraction:
+        return self._sigma0_squared
+
     def sigma0(self) -> float:
         """Standard deviation of the system's weights over a full deck."""
-        return math.sqrt(self.sigma0_squared())
+        return math.sqrt(self._sigma0_squared)
 
 
 def make_count_system(name: str, weights_by_rank: Mapping[str, object]) -> CountSystem:
@@ -156,19 +191,28 @@ _BUILTIN_WEIGHTS: dict[str, dict[str, object]] = {
 }
 
 
+@cache
+def _builtin_registry() -> Mapping[str, CountSystem]:
+    """Every builtin system, validated once per process."""
+    return MappingProxyType(
+        {name: make_count_system(name, w) for name, w in _BUILTIN_WEIGHTS.items()}
+    )
+
+
 def builtin_systems() -> list[CountSystem]:
     """All registered builtin systems, each validated for balance."""
-    return [make_count_system(name, w) for name, w in _BUILTIN_WEIGHTS.items()]
+    return list(_builtin_registry().values())
 
 
 def get_system(name: str) -> CountSystem:
     """Look up a builtin system by name (case-insensitive)."""
     key = name.strip().lower()
-    if key not in _BUILTIN_WEIGHTS:
+    registry = _builtin_registry()
+    if key not in registry:
         raise UnknownSystemError(
-            f"unknown count system {name!r}; known: {', '.join(sorted(_BUILTIN_WEIGHTS))}"
+            f"unknown count system {name!r}; known: {', '.join(sorted(registry))}"
         )
-    return make_count_system(key, _BUILTIN_WEIGHTS[key])
+    return registry[key]
 
 
 @dataclass(frozen=True)
@@ -229,13 +273,16 @@ def composition(counts: Mapping[object, int]) -> WeightComposition:
     return WeightComposition({as_weight(w): int(l) for w, l in counts.items()})
 
 
-def fresh_shoe(system: CountSystem, decks: int) -> WeightComposition:
-    """Full shoe of ``decks`` decks under ``system``; running count 0."""
+def check_decks(decks: int) -> None:
+    """Raise :class:`BadRangeError` unless a shoe has at least one deck."""
     if decks < 1:
         raise BadRangeError(f"decks must be >= 1, got {decks}")
-    return WeightComposition(
-        {w: m * decks for w, m in system.weight_multiplicities().items()}
-    )
+
+
+def fresh_shoe(system: CountSystem, decks: int) -> WeightComposition:
+    """Full shoe of ``decks`` decks under ``system``; running count 0."""
+    check_decks(decks)
+    return WeightComposition({w: m * decks for w, m in system._per_deck.items()})
 
 
 def parse_composition(spec: str) -> WeightComposition:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .counting import CountSystem, fresh_shoe
+from .counting import CountSystem, check_decks
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import kelly_fraction
 from .seats import SeatCardModel
@@ -115,13 +115,13 @@ def _stat_row(samples: np.ndarray, notes: list[str], label: str) -> StatRow:
 
 def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer-scaled weight and card count of each weight class of a shoe."""
-    comp = fresh_shoe(system, decks)
-    scale = 1
-    for w in comp.counts:
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    classes = [(int(w * scale), l) for w, l in sorted(comp.counts.items()) if l > 0]
-    weights, counts = (np.array(col, dtype=np.int64) for col in zip(*classes))
-    return weights, counts, scale
+    check_decks(decks)
+    weights, counts, scale = system.scaled_classes
+    return (
+        np.array(weights, dtype=np.int64),
+        np.array(counts, dtype=np.int64) * decks,
+        scale,
+    )
 
 
 def _draw_cut_and_tail(
@@ -168,9 +168,13 @@ def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction
         raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
     if n == 0:
         return Fraction(0)
-    var_tc_cut = Fraction(seen) * s0_sq / ((n0 - 1) * remaining)
-    mean_sigma1_sq = (s0_sq - var_tc_cut) / (remaining - 1) ** 2
-    return Fraction(remaining - 1, remaining - n) * n * mean_sigma1_sq
+    # With M = remaining, var_tc_cut = seen * s0_sq / ((n0 - 1) M) and
+    # mean_sigma1_sq = (s0_sq - var_tc_cut) / (M - 1)^2, the variance
+    # (M - 1) / (M - n) * n * mean_sigma1_sq over one integer denominator.
+    return Fraction(
+        n * s0_sq.numerator * ((n0 - 1) * remaining - seen),
+        s0_sq.denominator * (n0 - 1) * remaining * (remaining - 1) * (remaining - n),
+    )
 
 
 def predicted_increment_std(
@@ -182,7 +186,7 @@ def predicted_increment_std(
     """
     if not (float(n).is_integer() and n >= 0):
         raise BadRangeError(f"n must be a whole number of cards, got {n}")
-    s0_sq = Fraction(system.sigma0_squared())
+    s0_sq = system.sigma0_squared()
     cut = _cut_index(decks, penetration)
     return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
 
@@ -213,7 +217,7 @@ def predicted_seat_sigma(
     """
     n0 = 52 * decks
     cut = _cut_index(decks, penetration)
-    s0_sq = Fraction(system.sigma0_squared())
+    s0_sq = system.sigma0_squared()
     base_deal = 2 * (model.seats + 1)
     ahead = _convolve(model.extra_cards_law, model.position - 1)
     behind = _convolve(model.extra_cards_law, model.seats - model.position + 1)

@@ -76,6 +76,14 @@ class TestSigmaTable:
             capsys, "sigma-table", "--penetration", "0.5", "--hand-mean", "nan"
         )
 
+    @pytest.mark.parametrize("decks", ["0", "-2"])
+    def test_no_deck_exit_2(self, capsys, decks):
+        code, out, err = run_cli(
+            capsys, "sigma-table", "--penetration", "0.5", "--decks", decks
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: decks must be >= 1, got {decks}\n"
+
     def test_custom_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text(
@@ -254,6 +262,48 @@ class TestSimulateCommand:
             "predicted sigma_bet (exact): 1.021418\n"
             "predicted sigma_play (exact): 0.188248\n"
         )
+
+    def test_predictions_only_in_table_format(self, capsys, monkeypatch):
+        args = (
+            "simulate", "--mode", "seat-sigma", "--system", "hi-lo",
+            "--decks", "8", "--penetration", "0.5", "--position", "7",
+            "--trials", "50", "--seed", "3",
+        )
+        _, table, _ = run_cli(capsys, *args)
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+
+        def not_printed(*_args):
+            raise AssertionError("predicted_seat_sigma called for a format without it")
+
+        monkeypatch.setattr(cli, "predicted_seat_sigma", not_printed)
+        code, out, err = run_cli(capsys, *args, "--format", "json")
+        assert (code, err) == (0, "")
+        body, _, tail = table.rpartition("}\n")
+        assert out == body + "}\n"
+        assert tail == (
+            "predicted sigma_bet (exact): 1.021418\n"
+            "predicted sigma_play (exact): 0.188248\n"
+        )
+        assert run_cli(capsys, *args, "--format", "csv") == (0, csv_out, "")
+        with pytest.raises(AssertionError):
+            run_cli(capsys, *args)
+
+    @pytest.mark.parametrize("trials", ["1", "0", "-3"])
+    @pytest.mark.parametrize("mode_args", [
+        ("--mode", "seat-sigma", "--system", "hi-lo", "--decks", "8",
+         "--penetration", "0.5"),
+        ("--mode", "tc-increment", "--system", "hi-lo", "--decks", "8",
+         "--penetration", "0.5", "--n-cards", "1,4"),
+        ("--mode", "bankroll", "--p", "0.52", "--hands", "100"),
+    ], ids=["seat-sigma", "tc-increment", "bankroll"])
+    def test_fewer_than_two_trials_exit_2(self, capsys, mode_args, trials):
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run_cli(
+                capsys, "simulate", *mode_args, "--trials", trials, "--seed", "1",
+                "--format", fmt,
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: trials must be >= 2 for a std, got {trials}\n"
 
     def test_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"

@@ -19,7 +19,12 @@ from truecount import (
     parse_composition,
     parse_system_file,
 )
-from truecount.counting import InvalidMultiplicityError, as_weight
+from truecount.counting import (
+    _BUILTIN_WEIGHTS,
+    CountSystem,
+    InvalidMultiplicityError,
+    as_weight,
+)
 
 
 class TestCountSystem:
@@ -78,6 +83,57 @@ class TestCountSystem:
         halves = get_system("halves")
         assert halves.weights["2"] == Fraction(1, 2)
         assert halves.weights["5"] == Fraction(3, 2)
+
+
+class TestBuiltinRegistry:
+    def test_one_shared_instance_per_builtin(self):
+        assert get_system("hi-lo") is get_system("HI-LO")
+        assert get_system("hi-lo") is get_system(" Hi-Lo ")
+        systems = builtin_systems()
+        assert [s.name for s in systems] == list(_BUILTIN_WEIGHTS)
+        assert all(s is get_system(s.name) for s in systems)
+
+    def test_weights_and_multiplicities_are_read_only(self, hi_lo):
+        with pytest.raises(TypeError):
+            hi_lo.weights["A"] = Fraction(5)
+        with pytest.raises(TypeError):
+            hi_lo.rank_multiplicity["T"] = 4
+        assert get_system("hi-lo").weights["A"] == -1
+        assert get_system("hi-lo").rank_multiplicity["T"] == 16
+
+    def test_returned_list_and_dict_are_copies(self):
+        systems = builtin_systems()
+        systems.clear()
+        assert len(builtin_systems()) == len(_BUILTIN_WEIGHTS)
+        zen = get_system("zen")
+        rebuilt = make_count_system("zen", _BUILTIN_WEIGHTS["zen"])
+        mult = zen.weight_multiplicities()
+        mult[Fraction(0)] = 99
+        mult[Fraction(7)] = 1
+        assert zen.weight_multiplicities() == rebuilt.weight_multiplicities()
+        assert fresh_shoe(zen, 2).total == 104
+        assert zen.sigma0_squared() == rebuilt.sigma0_squared()
+        assert zen.scaled_classes == rebuilt.scaled_classes
+
+    def test_constructor_copies_its_mappings(self):
+        weights = dict(get_system("hi-lo").weights)
+        mult = dict(get_system("hi-lo").rank_multiplicity)
+        system = CountSystem("copy", weights, mult)
+        weights["A"] = Fraction(3)
+        mult["A"] = 0
+        assert system.weights["A"] == -1
+        assert system.rank_multiplicity["A"] == 4
+
+    def test_scaled_classes(self):
+        for system in builtin_systems():
+            weights, counts, scale = system.scaled_classes
+            assert list(weights) == sorted(weights)
+            assert sum(counts) == 52
+            assert sum(w * c for w, c in zip(weights, counts)) == 0
+            by_class = {Fraction(w, scale): c for w, c in zip(weights, counts)}
+            assert by_class == system.weight_multiplicities()
+        assert get_system("halves").scaled_classes[2] == 2
+        assert get_system("hi-lo").scaled_classes == ((-1, 0, 1), (20, 12, 20), 1)
 
 
 class TestComposition:

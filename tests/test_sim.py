@@ -1,5 +1,6 @@
 """Monte Carlo engine: stream contract, sampler law, kernel arithmetic, and closed-form checks."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from truecount import (
     SeatCardModel,
     ShoeExhaustedError,
     TwoPointAdvantageModel,
+    builtin_systems,
     get_system,
     growth_stats_binomial,
     growth_var_fuzzy,
@@ -264,6 +266,39 @@ class TestPredictedIncrementStd:
         assert predicted_increment_std(hi_lo, 8, 0.5, 10.0) == predicted_increment_std(
             hi_lo, 8, 0.5, 10
         )
+
+
+class TestIncrementVariance:
+    @staticmethod
+    def three_step_chain(s0_sq, n0, seen, n):
+        remaining = n0 - seen
+        if n == 0:
+            return Fraction(0)
+        var_tc_cut = Fraction(seen) * s0_sq / ((n0 - 1) * remaining)
+        mean_sigma1_sq = (s0_sq - var_tc_cut) / (remaining - 1) ** 2
+        return Fraction(remaining - 1, remaining - n) * n * mean_sigma1_sq
+
+    def test_one_fraction_equals_the_three_step_chain(self):
+        checked = 0
+        for system in builtin_systems():
+            s0_sq = system.sigma0_squared()
+            for decks in range(1, 9):
+                n0 = 52 * decks
+                for seen in {0, 1, 13, n0 // 4, n0 // 2, 3 * n0 // 4, n0 - 20, n0 - 2}:
+                    left = n0 - seen
+                    for n in {0, 1, 2, 7, 16, 19, left // 2, left - 2, left - 1}:
+                        if not 0 <= n < left:
+                            continue
+                        got = sim._increment_variance(s0_sq, n0, seen, n)
+                        want = self.three_step_chain(s0_sq, n0, seen, n)
+                        assert got == want, (system.name, decks, seen, n)
+                        assert math.sqrt(got) == math.sqrt(want)
+                        checked += 1
+        assert checked > 5000
+
+    def test_n_past_the_cards_left(self, hi_lo):
+        with pytest.raises(BadRangeError):
+            sim._increment_variance(hi_lo.sigma0_squared(), 52, 40, 12)
 
 
 class TestPredictedSeatSigma:
