@@ -109,6 +109,13 @@ def cmd_sigma_table(
         model = SeatCardModel.with_hand_mean(seats, pos, hand_mean)
         n_bet = n_cards_between(model, "bet_play")
         n_play = n_cards_between(model, "play_dealer")
+        for n, moments in ((n_bet, "bet and play"), (n_play, "play and dealer")):
+            if n >= remaining:
+                raise BadRangeError(
+                    f"position {pos} sees {n:g} cards between its {moments} moments, "
+                    f"but a {decks}-deck shoe at {penetration:.1%} penetration leaves "
+                    f"{remaining:.4g} (hand mean {hand_mean})"
+                )
         cells_bet.append(52 * sigma_n_approx(remaining, n_bet, system))
         cells_play.append(52 * sigma_n_approx(remaining, n_play, system))
         if pos == seats:
@@ -238,22 +245,15 @@ def cmd_longrun(
 
 # -- simulate ---------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "mode",
-    "system",
-    "system_file",
-    "decks",
-    "penetration",
-    "seats",
-    "position",
-    "trials",
-    "seed",
-    "hand_mean",
-    "p",
-    "p0",
-    "var_p0",
-    "hands",
-    "n_cards",
+#: Every config key and the reader of its value, a line per group of related
+#: keys; each is also a ``simulate`` flag, in this order.
+_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
+    "mode": str,
+    "system": str, "system_file": str, "decks": int, "penetration": float,
+    "seats": int, "position": int, "hand_mean": float,
+    "trials": int, "seed": int,
+    "p": float, "p0": float, "var_p0": float, "hands": int,
+    "n_cards": _parse_int_list,
 }
 
 
@@ -276,13 +276,13 @@ def parse_config(text: str) -> dict:
     return config
 
 
-def _require(config: dict, key: str, cast, default=None):
+def _require(config: dict, key: str, default=None):
     if key not in config:
         if default is not None:
             return default
         raise ConfigError(f"missing required config key {key!r}")
     try:
-        return cast(config[key])
+        return _CONFIG_KEYS[key](config[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {config[key]!r}") from exc
 
@@ -290,7 +290,7 @@ def _require(config: dict, key: str, cast, default=None):
 def _config_system(config: dict):
     """The config's count system: a builtin name, or a ``system_file``."""
     system_file = config.get("system_file")
-    name = config.get("system") if system_file else _require(config, "system", str)
+    name = config.get("system") if system_file else _require(config, "system")
     return _resolve_system(name, system_file)
 
 
@@ -303,18 +303,18 @@ def run_simulation(
     predictions rendered next to its empirical statistics in the table
     format; only that format calls it.
     """
-    mode = config.get("mode", "seat-sigma")
-    seed = _require(config, "seed", int)
-    trials = _require(config, "trials", int)
-    if trials < 2:
-        raise BadRangeError(f"trials must be >= 2 for a std, got {trials}")
+    mode = _require(config, "mode", default="seat-sigma")
+    if mode not in ("seat-sigma", "tc-increment", "bankroll"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    seed = _require(config, "seed")
+    trials = _require(config, "trials")
     if mode == "seat-sigma":
         system = _config_system(config)
-        decks = _require(config, "decks", int)
-        penetration = _require(config, "penetration", float)
-        seats = _require(config, "seats", int, default=DEFAULT_SEATS)
-        position = _require(config, "position", int, default=DEFAULT_POSITION)
-        hand_mean = _require(config, "hand_mean", float, default=DEFAULT_HAND_MEAN)
+        decks = _require(config, "decks")
+        penetration = _require(config, "penetration")
+        seats = _require(config, "seats", default=DEFAULT_SEATS)
+        position = _require(config, "position", default=DEFAULT_POSITION)
+        hand_mean = _require(config, "hand_mean", default=DEFAULT_HAND_MEAN)
         model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
 
@@ -328,30 +328,28 @@ def run_simulation(
         return report, predictions
     if mode == "tc-increment":
         system = _config_system(config)
-        decks = _require(config, "decks", int)
-        penetration = _require(config, "penetration", float)
-        n_cards = _require(config, "n_cards", _parse_int_list)
+        decks = _require(config, "decks")
+        penetration = _require(config, "penetration")
+        n_cards = _require(config, "n_cards")
         report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
         return report, lambda: []
-    if mode == "bankroll":
-        hands = _require(config, "hands", int)
-        if "p" in config:
-            p = _require(config, "p", float)
-            model = FixedAdvantageModel(p)
-            basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
-        else:
-            p0 = _require(config, "p0", float)
-            var_p0 = _require(config, "var_p0", float)
-            model = TwoPointAdvantageModel(p0, var_p0)
-            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
-            basis, stats = "first order", fuzzy
-        report = simulate_bankroll(model, hands, trials, seed)
-        lines = []
-        if stats is not None:
-            lines.append(f"predicted growth mean ({basis}): {stats.mean:.6e}")
-            lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
-        return report, lambda: lines
-    raise ConfigError(f"unknown mode {mode!r}")
+    hands = _require(config, "hands")
+    if "p" in config:
+        p = _require(config, "p")
+        model = FixedAdvantageModel(p)
+        basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
+    else:
+        p0 = _require(config, "p0")
+        var_p0 = _require(config, "var_p0")
+        model = TwoPointAdvantageModel(p0, var_p0)
+        fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
+        basis, stats = "first order", fuzzy
+    report = simulate_bankroll(model, hands, trials, seed)
+    lines = []
+    if stats is not None:
+        lines.append(f"predicted growth mean ({basis}): {stats.mean:.6e}")
+        lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
+    return report, lambda: lines
 
 
 @functools.cache
@@ -407,22 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--mode", default=None,
-                   choices=("seat-sigma", "bankroll", "tc-increment"))
-    p.add_argument("--system", default=None)
-    p.add_argument("--system-file", default=None)
-    p.add_argument("--decks", default=None)
-    p.add_argument("--penetration", default=None)
-    p.add_argument("--seats", default=None)
-    p.add_argument("--position", default=None)
-    p.add_argument("--hand-mean", dest="hand_mean", default=None)
-    p.add_argument("--trials", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--p0", default=None)
-    p.add_argument("--var-p0", dest="var_p0", default=None)
-    p.add_argument("--hands", default=None)
-    p.add_argument("--n-cards", dest="n_cards", default=None)
+    for key in _CONFIG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     add_format(p)
     return parser
 
@@ -461,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     config = parse_config(fh.read())
             for key in _CONFIG_KEYS:
-                value = getattr(args, key, None)
+                value = getattr(args, key)
                 if value is not None:
                     config[key] = value
             report, predictions = run_simulation(config)

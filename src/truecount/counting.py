@@ -87,17 +87,8 @@ class CountSystem:
 
     @cached_property
     def scaled_classes(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """Per-deck weight classes in increasing weight order, as integers.
-
-        ``(weights, counts, scale)``: each class's weight times ``scale``,
-        the least common denominator of the weights, and its cards per deck.
-        """
-        scale = 1
-        for w in self._per_deck:
-            scale = scale * w.denominator // math.gcd(scale, w.denominator)
-        classes = [(int(w * scale), m) for w, m in sorted(self._per_deck.items()) if m > 0]
-        weights, counts = zip(*classes)
-        return weights, counts, scale
+        """:func:`scaled_classes` of one deck: its cards per class."""
+        return scaled_classes(self._per_deck)
 
     def weight_multiplicities(self) -> dict[Fraction, int]:
         """Cards per 52-card deck aggregated by weight class."""
@@ -109,6 +100,20 @@ class CountSystem:
     def sigma0(self) -> float:
         """Standard deviation of the system's weights over a full deck."""
         return math.sqrt(self._sigma0_squared)
+
+
+def scaled_classes(
+    counts: Mapping[Fraction, int],
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Nonempty weight classes in increasing weight order, as integers.
+
+    ``(weights, counts, scale)``: each class's weight times ``scale``, the
+    least common denominator of all the weights, and its count.
+    """
+    scale = math.lcm(*(w.denominator for w in counts))
+    classes = [(int(w * scale), l) for w, l in sorted(counts.items()) if l > 0]
+    weights, counts = tuple(zip(*classes)) or ((), ())
+    return weights, counts, scale
 
 
 def make_count_system(name: str, weights_by_rank: Mapping[str, object]) -> CountSystem:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .counting import CountSystem, WeightComposition, as_weight
+from .counting import CountSystem, WeightComposition, as_weight, scaled_classes
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError, InvariantError
 
 
@@ -85,28 +85,9 @@ class TrueCountDistribution:
         *_, c, d = self.sums
         return Fraction(self.variance_numerator(), c**3 * d * d)
 
-    def to_json_dict(self, units: str = "card") -> dict:
-        scale = 52 if units == "deck" else 1
-        return {
-            "n": self.n,
-            "atoms": [
-                {"value": str(v * scale), "prob": str(p)} for v, p in self.atoms
-            ],
-        }
-
-
-def scaled_weights(comp: WeightComposition) -> tuple[list[tuple[int, int]], int]:
-    """Integer-scale the weight classes: returns ([(w_scaled, l_w)], scale)."""
-    weights = comp.weights()
-    scale = 1
-    for w in weights:
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    items = [(int(w * scale), comp.counts[w]) for w in weights if comp.counts[w] > 0]
-    return items, scale
-
 
 def _census_layers(
-    items: Sequence[tuple[int, int]], lo: int, hi: int
+    weights: Sequence[int], counts: Sequence[int], lo: int, hi: int
 ) -> list[dict[int, int]]:
     """For each n in ``lo..hi``: scaled running count after n removals -> subsets.
 
@@ -115,10 +96,10 @@ def _census_layers(
     The multiplicities are products of binomial coefficients summed over
     censuses, so layer n totals C(N, n) exactly.
     """
-    start = -sum(w * l for w, l in items)  # scale * R before any removal
+    start = -sum(w * l for w, l in zip(weights, counts))  # scale * R before any removal
     layers: list[dict[int, int]] = [{start: 1}] + [{} for _ in range(hi)]
-    remaining = sum(l for _, l in items)
-    for w, l in items:
+    remaining = sum(counts)
+    for w, l in zip(weights, counts):
         remaining -= l
         binom = [math.comb(l, c) for c in range(l + 1)]
         new: list[dict[int, int]] = [{} for _ in range(hi + 1)]
@@ -135,10 +116,10 @@ def _census_layers(
 
 
 def _laws(comp: WeightComposition, lo: int, hi: int) -> list[TrueCountDistribution]:
-    items, scale = scaled_weights(comp)
+    weights, counts, scale = scaled_classes(comp.counts)
     return [
         TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
-        for n, ways in enumerate(_census_layers(items, lo, hi), start=lo)
+        for n, ways in enumerate(_census_layers(weights, counts, lo, hi), start=lo)
     ]
 
 
@@ -172,17 +153,23 @@ def expected_tc(comp: WeightComposition, n: int) -> Fraction:
     return mean
 
 
+def _closed_form_terms(comp: WeightComposition) -> tuple[int, int, int]:
+    """``(scale, r, spread)`` of the closed-form variance, all integers.
+
+    With the weights scaled to integers over ``scale``, r = scale * R and
+    spread = N * sum (scale * w)^2 l_w - r^2, so that the theorem's
+    sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
+    n * spread / ((N - n) * scale^2 * N^2 * (N - 1)).
+    """
+    weights, counts, scale = scaled_classes(comp.counts)
+    r = -sum(w * l for w, l in zip(weights, counts))
+    spread = comp.total * sum(w * w * l for w, l in zip(weights, counts)) - r * r
+    return scale, r, spread
+
+
 def sigma1_exact(comp: WeightComposition) -> SigmaResult:
     """Std of the true count after one removal, from the deck census."""
-    N = comp.total
-    if N < 2:
-        raise BadRangeError(f"need N >= 2, got N={N}")
-    tc = comp.true_count("card")
-    second = sum(
-        (w * w * Fraction(l, N) for w, l in comp.counts.items()), Fraction(0)
-    )
-    squared = (second - tc * tc) / (N - 1) ** 2
-    return SigmaResult(math.sqrt(squared), squared)
+    return sigma_n_exact(comp, 1)
 
 
 def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
@@ -190,7 +177,8 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
     N = comp.total
     if N < 2 or not 1 <= n < N:
         raise BadRangeError(f"need N >= 2 and 1 <= n < N, got n={n}, N={N}")
-    squared = Fraction(N - 1, N - n) * n * sigma1_exact(comp).squared
+    scale, _, spread = _closed_form_terms(comp)
+    squared = Fraction(n * spread, (N - n) * scale**2 * N**2 * (N - 1))
     return SigmaResult(math.sqrt(squared), squared)
 
 

@@ -35,10 +35,6 @@ class GrowthStats:
             raise BadRangeError(f"need n >= 1 rounds, got {n}")
         return math.sqrt(self.variance / n)
 
-    def mean_over(self, n: int) -> float:
-        # E(G_n) = E(G_1) for independent identically played rounds.
-        return self.mean
-
 
 @dataclass(frozen=True)
 class FuzzyAdvantage:

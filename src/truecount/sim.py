@@ -12,7 +12,7 @@ the cut and the next few cards.  The census of the cards dealt before the
 cut is drawn multivariate hypergeometric for the whole chunk, then the tail
 card by card, each uniform among the cards left, which is the law of a
 uniformly shuffled shoe.  A bankroll trial draws its win counts as
-binomials.  The seat accounting runs through :mod:`truecount.kernels`.
+binomials.  The running-count accounting runs through :mod:`truecount.kernels`.
 """
 from __future__ import annotations
 
@@ -50,7 +50,13 @@ def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
 
 
 def _by_chunk(seed: int, trials: int, draw) -> list[np.ndarray]:
-    """Concatenate the arrays of ``draw(stream, size)`` over a run's chunks."""
+    """Concatenate the arrays of ``draw(stream, size)`` over a run's chunks.
+
+    Every run draws through here, so here is its floor of 2 trials, the
+    fewest that give a standard deviation.
+    """
+    if trials < 2:
+        raise BadRangeError(f"trials must be >= 2 for a std, got {trials}")
     parts = [
         draw(trial_rng(seed, c), min(CHUNK, trials - start))
         for c, start in enumerate(range(0, trials, CHUNK))
@@ -102,15 +108,11 @@ class SimulationReport:
         return buf.getvalue()
 
 
-def _stat_row(samples: np.ndarray, notes: list[str], label: str) -> StatRow:
+def _stat_row(samples: np.ndarray, label: str) -> StatRow:
     if not np.all(np.isfinite(samples)):
         raise InvariantError(f"{label}: non-finite sample")
-    mean = float(np.mean(samples))
-    if samples.size < 2:
-        notes.append(f"{label}: insufficient-sample (need >= 2 trials for a std)")
-        return StatRow(mean, float("nan"), float("nan"))
     std = float(np.std(samples, ddof=1))
-    return StatRow(mean, std, std / math.sqrt(samples.size))
+    return StatRow(float(np.mean(samples)), std, std / math.sqrt(samples.size))
 
 
 def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -244,8 +246,6 @@ def simulate_tc_increment(
     ``n`` more cards; the report carries one statistic per requested ``n``
     (deck units).
     """
-    if trials < 1:
-        raise BadRangeError(f"trials must be >= 1, got {trials}")
     n_cards = sorted(set(int(n) for n in n_cards))
     if not n_cards or n_cards[0] < 1:
         raise BadRangeError(f"n_cards must be positive integers, got {n_cards}")
@@ -264,7 +264,6 @@ def simulate_tc_increment(
     )
     remaining = n0 - cut
     tc_cut = 52.0 * r_cut / (scale * remaining)
-    notes: list[str] = []
     report = SimulationReport(
         kind="tc-increment",
         seed=seed,
@@ -275,16 +274,11 @@ def simulate_tc_increment(
             "penetration": penetration,
             "n_cards": n_cards,
         },
-        notes=notes,
     )
-    zeros = np.zeros(trials, dtype=np.int64)
-    for n in n_cards:
-        n_arr = np.full(trials, n, dtype=np.int64)
-        _, r_after, _ = kernels.seat_tallies(r_cut, tail, n_arr, zeros)
+    for n, r_after in zip(n_cards, kernels.running_counts(r_cut, tail, *n_cards)):
         tc_after = 52.0 * r_after / (scale * (remaining - n))
-        report.stats[f"tc_increment_n{n}"] = _stat_row(
-            tc_after - tc_cut, notes, f"tc_increment_n{n}"
-        )
+        label = f"tc_increment_n{n}"
+        report.stats[label] = _stat_row(tc_after - tc_cut, label)
     return report
 
 
@@ -307,8 +301,6 @@ def simulate_seat_sigma(
     seed: int,
 ) -> SimulationReport:
     """Empirical bet->play and play->dealer true-count dispersion for a seat."""
-    if trials < 1:
-        raise BadRangeError(f"trials must be >= 1, got {trials}")
     weights, counts, scale = _shoe_classes(system, decks)
     n0 = int(counts.sum())
     cut = _cut_index(decks, penetration)
@@ -328,13 +320,12 @@ def simulate_seat_sigma(
     r_cut, tail, extras = _by_chunk(seed, trials, draw)
     n_bet = base_deal + extras[:, : model.position - 1].sum(axis=1)
     n_play = extras[:, model.position - 1 :].sum(axis=1)
-    r_bet, r_play, r_dealer = kernels.seat_tallies(r_cut, tail, n_bet, n_play)
+    r_play, r_dealer = kernels.running_counts(r_cut, tail, n_bet, n_bet + n_play)
     remaining = n0 - cut
-    tc_bet = 52.0 * r_bet / (scale * remaining)
+    tc_bet = 52.0 * r_cut / (scale * remaining)
     tc_play = 52.0 * r_play / (scale * (remaining - n_bet))
     dealer_left = remaining - n_bet - n_play
     tc_dealer = 52.0 * r_dealer / (scale * dealer_left)
-    notes: list[str] = []
     report = SimulationReport(
         kind="seat-sigma",
         seed=seed,
@@ -347,12 +338,11 @@ def simulate_seat_sigma(
             "position": model.position,
             "hand_mean": model.mean_cards_per_hand,
         },
-        notes=notes,
     )
-    report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, notes, "sigma_bet")
-    report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, notes, "sigma_play")
+    report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, "sigma_bet")
+    report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, "sigma_play")
     report.stats["cards_per_hand"] = _stat_row(
-        2.0 + extras.sum(axis=1) / model.seats, notes, "cards_per_hand"
+        2.0 + extras.sum(axis=1) / model.seats, "cards_per_hand"
     )
     return report
 
@@ -401,10 +391,8 @@ def simulate_bankroll(
     seed: int,
 ) -> SimulationReport:
     """Per-trial exponential growth rate G_n under Kelly betting."""
-    if n_hands < 1 or trials < 1:
-        raise BadRangeError(
-            f"need n_hands >= 1 and trials >= 1, got {n_hands}, {trials}"
-        )
+    if n_hands < 1:
+        raise BadRangeError(f"need n_hands >= 1, got {n_hands}")
     if isinstance(adv_model, FixedAdvantageModel):
         f = kelly_fraction(adv_model.p)
         up, down = math.log1p(f), math.log1p(-f)
@@ -435,13 +423,11 @@ def simulate_bankroll(
         config = {"model": "two-point", "p0": adv_model.p0, "var_p0": adv_model.var_p0}
     else:
         raise BadRangeError(f"unsupported advantage model {adv_model!r}")
-    notes: list[str] = []
     report = SimulationReport(
         kind="bankroll",
         seed=seed,
         trials=trials,
         config={**config, "n_hands": n_hands},
-        notes=notes,
     )
-    report.stats["growth_rate"] = _stat_row(growth, notes, "growth_rate")
+    report.stats["growth_rate"] = _stat_row(growth, "growth_rate")
     return report

@@ -24,12 +24,12 @@ import numpy as np
 from .counting import WeightComposition
 from .errors import BadRangeError
 from .exact import (
+    _closed_form_terms,
     _removal_identity,
     check_lemma1,
     check_lemma2,
     check_lemma34,
     check_lemma6,
-    scaled_weights,
     sigma_n_exact,
     tc_distributions,
 )
@@ -203,16 +203,14 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance.
 
     Each law's moments are its integer power sums over its denominators
-    (``TrueCountDistribution.sums``).  With the weights scaled to integers,
-    r = scale * R and q = sum (scale * w)^2 l_w, the mean is r / (scale * N)
-    and the closed form sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
-    n (N q - r^2) / ((N - n) scale^2 N^2 (N - 1)).  Sides are compared by
-    cross-multiplication; fractions are built only for a failure's detail.
+    (``TrueCountDistribution.sums``); the mean is r / (scale * N) and the
+    closed-form variance n * spread / ((N - n) scale^2 N^2 (N - 1)), with
+    the integers of ``_closed_form_terms``, which ``sigma_n_exact`` also
+    uses.  Sides are compared by cross-multiplication; fractions are built
+    only for a failure's detail.
     """
     N = comp.total
-    items, scale = scaled_weights(comp)
-    r = -sum(w * l for w, l in items)
-    spread = N * sum(w * w * l for w, l in items) - r * r
+    scale, r, spread = _closed_form_terms(comp)
     for law in tc_distributions(comp):
         n = law.n
         s0, s1, _, c, d = law.sums

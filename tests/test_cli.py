@@ -84,6 +84,18 @@ class TestSigmaTable:
         assert (code, out) == (2, "")
         assert err == f"error: decks must be >= 1, got {decks}\n"
 
+    @pytest.mark.parametrize("args, expected", [
+        (("--penetration", "0.5", "--hand-mean", "40", "--decks", "1"),
+         "error: position 1 sees 266 cards between its play and dealer moments, "
+         "but a 1-deck shoe at 50.0% penetration leaves 26 (hand mean 40.0)\n"),
+        (("--penetration", "0.999", "--decks", "1"),
+         "error: position 1 sees 16 cards between its bet and play moments, "
+         "but a 1-deck shoe at 99.9% penetration leaves 0.052 (hand mean 2.6)\n"),
+    ], ids=["long-hands", "deep-cut"])
+    def test_more_cards_than_left_exit_2(self, capsys, args, expected):
+        code, out, err = run_cli(capsys, "sigma-table", *args)
+        assert (code, out, err) == (2, "", expected)
+
     def test_custom_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text(
@@ -343,6 +355,20 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 9
+
+    def test_unknown_mode_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = bogus\n")
+        for args in (("--mode", "bogus"), ("--config", str(path))):
+            code, out, err = run_cli(capsys, "simulate", *args)
+            assert (code, out, err) == (2, "", "error: unknown mode 'bogus'\n")
+
+    def test_every_config_key_is_a_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        usage = capsys.readouterr().out
+        for key in cli._CONFIG_KEYS:
+            assert f"--{key.replace('_', '-')} " in usage
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"

@@ -24,6 +24,7 @@ from truecount.counting import (
     CountSystem,
     InvalidMultiplicityError,
     as_weight,
+    scaled_classes,
 )
 
 
@@ -134,6 +135,16 @@ class TestBuiltinRegistry:
             assert by_class == system.weight_multiplicities()
         assert get_system("halves").scaled_classes[2] == 2
         assert get_system("hi-lo").scaled_classes == ((-1, 0, 1), (20, 12, 20), 1)
+
+    def test_composition_scaled_classes(self):
+        comp = composition({"1/2": 3, -1: 2, "-3/2": 0, 0: 1})
+        assert scaled_classes(comp.counts) == ((-2, 0, 1), (2, 1, 3), 2)
+        # An empty class is dropped, but its weight still sets the scale.
+        comp = composition({1: 2, -1: 2, "1/2": 0})
+        assert scaled_classes(comp.counts) == ((-2, 2), (2, 2), 2)
+        for system in builtin_systems():
+            deck = fresh_shoe(system, 1).counts
+            assert scaled_classes(deck) == system.scaled_classes
 
 
 class TestComposition:

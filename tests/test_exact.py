@@ -182,16 +182,6 @@ class TestApproximations:
             sigma1_approx(1, hi_lo)
 
 
-class TestSerialization:
-    def test_json_dict_units(self):
-        dist = tc_distribution(composition({1: 2, -1: 2}), 2)
-        card = dist.to_json_dict("card")
-        deck = dist.to_json_dict("deck")
-        assert card["n"] == 2
-        assert card["atoms"][0] == {"value": "-1", "prob": "1/6"}
-        assert deck["atoms"][0] == {"value": "-52", "prob": "1/6"}
-
-
 SMALL_COUNTS = st.dictionaries(
     st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)]),
     st.integers(min_value=0, max_value=4),

@@ -79,7 +79,6 @@ class TestGrowthStats:
     def test_std_scales_inverse_sqrt_n(self):
         stats = growth_stats_binomial(0.52)
         assert stats.std(100) == pytest.approx(stats.std(1) / 10)
-        assert stats.mean_over(100) == stats.mean
 
     def test_range_checks(self):
         for p in (0.5, 0.0, 1.0):

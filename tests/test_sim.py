@@ -61,9 +61,9 @@ class TestTrialRng:
         samples: list[tuple[str, np.ndarray]] = []
         stat_row = sim._stat_row
 
-        def keep(values, notes, label):
+        def keep(values, label):
             samples.append((label, values))
-            return stat_row(values, notes, label)
+            return stat_row(values, label)
 
         monkeypatch.setattr(sim, "_stat_row", keep)
         run(sim.CHUNK + 5)
@@ -82,16 +82,19 @@ class TestKernels:
         tail = rng.integers(-2, 3, size=(64, 25)).astype(np.int64)
         n_bet = rng.integers(0, 20, size=64).astype(np.int64)
         n_play = rng.integers(0, 5, size=64).astype(np.int64)
-        r_bet, r_play, r_dealer = kernels.seat_tallies(r_cut, tail, n_bet, n_play)
+        r_play, r_dealer, r_all, r_none = kernels.running_counts(
+            r_cut, tail, n_bet, n_bet + n_play, 25, 0
+        )
+        assert np.array_equal(r_none, r_cut)
         for t in range(64):
             r = int(r_cut[t])
-            assert r_bet[t] == r
             for i in range(n_bet[t]):
                 r += int(tail[t, i])
             assert r_play[t] == r
             for i in range(n_bet[t], n_bet[t] + n_play[t]):
                 r += int(tail[t, i])
             assert r_dealer[t] == r
+            assert r_all[t] == r_cut[t] + tail[t].sum()
 
 
 class TestExactLaw:
@@ -135,7 +138,7 @@ class TestNonFiniteGuard:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_stat_row_rejects_non_finite_sample(self, bad):
         with pytest.raises(InvariantError, match="growth_rate"):
-            sim._stat_row(np.array([0.1, bad, 0.2]), [], "growth_rate")
+            sim._stat_row(np.array([0.1, bad, 0.2]), "growth_rate")
 
 
 class TestDeterminism:
@@ -201,11 +204,16 @@ class TestSeatSigma:
         with pytest.raises(ShoeExhaustedError):
             simulate_seat_sigma(hi_lo, 1, 0.7, model, 10, 0)
 
-    def test_insufficient_sample_note(self, hi_lo):
+    def test_insufficient_sample(self, hi_lo):
+        # One trial gives no std: every mode refuses it rather than report NaN.
         model = SeatCardModel(seats=1, position=1)
-        report = simulate_seat_sigma(hi_lo, 8, 0.5, model, 1, 0)
-        assert any("insufficient-sample" in note for note in report.notes)
-        assert math.isnan(report.stats["sigma_bet"].std)
+        for run in (
+            lambda: simulate_seat_sigma(hi_lo, 8, 0.5, model, 1, 0),
+            lambda: simulate_tc_increment(hi_lo, 8, 0.5, [1], 1, 0),
+            lambda: simulate_bankroll(FixedAdvantageModel(0.52), 100, 1, 3),
+        ):
+            with pytest.raises(BadRangeError, match="trials must be >= 2 for a std"):
+                run()
 
 
 class TestBankroll:
