@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .counting import CountSystem, WeightComposition, as_weight, scaled_classes
-from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError, InvariantError
+from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
 
 
 class SigmaResult(NamedTuple):
@@ -137,22 +137,6 @@ def tc_distributions(comp: WeightComposition) -> list[TrueCountDistribution]:
     return _laws(comp, 1, N - 1) if N >= 2 else []
 
 
-def expected_tc(comp: WeightComposition, n: int) -> Fraction:
-    """Mean true count after ``n`` removals, computed from the full law.
-
-    The enumerated mean is checked against R/N; a mismatch would mean the
-    enumeration is broken, so it raises instead of returning.
-    """
-    dist = tc_distribution(comp, n)
-    mean = dist.mean()
-    expected = comp.true_count("card")
-    if mean != expected:
-        raise InvariantError(
-            f"enumerated mean {mean} != R/N = {expected} for n={n}"
-        )
-    return mean
-
-
 def _closed_form_terms(comp: WeightComposition) -> tuple[int, int, int]:
     """``(scale, r, spread)`` of the closed-form variance, all integers.
 
@@ -250,30 +234,51 @@ def _layout(comp: WeightComposition, prefix: Sequence, vs: Sequence):
     return counts, slots
 
 
+def _censuses(counts: Sequence[int], k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each census of k removals from ``counts``, with the k-subsets that make it.
+
+    A census is ``(removed, ways)``: ``removed[i]`` cards of class i are
+    removed, which ways = prod_i C(counts_i, removed_i) of the k-subsets of
+    the cards do.  Censuses that no subset makes are left out, so the ways
+    total C(M, k) for M cards.
+    """
+    table = []
+    for census in itertools.combinations_with_replacement(
+        [i for i, l in enumerate(counts) if l], k
+    ):
+        removed = [0] * len(counts)
+        for i in census:
+            removed[i] += 1
+        ways = math.prod(map(math.comb, counts, removed))
+        if ways:
+            table.append((tuple(removed), ways))
+    return table
+
+
 def _removal_identity(
-    name: str, counts: Sequence[int], slots: Sequence[int], k: int
+    name: str,
+    counts: Sequence[int],
+    slots: Sequence[int],
+    k: int,
+    censuses: Sequence[tuple[Sequence[int], int]],
 ) -> IdentityReport:
     """Chance that the next draws are of classes ``slots``, with and without k removals.
 
     ``counts`` lists the cards left in each class after the prefix, M in
-    all, and ``slots`` the class of each drawn weight v_j.  left_j is the
-    count of v_j's class when v_j is drawn.  Right: prod_j left_j over the
-    falling factorial M(M - 1)...(M - q).  Left: k unseen cards are removed
-    at random first; a removal census c (c_i cards of class i) has chance
-    prod_i C(counts_i, c_i) / C(M, k) and leaves left_j - c_(slot_j) cards
-    for draw j, over (M - k)...(M - k - q).
+    all, ``slots`` the class of each drawn weight v_j, and ``censuses`` is
+    ``_censuses(counts, k)``.  left_j is the count of v_j's class when v_j
+    is drawn.  Right: prod_j left_j over the falling factorial
+    M(M - 1)...(M - q).  Left: k unseen cards are removed at random first;
+    a removal census c (c_i cards of class i) has chance
+    ways_c / C(M, k) and leaves left_j - c_(slot_j) cards for draw j, over
+    (M - k)...(M - k - q).
     """
     M, draws = sum(counts), len(slots)
     left = [counts[i] - slots[:j].count(i) for j, i in enumerate(slots)]
     lhs = 0
-    for census in itertools.combinations_with_replacement(
-        [i for i, l in enumerate(counts) if l], k
-    ):
-        ways = 1
-        for i in set(census):
-            ways *= math.comb(counts[i], census.count(i))
+    for removed, ways in censuses:
         for l, i in zip(left, slots):
-            ways *= l - census.count(i)
+            ways *= l - removed[i]
         lhs += ways
     return IdentityReport(
         name,
@@ -287,7 +292,8 @@ def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityRepor
     N, p = comp.total, len(prefix)
     if p > N - 2:
         raise BadRangeError(f"need len(prefix) <= N - 2, got {p} with N={N}")
-    return _removal_identity("lemma1", *_layout(comp, prefix, [v0]), 1)
+    counts, slots = _layout(comp, prefix, [v0])
+    return _removal_identity("lemma1", counts, slots, 1, _censuses(counts, 1))
 
 
 def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> IdentityReport:
@@ -297,7 +303,8 @@ def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> Ide
         raise BadRangeError("need at least one v weight")
     if p + q > N - 2:
         raise BadRangeError(f"need p + q <= N - 2, got p={p}, q={q}, N={N}")
-    return _removal_identity("lemma2", *_layout(comp, prefix, vs), 1)
+    counts, slots = _layout(comp, prefix, vs)
+    return _removal_identity("lemma2", counts, slots, 1, _censuses(counts, 1))
 
 
 def check_lemma34(
@@ -309,15 +316,26 @@ def check_lemma34(
         raise BadRangeError(f"need k >= 1, got {k}")
     if not vs or p + k + q > N - 1:
         raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
-    return _removal_identity("lemma34", *_layout(comp, prefix, vs), k)
+    counts, slots = _layout(comp, prefix, vs)
+    return _removal_identity("lemma34", counts, slots, k, _censuses(counts, k))
+
+
+def _telescoping(r: int, s: Sequence[int], D: int, N: int, n: int) -> IdentityReport:
+    """Lemma 6 for R = r / D and the n weights s_i / D, all integers.
+
+    Left: (r + sum s) / (D (N - n)) - r / (D N).  Right: (N - 1) / (N - n)
+    times the sum of (r + s_i) / (D (N - 1)) - r / (D N).
+    """
+    lhs = (r + sum(s)) * N - r * (N - n)
+    rhs = (N - 1) * sum((r + si) * N - r * (N - 1) for si in s)
+    return IdentityReport("lemma6", lhs, D * N * (N - n), rhs, D * N * (N - 1) * (N - n))
 
 
 def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:
     """Telescoping identity tying the n-removal increment to one-card terms.
 
-    R and the weights are scaled to integers r, s_i over their common
-    denominator D.  Left: (r + sum s) / (D (N - n)) - r / (D N).  Right:
-    (N - 1) / (N - n) times the sum of (r + s_i) / (D (N - 1)) - r / (D N).
+    R and the weights are scaled to integers over their common denominator
+    D and checked by ``_telescoping``.
     """
     R = as_weight(R)
     ws = [as_weight(w) for w in ws]
@@ -326,6 +344,4 @@ def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:
     D = math.lcm(R.denominator, *(w.denominator for w in ws))
     r = R.numerator * (D // R.denominator)
     s = [w.numerator * (D // w.denominator) for w in ws]
-    lhs = (r + sum(s)) * N - r * (N - n)
-    rhs = (N - 1) * sum((r + si) * N - r * (N - 1) for si in s)
-    return IdentityReport("lemma6", lhs, D * N * (N - n), rhs, D * N * (N - 1) * (N - n))
+    return _telescoping(r, s, D, N, n)

@@ -5,10 +5,12 @@ Every identity is evaluated exactly, each side an integer numerator over an
 integer denominator, and the sides are compared by cross-multiplication.
 The exhaustive lemma sweep works in weight-class index space: prefixes,
 their feasibility and the drawn weights are tuples of class indices over a
-composition's counts, fed to the same integer core as the weight-level
-checkers, so no weight is hashed per check.  The Kelly sweep runs one
-golden-section search over the whole p0 grid, every point to the stated
-tolerance, and records one check per point.
+composition's counts, fed to the same integer cores as the weight-level
+checkers, so no weight is hashed per check.  Each removal-census table is
+built once per sweep call, for the counts left and the number removed, and
+lemma 6 takes weights scaled to integers once per weight set.  The Kelly
+sweep runs one golden-section search over the whole p0 grid, every point
+to the stated tolerance, and records one check per point.
 """
 from __future__ import annotations
 
@@ -24,8 +26,10 @@ import numpy as np
 from .counting import WeightComposition
 from .errors import BadRangeError
 from .exact import (
+    _censuses,
     _closed_form_terms,
     _removal_identity,
+    _telescoping,
     check_lemma1,
     check_lemma2,
     check_lemma34,
@@ -103,8 +107,8 @@ def _removal_instances(weights, comp: WeightComposition):
 
     Yields ``(name, prefix, k, vs, counts)`` in class-index space: class i
     holds the cards of ``weights[i]``, ``prefix`` and ``vs`` are tuples of
-    class indices, and ``counts`` lists the cards left in each class after
-    the prefix.  The prefixes are every drawable one of length 0 to 2.
+    class indices, and ``counts`` is a tuple of the cards left in each class
+    after the prefix.  The prefixes are every drawable one of length 0 to 2.
     """
     total = comp.total
     have = [comp.counts[w] for w in weights]
@@ -116,6 +120,7 @@ def _removal_instances(weights, comp: WeightComposition):
                 counts[i] -= 1
             if min(counts) < 0:
                 continue
+            counts = tuple(counts)
             if p <= total - 2:
                 for v0 in classes:
                     yield "lemma1", prefix, 1, (v0,), counts
@@ -139,10 +144,17 @@ def verify_lemmas(
     """Exhaustive small-deck plus seeded random checks of the four identities.
 
     The exhaustive block covers every composition of 2 to ``exhaustive_n``
-    cards over each of the first two weight sets; it evaluates lemmas 1, 2 and 3-4 in
-    class-index space (``_removal_instances``) with the same integer core
-    as the weight-level checkers.
+    cards over each of the first two weight sets, in class-index space.
+    Lemmas 1, 2 and 3-4 (``_removal_instances``) share one removal-census
+    table per (counts left, k) for the length of the call, and each check
+    evaluates its own identity from it.  Lemma 6 takes the weights scaled
+    to integers once per weight set and R from the class counts.  The
+    random block uses the weight-level checkers.
     """
+    if random_instances < 0:
+        raise BadRangeError(f"need random_instances >= 0, got {random_instances}")
+    if random_n_max < 3:
+        raise BadRangeError(f"need random_n_max >= 3, got {random_n_max}")
     result = VerificationResult("lemmas")
 
     def describe(report, comp, **context) -> str:
@@ -155,11 +167,18 @@ def verify_lemmas(
     def note(report, comp, **context):
         result.record(report.equal, lambda: describe(report, comp, **context))
 
+    tables: dict[tuple[tuple[int, ...], int], list] = {}
     for weights in WEIGHT_SETS[:2]:
+        D = math.lcm(*(w.denominator for w in weights))
+        scaled = [w.numerator * (D // w.denominator) for w in weights]
+        classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
             for comp in compositions_over(weights, total):
                 for name, prefix, k, vs, counts in _removal_instances(weights, comp):
-                    report = _removal_identity(name, counts, vs, k)
+                    censuses = tables.get((counts, k))
+                    if censuses is None:
+                        censuses = tables[counts, k] = _censuses(counts, k)
+                    report = _removal_identity(name, counts, vs, k, censuses)
                     result.record(
                         report.equal,
                         lambda: describe(
@@ -170,10 +189,14 @@ def verify_lemmas(
                             vs=tuple(weights[i] for i in vs),
                         ),
                     )
-                R = comp.running_count
+                r = -sum(s * comp.counts[w] for s, w in zip(scaled, weights))
                 for n in range(1, min(3, total)):
-                    for ws in itertools.product(weights, repeat=n):
-                        note(check_lemma6(R, total, n, ws), comp, ws=ws)
+                    for ws in itertools.product(classes, repeat=n):
+                        report = _telescoping(r, [scaled[i] for i in ws], D, total, n)
+                        result.record(
+                            report.equal,
+                            lambda: describe(report, comp, ws=tuple(weights[i] for i in ws)),
+                        )
 
     rng = random.Random(seed)
     for _ in range(random_instances):
@@ -239,6 +262,10 @@ def verify_theorem(
     samples_per_total: int = 4,
 ) -> VerificationResult:
     """Mean and variance of the enumerated law vs the closed forms, exactly."""
+    if samples_per_total < 0:
+        raise BadRangeError(f"need samples_per_total >= 0, got {samples_per_total}")
+    if any(total < 2 for total in sampled_totals):
+        raise BadRangeError(f"need sampled totals >= 2, got {sampled_totals}")
     result = VerificationResult("theorem")
     for weights, n_max in zip(WEIGHT_SETS, exhaustive_limits):
         for total in range(2, n_max + 1):

@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from truecount import (
     BadRangeError,
-    InvariantError,
     TrueCountDistribution,
     composition,
-    expected_tc,
     get_system,
     sigma1_approx,
     sigma1_exact,
@@ -24,7 +22,6 @@ from truecount import (
     tc_distribution,
     tc_distributions,
 )
-from truecount import exact
 
 
 def brute_force_distribution(counts, n):
@@ -90,12 +87,6 @@ class TestDistributionAgainstBruteForce:
 
 class TestMoments:
     @pytest.mark.parametrize("counts", SMALL_DECKS)
-    def test_mean_is_invariant(self, counts):
-        comp = composition(counts)
-        for n in range(1, comp.total):
-            assert expected_tc(comp, n) == comp.true_count("card")
-
-    @pytest.mark.parametrize("counts", SMALL_DECKS)
     def test_variance_closed_form(self, counts):
         comp = composition(counts)
         N = comp.total
@@ -119,18 +110,6 @@ class TestMoments:
                 assert dist.probabilities_sum() == mass
                 assert dist.mean() == mean
                 assert dist.variance() == sum(p * (v - mean) ** 2 for v, p in dist.atoms)
-
-    def test_wrong_mean_raises_invariant_error(self, monkeypatch):
-        def bent(comp, n):
-            law = tc_distributions(comp)[n - 1]
-            ways = dict(law.ways)
-            ways[min(ways)] -= 1
-            ways[max(ways)] += 1
-            return TrueCountDistribution(ways, law.scale, n, comp)
-
-        monkeypatch.setattr(exact, "tc_distribution", bent)
-        with pytest.raises(InvariantError):
-            expected_tc(composition({1: 2, -1: 2}), 2)
 
     def test_sigma1_worked_example(self):
         # 13 cards left: 5 high, 5 low, 3 medium; R = 0.

@@ -1,5 +1,7 @@
 """Combinatorial identity checkers and the verification sweeps."""
 import itertools
+import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +13,8 @@ from truecount import TrueCountDistribution, composition, tc_distributions, veri
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
     IdentityReport,
+    _censuses,
+    _telescoping,
     check_lemma1,
     check_lemma2,
     check_lemma34,
@@ -196,6 +200,45 @@ class TestFailuresAreDiagnosable:
         _assert_reduced(lhs, rhs)
         assert Fraction(lhs) != Fraction(rhs)
 
+    @pytest.mark.parametrize("fault", ["drop", "ways"])
+    def test_fault_in_the_census_table(self, monkeypatch, fault):
+        """A table short of one census, or one census's ways off by one, fails."""
+        real = verify._censuses
+
+        def bent(counts, k):
+            table = real(counts, k)
+            if fault == "drop":
+                return table[:-1]
+            (removed, ways), *rest = table
+            return [(removed, ways + 1), *rest]
+
+        monkeypatch.setattr(verify, "_censuses", bent)
+        result = verify_lemmas(exhaustive_n=3, random_instances=0)
+        assert not result.passed
+        first = result.failures[0]
+        assert first.startswith("lemma1 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} ")
+        assert " prefix=() k=1 vs=(Fraction(" in first
+        lhs, rhs = re.search(r": lhs=(\S+) rhs=(\S+)$", first).groups()
+        _assert_reduced(lhs, rhs)
+        assert Fraction(lhs) != Fraction(rhs)
+
+    def test_off_by_one_in_the_lemma6_core(self, monkeypatch):
+        """The exhaustive block's lemma 6 details give ``ws`` as weights."""
+        real = verify._telescoping
+
+        def bent(*args):
+            report = real(*args)
+            return report._replace(rhs_num=report.rhs_num + 1)
+
+        monkeypatch.setattr(verify, "_telescoping", bent)
+        result = verify_lemmas(exhaustive_n=3, random_instances=0)
+        assert not result.passed
+        assert all(f.startswith("lemma6 ") for f in result.failures)
+        assert result.failures[0] == (
+            "lemma6 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} ws=(Fraction(-1, 1),): "
+            "lhs=-2 rhs=-3/2"
+        )
+
     def test_off_by_one_variance_numerator(self, monkeypatch):
         real = TrueCountDistribution.variance_numerator
         monkeypatch.setattr(
@@ -226,7 +269,7 @@ class TestIndexSpaceSweep:
                 for comp in compositions_over(weights, total):
                     lemma6 += sum(len(weights) ** n for n in range(1, min(3, total)))
                     for name, prefix, k, vs, counts in verify._removal_instances(weights, comp):
-                        core = verify._removal_identity(name, counts, vs, k)
+                        core = verify._removal_identity(name, counts, vs, k, _censuses(counts, k))
                         public = checkers[name](
                             comp, [weights[i] for i in prefix], k, [weights[i] for i in vs]
                         )
@@ -235,6 +278,44 @@ class TestIndexSpaceSweep:
                         )
                         compared += 1
         assert compared + lemma6 == verify_lemmas(exhaustive_n=5, random_instances=0).checked
+
+    def test_census_table_matches_subsets(self):
+        """Census by census, the table counts the k-subsets of the cards."""
+        rng = random.Random(5)
+        for _ in range(60):
+            counts = [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(rng.randint(1, 4))]
+            cards = [i for i, l in enumerate(counts) for _ in range(l)]
+            for k in range(1, min(3, len(cards)) + 1):
+                subsets = Counter(
+                    tuple(map([cards[j] for j in subset].count, range(len(counts))))
+                    for subset in itertools.combinations(range(len(cards)), k)
+                )
+                table = _censuses(counts, k)
+                assert dict(table) == subsets, (counts, k)
+                assert len(table) == len(subsets)
+                assert sum(ways for _, ways in table) == math.comb(len(cards), k)
+
+    def test_telescoping_core_matches_check_lemma6(self):
+        """The sweep's lemma 6 instances to 5 cards, over every weight set."""
+        compared = 0
+        for weights in WEIGHT_SETS:
+            D = math.lcm(*(w.denominator for w in weights))
+            scaled = [w.numerator * (D // w.denominator) for w in weights]
+            for total in range(2, 6):
+                for comp in compositions_over(weights, total):
+                    r = -sum(s * comp.counts[w] for s, w in zip(scaled, weights))
+                    for n in range(1, min(3, total)):
+                        for ws in itertools.product(range(len(weights)), repeat=n):
+                            core = _telescoping(r, [scaled[i] for i in ws], D, total, n)
+                            public = check_lemma6(
+                                comp.running_count, total, n, [weights[i] for i in ws]
+                            )
+                            assert (core.lhs, core.rhs, core.equal) == (
+                                public.lhs, public.rhs, public.equal
+                            )
+                            compared += 1
+        assert D == 2  # WEIGHT_SETS[3] is in half units
+        assert compared == 5_186
 
     def test_wider_weight_sets_exhaustively(self):
         # The two four-class weight sets, integer and half-integer, which the
@@ -246,7 +327,9 @@ class TestIndexSpaceSweep:
             for total in range(2, 7):
                 for comp in compositions_over(weights, total):
                     for name, prefix, k, vs, counts in verify._removal_instances(weights, comp):
-                        report = verify._removal_identity(name, counts, vs, k)
+                        report = verify._removal_identity(
+                            name, counts, vs, k, _censuses(counts, k)
+                        )
                         assert report.equal, (dict(comp.counts), report)
                         checked += 1
                     for n in range(1, min(3, total)):
@@ -268,6 +351,24 @@ class TestSweeps:
         assert result.passed
         assert result.checked > 100
         assert "PASS" in result.summary()
+
+    @pytest.mark.parametrize(
+        "sweep, kwargs",
+        [
+            (verify_lemmas, {"random_n_max": 2}),
+            (verify_lemmas, {"random_instances": -1}),
+            (verify_theorem, {"sampled_totals": (1,), "exhaustive_limits": ()}),
+            (verify_theorem, {"samples_per_total": -1, "exhaustive_limits": ()}),
+        ],
+    )
+    def test_bad_sweep_arguments(self, sweep, kwargs):
+        with pytest.raises(BadRangeError):
+            sweep(**kwargs)
+
+    def test_empty_blocks_stay_valid(self):
+        assert verify_lemmas(exhaustive_n=3, random_instances=0).passed
+        result = verify_theorem(exhaustive_limits=(), sampled_totals=(6,), samples_per_total=1)
+        assert result.passed and result.checked == 4 * 3 * 5
 
     def test_verify_theorem_quick(self):
         result = verify_theorem(
