@@ -6,11 +6,14 @@ integer denominator, and the sides are compared by cross-multiplication.
 The exhaustive lemma sweep works in weight-class index space: prefixes,
 their feasibility and the drawn weights are tuples of class indices over a
 composition's counts, fed to the same integer cores as the weight-level
-checkers, so no weight is hashed per check.  Each removal-census table is
-built once per sweep call, for the counts left and the number removed, and
-lemma 6 takes weights scaled to integers once per weight set.  The Kelly
-sweep runs one golden-section search over the whole p0 grid, every point
-to the stated tolerance, and records one check per point.
+checkers, so no weight is hashed per check.  Which lemma 1, 2 and 3-4
+checks apply after a prefix, and what they evaluate to, depends only on
+the counts left, so each sweep call evaluates the block of checks for a
+tuple of counts left once and records it for every (composition, prefix)
+that leaves those counts.  Lemma 6 takes weights scaled to integers once
+per weight set.  The Kelly sweep runs one golden-section search over the
+whole p0 grid, every point to the stated tolerance, and records one check
+per point.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +67,14 @@ class VerificationResult:
         if not ok:
             self.failures.append(detail() if callable(detail) else detail)
 
+    def record_all(self, checks: int, failed: Iterable, detail: Callable[[Any], str]):
+        """Count ``checks`` checks, of which ``failed`` lists the failed ones, in order.
+
+        ``detail`` formats one entry of ``failed``; it runs only on those.
+        """
+        self.checked += checks
+        self.failures.extend(map(detail, failed))
+
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         line = f"{self.name}: {status} ({self.checked} checks"
@@ -102,37 +113,56 @@ def _random_feasible_sequence(rng: random.Random, comp: WeightComposition, lengt
     return pool[:length]
 
 
-def _removal_instances(weights, comp: WeightComposition):
-    """The lemma 1, 2 and 3-4 checks of the exhaustive sweep on ``comp``.
+def _prefixes(have: tuple[int, ...]):
+    """Every drawable prefix of length 0 to 2 from the class counts ``have``.
 
-    Yields ``(name, prefix, k, vs, counts)`` in class-index space: class i
-    holds the cards of ``weights[i]``, ``prefix`` and ``vs`` are tuples of
-    class indices, and ``counts`` is a tuple of the cards left in each class
-    after the prefix.  The prefixes are every drawable one of length 0 to 2.
+    Yields ``(prefix, counts)``: ``prefix`` is a tuple of class indices and
+    ``counts`` the tuple of cards left in each class after it.
     """
-    total = comp.total
-    have = [comp.counts[w] for w in weights]
-    classes = range(len(weights))
+    classes = range(len(have))
     for p in (0, 1, 2):
         for prefix in itertools.product(classes, repeat=p):
             counts = list(have)
             for i in prefix:
                 counts[i] -= 1
-            if min(counts) < 0:
-                continue
-            counts = tuple(counts)
-            if p <= total - 2:
-                for v0 in classes:
-                    yield "lemma1", prefix, 1, (v0,), counts
-            for q in (0, 1):
-                if p + q <= total - 2:
-                    for vs in itertools.product(classes, repeat=q + 1):
-                        yield "lemma2", prefix, 1, vs, counts
-            for k in (1, 2):
-                for q in (0, 1):
-                    if p + k + q <= total - 1:
-                        for vs in itertools.product(classes, repeat=q + 1):
-                            yield "lemma34", prefix, k, vs, counts
+            if min(counts) >= 0:
+                yield prefix, tuple(counts)
+
+
+#: The removal checks of the exhaustive sweep, in sweep order, as
+#: (lemma, k removed, q), each drawing q + 1 weights.
+_REMOVAL_CHECKS = (
+    ("lemma1", 1, 0),
+    ("lemma2", 1, 0),
+    ("lemma2", 1, 1),
+    ("lemma34", 1, 0),
+    ("lemma34", 1, 1),
+    ("lemma34", 2, 0),
+    ("lemma34", 2, 1),
+)
+
+
+def _removal_block(counts: tuple[int, ...]) -> list:
+    """Every lemma 1, 2 and 3-4 check of the exhaustive sweep on ``counts`` left.
+
+    Returns ``(name, k, vs, report)`` in sweep order, ``vs`` a tuple of
+    class indices.  Which checks apply depends only on M = sum(counts):
+    lemma 1 when M >= 2, lemma 2 when q <= M - 2, lemma 3-4 when
+    k + q <= M - 1, that is k + q <= M - 1 for all three (lemmas 1 and 2
+    remove k = 1).  The removal-census table is built once per k.
+    """
+    M = sum(counts)
+    classes = range(len(counts))
+    tables: dict[int, list] = {}
+    block = []
+    for name, k, q in _REMOVAL_CHECKS:
+        if k + q > M - 1:
+            continue
+        if k not in tables:
+            tables[k] = _censuses(counts, k)
+        for vs in itertools.product(classes, repeat=q + 1):
+            block.append((name, k, vs, _removal_identity(name, counts, vs, k, tables[k])))
+    return block
 
 
 def verify_lemmas(
@@ -145,12 +175,17 @@ def verify_lemmas(
 
     The exhaustive block covers every composition of 2 to ``exhaustive_n``
     cards over each of the first two weight sets, in class-index space.
-    Lemmas 1, 2 and 3-4 (``_removal_instances``) share one removal-census
-    table per (counts left, k) for the length of the call, and each check
-    evaluates its own identity from it.  Lemma 6 takes the weights scaled
-    to integers once per weight set and R from the class counts.  The
-    random block uses the weight-level checkers.
+    For each drawable prefix (``_prefixes``) the lemma 1, 2 and 3-4 checks
+    are the block of the counts it leaves (``_removal_block``), evaluated
+    once per tuple of counts left for the length of the call and recorded
+    for every (composition, prefix) that leaves it; each check evaluates
+    its own identity.  Lemma 6 takes the weights scaled to integers once
+    per weight set and R from the class counts.  The random block uses the
+    weight-level checkers.  An ``exhaustive_n`` below 2, which would leave
+    the exhaustive block empty, raises ``BadRangeError``.
     """
+    if exhaustive_n < 2:
+        raise BadRangeError(f"need exhaustive_n >= 2, got {exhaustive_n}")
     if random_instances < 0:
         raise BadRangeError(f"need random_instances >= 0, got {random_instances}")
     if random_n_max < 3:
@@ -167,26 +202,29 @@ def verify_lemmas(
     def note(report, comp, **context):
         result.record(report.equal, lambda: describe(report, comp, **context))
 
-    tables: dict[tuple[tuple[int, ...], int], list] = {}
+    # Counts left -> (number of checks in their block, the failed entries).
+    blocks: dict[tuple[int, ...], tuple[int, list]] = {}
     for weights in WEIGHT_SETS[:2]:
         D = math.lcm(*(w.denominator for w in weights))
         scaled = [w.numerator * (D // w.denominator) for w in weights]
         classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
             for comp in compositions_over(weights, total):
-                for name, prefix, k, vs, counts in _removal_instances(weights, comp):
-                    censuses = tables.get((counts, k))
-                    if censuses is None:
-                        censuses = tables[counts, k] = _censuses(counts, k)
-                    report = _removal_identity(name, counts, vs, k, censuses)
-                    result.record(
-                        report.equal,
-                        lambda: describe(
-                            report,
+                for prefix, counts in _prefixes(tuple(comp.counts[w] for w in weights)):
+                    block = blocks.get(counts)
+                    if block is None:
+                        entries = _removal_block(counts)
+                        block = blocks[counts] = (
+                            len(entries), [e for e in entries if not e[3].equal]
+                        )
+                    result.record_all(
+                        *block,
+                        lambda entry: describe(
+                            entry[3],
                             comp,
                             prefix=tuple(weights[i] for i in prefix),
-                            k=k,
-                            vs=tuple(weights[i] for i in vs),
+                            k=entry[1],
+                            vs=tuple(weights[i] for i in entry[2]),
                         ),
                     )
                 r = -sum(s * comp.counts[w] for s, w in zip(scaled, weights))
@@ -261,11 +299,19 @@ def verify_theorem(
     sampled_totals: tuple[int, ...] = (14, 18, 22, 26, 30),
     samples_per_total: int = 4,
 ) -> VerificationResult:
-    """Mean and variance of the enumerated law vs the closed forms, exactly."""
+    """Mean and variance of the enumerated law vs the closed forms, exactly.
+
+    An exhaustive limit below 2, or a call with no exhaustive limit and no
+    sampled composition, would check nothing and raises ``BadRangeError``.
+    """
     if samples_per_total < 0:
         raise BadRangeError(f"need samples_per_total >= 0, got {samples_per_total}")
     if any(total < 2 for total in sampled_totals):
         raise BadRangeError(f"need sampled totals >= 2, got {sampled_totals}")
+    if any(limit < 2 for limit in exhaustive_limits):
+        raise BadRangeError(f"need exhaustive limits >= 2, got {exhaustive_limits}")
+    if not exhaustive_limits and not (sampled_totals and samples_per_total):
+        raise BadRangeError("need an exhaustive limit or a sampled composition to check")
     result = VerificationResult("theorem")
     for weights, n_max in zip(WEIGHT_SETS, exhaustive_limits):
         for total in range(2, n_max + 1):

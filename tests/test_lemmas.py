@@ -268,15 +268,17 @@ class TestIndexSpaceSweep:
             for total in range(2, 6):
                 for comp in compositions_over(weights, total):
                     lemma6 += sum(len(weights) ** n for n in range(1, min(3, total)))
-                    for name, prefix, k, vs, counts in verify._removal_instances(weights, comp):
-                        core = verify._removal_identity(name, counts, vs, k, _censuses(counts, k))
-                        public = checkers[name](
-                            comp, [weights[i] for i in prefix], k, [weights[i] for i in vs]
-                        )
-                        assert (core.name, core.lhs, core.rhs, core.equal) == (
-                            public.name, public.lhs, public.rhs, public.equal
-                        )
-                        compared += 1
+                    have = tuple(comp.counts[w] for w in weights)
+                    for prefix, counts in verify._prefixes(have):
+                        for name, k, vs, core in verify._removal_block(counts):
+                            public = checkers[name](
+                                comp, [weights[i] for i in prefix], k, [weights[i] for i in vs]
+                            )
+                            assert name == core.name == public.name
+                            assert (core.lhs, core.rhs, core.equal) == (
+                                public.lhs, public.rhs, public.equal
+                            )
+                            compared += 1
         assert compared + lemma6 == verify_lemmas(exhaustive_n=5, random_instances=0).checked
 
     def test_census_table_matches_subsets(self):
@@ -322,22 +324,64 @@ class TestIndexSpaceSweep:
         # exhaustive block of verify_lemmas leaves out: every composition of
         # up to 6 cards (the largest n that takes under 2 s on a 2-core host),
         # with the sweep's lemma 1, 2, 3-4 and 6 instances.
+        # The lemma 1, 2 and 3-4 checks of a prefix depend only on the counts
+        # it leaves, so each block is evaluated once and counted per prefix.
         checked = 0
         for weights in WEIGHT_SETS[2:]:
+            blocks = {}
             for total in range(2, 7):
                 for comp in compositions_over(weights, total):
-                    for name, prefix, k, vs, counts in verify._removal_instances(weights, comp):
-                        report = verify._removal_identity(
-                            name, counts, vs, k, _censuses(counts, k)
-                        )
-                        assert report.equal, (dict(comp.counts), report)
-                        checked += 1
+                    have = tuple(comp.counts[w] for w in weights)
+                    for _, counts in verify._prefixes(have):
+                        if counts not in blocks:
+                            blocks[counts] = verify._removal_block(counts)
+                            for *_, report in blocks[counts]:
+                                assert report.equal, (counts, report)
+                        checked += len(blocks[counts])
                     for n in range(1, min(3, total)):
                         for ws in itertools.product(weights, repeat=n):
                             report = check_lemma6(comp.running_count, total, n, ws)
                             assert report.equal, (dict(comp.counts), report)
                             checked += 1
         assert checked == 193_912
+
+    def test_each_identity_evaluated_once_per_counts_left(self, monkeypatch):
+        """One evaluation per distinct (counts left, name, k, vs), none shared by name."""
+        real = verify._removal_identity
+        calls = Counter()
+
+        def counted(name, counts, slots, k, censuses):
+            calls[tuple(counts), name, k, tuple(slots)] += 1
+            return real(name, counts, slots, k, censuses)
+
+        monkeypatch.setattr(verify, "_removal_identity", counted)
+        result = verify_lemmas(exhaustive_n=4, random_instances=0)
+        assert result.passed and result.checked == 3_283
+        assert sum(calls.values()) == len(calls) == 1_121
+        assert {name for _, name, _, _ in calls} == {"lemma1", "lemma2", "lemma34"}
+
+    def test_fault_in_one_kind_of_check(self, monkeypatch):
+        """A fault in lemma 3-4 with k=2 and two drawn weights fails only those checks."""
+        real = verify._removal_identity
+
+        def bent(name, counts, slots, k, censuses):
+            report = real(name, counts, slots, k, censuses)
+            if name == "lemma34" and k == 2 and len(slots) == 2:
+                report = report._replace(rhs_num=report.rhs_num + 1)
+            return report
+
+        monkeypatch.setattr(verify, "_removal_identity", bent)
+        result = verify_lemmas(exhaustive_n=4, random_instances=0)
+        assert result.checked == 3_283
+        assert len(result.failures) == 155
+        assert all(
+            re.match(r"lemma34 .* k=2 vs=\(Fraction\([^)]*\), Fraction\([^)]*\)\): ", f)
+            for f in result.failures
+        )
+        assert result.failures[0] == (
+            "lemma34 comp={Fraction(-1, 1): 0, Fraction(1, 1): 4} prefix=() k=2 "
+            "vs=(Fraction(-1, 1), Fraction(-1, 1)): lhs=0 rhs=1/12"
+        )
 
 
 class TestSweeps:
@@ -359,6 +403,11 @@ class TestSweeps:
             (verify_lemmas, {"random_instances": -1}),
             (verify_theorem, {"sampled_totals": (1,), "exhaustive_limits": ()}),
             (verify_theorem, {"samples_per_total": -1, "exhaustive_limits": ()}),
+            (verify_lemmas, {"exhaustive_n": 1, "random_instances": 0}),
+            (verify_lemmas, {"exhaustive_n": -5, "random_instances": 0}),
+            (verify_theorem, {"exhaustive_limits": (1,), "sampled_totals": ()}),
+            (verify_theorem, {"exhaustive_limits": (), "sampled_totals": ()}),
+            (verify_theorem, {"exhaustive_limits": (), "samples_per_total": 0}),
         ],
     )
     def test_bad_sweep_arguments(self, sweep, kwargs):
@@ -402,6 +451,20 @@ class TestSweeps:
         assert calls == []
         result.record(False, detail)
         assert result.failures == ["late"] and calls == [1]
+
+    def test_record_all_details_only_the_failed(self):
+        formatted = []
+
+        def detail(entry):
+            formatted.append(entry)
+            return f"bad {entry}"
+
+        result = VerificationResult("demo")
+        result.record_all(5, [], detail)
+        assert result.passed and result.checked == 5 and formatted == []
+        result.record_all(4, ["b", "d"], detail)
+        assert result.checked == 9
+        assert result.failures == ["bad b", "bad d"] and formatted == ["b", "d"]
 
 
 def _bent_laws(move: bool):
