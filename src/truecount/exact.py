@@ -2,10 +2,12 @@
 
 The distribution is materialized over removal censuses (how many cards of
 each weight class were removed) instead of ordered removal sequences.  One
-census DP per composition counts, for every n, the n-card subsets by the
-running count their removal leaves; a law is held as those integer
-multiplicities over the common denominator C(N, n) * scale * (N - n), and
-its moments come from integer power sums.  Rationals appear only in the
+census DP per composition counts, for every n up to N/2, the n-card subsets
+by the running count their removal leaves; the law past N/2 is the mirror
+of the law at N - n, since removing the other N - n cards leaves
+scale * R - x where removing the n leaves x.  A law is held as those
+integer multiplicities over the common denominator C(N, n) * scale * (N - n),
+and its moments come from integer power sums.  Rationals appear only in the
 results; square roots only when a standard deviation is presented as a
 float.
 """
@@ -87,16 +89,16 @@ class TrueCountDistribution:
 
 
 def _census_layers(
-    weights: Sequence[int], counts: Sequence[int], lo: int, hi: int
+    weights: Sequence[int], counts: Sequence[int], start: int, lo: int, hi: int
 ) -> list[dict[int, int]]:
     """For each n in ``lo..hi``: scaled running count after n removals -> subsets.
 
+    ``start`` is the scaled running count before any removal, scale * R.
     Dynamic programming over weight classes, one layer per number of cards
     removed; branches that cannot end in ``lo..hi`` removals are pruned.
     The multiplicities are products of binomial coefficients summed over
     censuses, so layer n totals C(N, n) exactly.
     """
-    start = -sum(w * l for w, l in zip(weights, counts))  # scale * R before any removal
     layers: list[dict[int, int]] = [{start: 1}] + [{} for _ in range(hi)]
     remaining = sum(counts)
     for w, l in zip(weights, counts):
@@ -116,11 +118,25 @@ def _census_layers(
 
 
 def _laws(comp: WeightComposition, lo: int, hi: int) -> list[TrueCountDistribution]:
+    """The laws for n = ``lo..hi``, each from the DP row min(n, N - n).
+
+    Removing the other N - n cards of an n-subset leaves the running count
+    start - x if removing the subset leaves x, with start = scale * R, so
+    the law past N/2 is the mirror of the law at N - n.
+    """
     weights, counts, scale = scaled_classes(comp.counts)
-    return [
-        TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
-        for n, ways in enumerate(_census_layers(weights, counts, lo, hi), start=lo)
-    ]
+    N = comp.total
+    rows = [min(n, N - n) for n in range(lo, hi + 1)]
+    first = min(rows)
+    start = -sum(w * l for w, l in zip(weights, counts))
+    layers = _census_layers(weights, counts, start, first, max(rows))
+    laws = []
+    for n, m in enumerate(rows, start=lo):
+        ways = layers[m - first]
+        if m != n:
+            ways = {start - x: w for x, w in ways.items()}
+        laws.append(TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp))
+    return laws
 
 
 def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
@@ -132,7 +148,7 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
 
 
 def tc_distributions(comp: WeightComposition) -> list[TrueCountDistribution]:
-    """Exact laws of the true count for every n = 1 .. N-1, from one DP."""
+    """Exact laws of the true count for every n = 1 .. N-1, from one DP to N/2."""
     N = comp.total
     return _laws(comp, 1, N - 1) if N >= 2 else []
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,6 +113,14 @@ def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int = 500) -> np
     raise ConvergenceError(f"golden-section search did not reach tol={tol}")
 
 
+def optimality_passed(argmax, expected, tolerance, concave):
+    """The pass rule of the optimality check: argmax within tolerance, and concave.
+
+    Elementwise: the arguments may be floats and bools or numpy arrays.
+    """
+    return (abs(argmax - expected) < tolerance) & concave
+
+
 @dataclass(frozen=True)
 class OptimalityReport:
     p0: float
@@ -127,19 +135,40 @@ class OptimalityReport:
 
     @property
     def passed(self) -> bool:
-        return self.gap < self.tolerance and self.concave_at_max
+        return optimality_passed(self.argmax, self.expected, self.tolerance, self.concave_at_max)
 
 
-def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[OptimalityReport]:
+class OptimalityGrid(NamedTuple):
+    """One golden-section search over an array of p0, held as arrays."""
+
+    p0: np.ndarray
+    argmax: np.ndarray
+    expected: np.ndarray
+    concave: np.ndarray
+    tolerance: float
+
+    def passed(self) -> np.ndarray:
+        return optimality_passed(self.argmax, self.expected, self.tolerance, self.concave)
+
+    def report(self, i: int) -> OptimalityReport:
+        return OptimalityReport(
+            self.p0[i].item(), self.argmax[i].item(), self.expected[i].item(),
+            self.tolerance, self.concave[i].item(),
+        )
+
+
+def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> OptimalityGrid:
     """Numerically maximize the growth functional at every p0 and compare with 2p0-1.
 
-    One golden-section search over the whole array of p0, each point in the
-    bracket [0, 1 - 1e-9] to ``tolerance / 100``, then the second
+    One golden-section search over the whole 1-D array of p0, each point in
+    the bracket [0, 1 - 1e-9] to ``tolerance / 100``, then the second
     difference at each argmax for concavity.  Its step is 1e-4, shrunk to
     half the distance to f = 1 where that is closer, so the probe stays
     inside the domain of the growth functional.
     """
     p0 = np.asarray(p0s, dtype=float)
+    if p0.ndim != 1 or not p0.size:
+        raise BadRangeError(f"need a non-empty 1-D array of p0, got shape {p0.shape}")
     bad = ~((p0 > 0.5) & (p0 < 1))
     if bad.any():
         raise BadRangeError(f"need 1/2 < p0 < 1, got {p0[bad][0]}")
@@ -149,10 +178,13 @@ def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[Op
     argmax = _golden_max(fn, 0.0, 1.0 - 1e-9, tol=tolerance / 100)
     h = np.minimum(1e-4, (1 - argmax) / 2)
     concave = fn(argmax - h) - 2 * fn(argmax) + fn(argmax + h) < 0
-    return [
-        OptimalityReport(p, x, 2 * p - 1, tolerance, c)
-        for p, x, c in zip(p0.tolist(), argmax.tolist(), concave.tolist())
-    ]
+    return OptimalityGrid(p0, argmax, 2 * p0 - 1, concave, tolerance)
+
+
+def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[OptimalityReport]:
+    """``optimality_grid`` as one report per p0."""
+    grid = optimality_grid(p0s, tolerance)
+    return [grid.report(i) for i in range(len(grid.p0))]
 
 
 def verify_kelly_optimality(p0: float, tolerance: float = 1e-6) -> OptimalityReport:

@@ -11,9 +11,12 @@ checks apply after a prefix, and what they evaluate to, depends only on
 the counts left, so each sweep call evaluates the block of checks for a
 tuple of counts left once and records it for every (composition, prefix)
 that leaves those counts.  Lemma 6 takes weights scaled to integers once
-per weight set.  The Kelly sweep runs one golden-section search over the
-whole p0 grid, every point to the stated tolerance, and records one check
-per point.
+per weight set.  The moment sweep compares each law's integer power sums
+with the closed forms and records the laws' checks in bulk, formatting
+only the failed ones.  The Kelly sweep runs one golden-section search over
+the whole p0 grid, every point to the stated tolerance, judges the grid as
+arrays and records one check per point, building a report only for a
+point that fails.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from .exact import (
     sigma_n_exact,
     tc_distributions,
 )
-from .kelly import optimality_reports
+from .kelly import optimality_grid
 
 #: Weight sets used by the exhaustive sweeps.
 WEIGHT_SETS: tuple[tuple[Fraction, ...], ...] = (
@@ -267,30 +270,38 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     (``TrueCountDistribution.sums``); the mean is r / (scale * N) and the
     closed-form variance n * spread / ((N - n) scale^2 N^2 (N - 1)), with
     the integers of ``_closed_form_terms``, which ``sigma_n_exact`` also
-    uses.  Sides are compared by cross-multiplication; fractions are built
-    only for a failure's detail.
+    uses.  Sides are compared by cross-multiplication; the failed
+    (check, law) pairs are recorded in bulk, and fractions are built only
+    for their details.
     """
     N = comp.total
     scale, r, spread = _closed_form_terms(comp)
-    for law in tc_distributions(comp):
+    closed_den = scale**2 * N**2 * (N - 1)
+    laws = tc_distributions(comp)
+    failed = []
+    for law in laws:
         n = law.n
         s0, s1, _, c, d = law.sums
-        result.record(
-            s0 == c,
-            lambda: f"probs sum {law.probabilities_sum()} != 1 "
-            f"for comp={dict(comp.counts)} n={n}",
+        if s0 != c:
+            failed.append(("probs", law))
+        if s1 * scale * N != r * c * d:
+            failed.append(("mean", law))
+        if law.variance_numerator() * (N - n) * closed_den != n * spread * c**3 * d**2:
+            failed.append(("variance", law))
+
+    def detail(entry) -> str:
+        check, law = entry
+        where = f"for comp={dict(comp.counts)} n={law.n}"
+        if check == "probs":
+            return f"probs sum {law.probabilities_sum()} != 1 {where}"
+        if check == "mean":
+            return f"mean {law.mean()} != R/N {comp.true_count('card')} {where}"
+        return (
+            f"variance {law.variance()} != closed form "
+            f"{sigma_n_exact(comp, law.n).squared} {where}"
         )
-        result.record(
-            s1 * scale * N == r * c * d,
-            lambda: f"mean {law.mean()} != R/N {comp.true_count('card')} "
-            f"for comp={dict(comp.counts)} n={n}",
-        )
-        result.record(
-            law.variance_numerator() * (N - n) * scale**2 * N**2 * (N - 1)
-            == n * spread * c**3 * d**2,
-            lambda: f"variance {law.variance()} != closed form "
-            f"{sigma_n_exact(comp, n).squared} for comp={dict(comp.counts)} n={n}",
-        )
+
+    result.record_all(3 * len(laws), failed, detail)
 
 
 def verify_theorem(
@@ -301,8 +312,10 @@ def verify_theorem(
 ) -> VerificationResult:
     """Mean and variance of the enumerated law vs the closed forms, exactly.
 
-    An exhaustive limit below 2, or a call with no exhaustive limit and no
-    sampled composition, would check nothing and raises ``BadRangeError``.
+    ``exhaustive_limits[i]`` is the largest deck swept exhaustively over
+    ``WEIGHT_SETS[i]``.  An exhaustive limit below 2, more limits than
+    weight sets, or a call with no exhaustive limit and no sampled
+    composition raises ``BadRangeError``.
     """
     if samples_per_total < 0:
         raise BadRangeError(f"need samples_per_total >= 0, got {samples_per_total}")
@@ -310,6 +323,11 @@ def verify_theorem(
         raise BadRangeError(f"need sampled totals >= 2, got {sampled_totals}")
     if any(limit < 2 for limit in exhaustive_limits):
         raise BadRangeError(f"need exhaustive limits >= 2, got {exhaustive_limits}")
+    if len(exhaustive_limits) > len(WEIGHT_SETS):
+        raise BadRangeError(
+            f"need at most {len(WEIGHT_SETS)} exhaustive limits, one per weight set, "
+            f"got {exhaustive_limits}"
+        )
     if not exhaustive_limits and not (sampled_totals and samples_per_total):
         raise BadRangeError("need an exhaustive limit or a sampled composition to check")
     result = VerificationResult("theorem")
@@ -352,16 +370,21 @@ def verify_kelly(
 ) -> VerificationResult:
     """Golden-section optimality of the 2p-1 fraction over a p grid.
 
-    One search runs over the whole grid at once (``optimality_reports``);
-    each point is one check.
+    One search runs over the whole grid at once (``optimality_grid``) and
+    the grid is judged as arrays; each point is one check, and a report is
+    built only for a point that fails.
     """
-    result = VerificationResult("kelly")
-    for report in optimality_reports(_kelly_grid(lo, hi, step), tolerance):
-        result.record(
-            report.passed,
-            lambda: f"p0={report.p0}: argmax={report.argmax} expected={report.expected} "
-            f"gap={report.gap} concave={report.concave_at_max}",
+    grid = optimality_grid(_kelly_grid(lo, hi, step), tolerance)
+
+    def detail(i: int) -> str:
+        report = grid.report(i)
+        return (
+            f"p0={report.p0}: argmax={report.argmax} expected={report.expected} "
+            f"gap={report.gap} concave={report.concave_at_max}"
         )
+
+    result = VerificationResult("kelly")
+    result.record_all(len(grid.p0), np.flatnonzero(~grid.passed()).tolist(), detail)
     return result
 
 

@@ -22,6 +22,7 @@ from truecount import (
     tc_distribution,
     tc_distributions,
 )
+from truecount.verify import WEIGHT_SETS
 
 
 def brute_force_distribution(counts, n):
@@ -177,10 +178,36 @@ def test_distribution_matches_brute_force_random(counts, data):
     assert dict(dist.atoms) == brute_force_distribution(counts, n)
 
 
+def _sweep_decks():
+    """N = 2..9 cards over each weight set of the sweeps, dealt round-robin
+    over every class, and again with the first class left empty."""
+    for weights in WEIGHT_SETS:
+        for N in range(2, 10):
+            for skip in (0, 1):
+                counts = dict.fromkeys(weights, 0)
+                for j in range(N):
+                    counts[weights[skip + j % (len(weights) - skip)]] += 1
+                yield counts
+
+
+@pytest.mark.parametrize("counts", list(_sweep_decks()))
+def test_every_law_matches_subset_enumeration(counts):
+    # Both sides of N/2, where the laws are mirrored, from one DP and one n at a time.
+    comp = composition(counts)
+    laws = tc_distributions(comp)
+    assert [law.n for law in laws] == list(range(1, comp.total))
+    for law in laws:
+        want = brute_force_distribution(counts, law.n)
+        assert dict(law.atoms) == want
+        assert dict(tc_distribution(comp, law.n).atoms) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(counts=SMALL_COUNTS)
 def test_all_n_laws_match_single_n(counts):
     # One DP for every n gives the same laws as the DP restricted to one n.
+    # Both mirror the rows past N/2, so this is a consistency check only;
+    # test_every_law_matches_subset_enumeration holds them to the oracle.
     comp = composition(counts)
     laws = tc_distributions(comp)
     assert [law.n for law in laws] == list(range(1, comp.total))

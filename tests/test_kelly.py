@@ -1,5 +1,4 @@
 """Kelly growth closed forms, optimality search, and the fuzzy correction."""
-import dataclasses
 import math
 import warnings
 
@@ -143,21 +142,41 @@ class TestKellyGrid:
             _golden_max(lambda f: log_growth(p0, f), 0.0, 1 - 1e-9, 1e-8, max_iter=1)
 
     def test_planted_wrong_expected_names_each_p0(self, monkeypatch):
-        real = verify.optimality_reports
-        bent_points = (1, 3)
+        real = verify.optimality_grid
+        bent_points = [1, 3]
 
         def bent(p0s, tolerance):
-            return [
-                dataclasses.replace(r, expected=r.expected + 1e-3) if i in bent_points else r
-                for i, r in enumerate(real(p0s, tolerance))
-            ]
+            grid = real(p0s, tolerance)
+            expected = grid.expected.copy()
+            expected[bent_points] += 1e-3
+            return grid._replace(expected=expected)
 
-        monkeypatch.setattr(verify, "optimality_reports", bent)
+        monkeypatch.setattr(verify, "optimality_grid", bent)
         result = verify.verify_kelly(lo=0.55, hi=0.75, step=0.05)
         assert result.checked == 5
         grid = verify._kelly_grid(0.55, 0.75, 0.05).tolist()
         named = [f"p0={grid[i]}" for i in bent_points]
         assert [f.split(":")[0] for f in result.failures] == named
+
+    def test_failures_match_the_per_report_details(self):
+        # At a tolerance below the search's float resolution most points
+        # fail; each failure's text is that of its report, in grid order.
+        lo, hi, step, tol = 0.52, 0.92, 0.0005, 1e-9
+        result = verify.verify_kelly(lo=lo, hi=hi, step=step, tolerance=tol)
+        reports = optimality_reports(verify._kelly_grid(lo, hi, step), tol)
+        want = [
+            f"p0={r.p0}: argmax={r.argmax} expected={r.expected} "
+            f"gap={r.gap} concave={r.concave_at_max}"
+            for r in reports if not r.passed
+        ]
+        assert result.checked == len(reports) == 801
+        assert 0 < len(want) < 801
+        assert result.failures == want
+
+    @pytest.mark.parametrize("p0s", [[], np.array([[0.6, 0.7]]), 0.6])
+    def test_bad_grid_shape_rejected(self, p0s):
+        with pytest.raises(BadRangeError):
+            optimality_reports(p0s)
 
     @pytest.mark.parametrize("lo, hi, step, count", [
         (0.505, 0.95, 0.005, 90),  # the CLI's grid

@@ -408,6 +408,7 @@ class TestSweeps:
             (verify_theorem, {"exhaustive_limits": (1,), "sampled_totals": ()}),
             (verify_theorem, {"exhaustive_limits": (), "sampled_totals": ()}),
             (verify_theorem, {"exhaustive_limits": (), "samples_per_total": 0}),
+            (verify_theorem, {"exhaustive_limits": (2, 2, 2, 2, 30), "sampled_totals": ()}),
         ],
     )
     def test_bad_sweep_arguments(self, sweep, kwargs):
