@@ -9,8 +9,6 @@ from .counting import (
     WeightComposition,
     builtin_systems,
     composition,
-    format_composition,
-    fresh_shoe,
     get_system,
     make_count_system,
     parse_composition,
@@ -34,8 +32,6 @@ from .errors import (
 from .exact import (
     SigmaResult,
     TrueCountDistribution,
-    sigma1_approx,
-    sigma1_exact,
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
@@ -44,12 +40,10 @@ from .exact import (
 from .kelly import (
     FuzzyAdvantage,
     GrowthStats,
-    advantage_variance,
     growth_stats_binomial,
     growth_var_fuzzy,
     kelly_fraction,
     long_run,
-    verify_kelly_optimality,
 )
 from .seats import DEFAULT_EXTRA_LAW, SeatCardModel, n_cards_between, sigma_ratio
 from .sim import (
@@ -63,7 +57,7 @@ from .sim import (
     simulate_tc_increment,
     trial_rng,
 )
-from .verify import verify_all, verify_kelly, verify_lemmas, verify_theorem
+from .verify import verify_kelly, verify_lemmas, verify_theorem
 
 __version__ = "0.1.0"
 
@@ -92,11 +86,8 @@ __all__ = [
     "UnbalancedSystemError",
     "UnknownSystemError",
     "WeightComposition",
-    "advantage_variance",
     "builtin_systems",
     "composition",
-    "format_composition",
-    "fresh_shoe",
     "get_system",
     "growth_stats_binomial",
     "growth_var_fuzzy",
@@ -108,8 +99,6 @@ __all__ = [
     "parse_system_file",
     "predicted_increment_std",
     "predicted_seat_sigma",
-    "sigma1_approx",
-    "sigma1_exact",
     "sigma_n_approx",
     "sigma_n_exact",
     "sigma_ratio",
@@ -119,9 +108,7 @@ __all__ = [
     "tc_distribution",
     "tc_distributions",
     "trial_rng",
-    "verify_all",
     "verify_kelly",
-    "verify_kelly_optimality",
     "verify_lemmas",
     "verify_theorem",
 ]

@@ -46,17 +46,17 @@ from .sim import (
     simulate_seat_sigma,
     simulate_tc_increment,
 )
-from .verify import verify_all, verify_kelly, verify_lemmas, verify_theorem
+from .verify import verify_kelly, verify_lemmas, verify_theorem
 
 POSITION7_NOTE = (
     "* last-seat play->dealer dispersion follows this card-consumption model; "
     "published figures for that seat are half the model value (convention unknown)."
 )
 
-# Seat-model defaults of ``sigma-table`` and ``simulate``.
+# Seat-model defaults of ``sigma-table`` and ``simulate``; without a hand
+# mean a seat takes ``SeatCardModel``'s default hand-length law.
 DEFAULT_SEATS = 7
 DEFAULT_POSITION = 1
-DEFAULT_HAND_MEAN = 2.6
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -76,6 +76,13 @@ def _resolve_system(name: str | None, system_file: str | None):
     return get_system("hi-lo" if name is None else name)
 
 
+def _seat_model(seats: int, position: int, hand_mean: float | None) -> SeatCardModel:
+    """The default hand-length law, or the two-point law of an explicit mean."""
+    if hand_mean is None:
+        return SeatCardModel(seats, position)
+    return SeatCardModel.with_hand_mean(seats, position, hand_mean)
+
+
 def cmd_systems() -> ReportTable:
     """Weight dispersion of every builtin system, 3-digit display."""
     systems = builtin_systems()
@@ -93,7 +100,7 @@ def cmd_sigma_table(
     penetration: float,
     seats: int,
     positions: list[int],
-    hand_mean: float,
+    hand_mean: float | None = None,
 ) -> ReportTable:
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
     check_decks(decks)
@@ -106,7 +113,7 @@ def cmd_sigma_table(
     cells_bet, cells_play = [], []
     markers = {}
     for idx, pos in enumerate(positions):
-        model = SeatCardModel.with_hand_mean(seats, pos, hand_mean)
+        model = _seat_model(seats, pos, hand_mean)
         n_bet = n_cards_between(model, "bet_play")
         n_play = n_cards_between(model, "play_dealer")
         for n, moments in ((n_bet, "bet and play"), (n_play, "play and dealer")):
@@ -114,7 +121,7 @@ def cmd_sigma_table(
                 raise BadRangeError(
                     f"position {pos} sees {n:g} cards between its {moments} moments, "
                     f"but a {decks}-deck shoe at {penetration:.1%} penetration leaves "
-                    f"{remaining:.4g} (hand mean {hand_mean})"
+                    f"{remaining:.4g} (hand mean {model.mean_cards_per_hand})"
                 )
         cells_bet.append(52 * sigma_n_approx(remaining, n_bet, system))
         cells_play.append(52 * sigma_n_approx(remaining, n_play, system))
@@ -167,18 +174,23 @@ def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
     return table
 
 
+#: The sweep of each ``verify`` scope, given the seed; ``all`` runs them in order.
+_VERIFY_SCOPES: dict[str, Callable] = {
+    "lemmas": lambda seed: verify_lemmas(seed=seed),
+    "theorem": lambda seed: verify_theorem(seed=seed),
+    "kelly": lambda seed: verify_kelly(),
+}
+
+
 def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, bool]:
-    """Run a verification sweep; returns (text, all_passed)."""
-    if scope == "lemmas":
-        results = [verify_lemmas(seed=seed)]
-    elif scope == "theorem":
-        results = [verify_theorem(seed=seed)]
-    elif scope == "kelly":
-        results = [verify_kelly()]
-    elif scope == "all":
-        results = verify_all(seed=seed)
+    """Run a verification sweep, or all three; returns (text, all_passed)."""
+    if scope == "all":
+        scopes = list(_VERIFY_SCOPES)
+    elif scope in _VERIFY_SCOPES:
+        scopes = [scope]
     else:
         raise BadRangeError(f"unknown verify scope {scope!r}")
+    results = [_VERIFY_SCOPES[name](seed) for name in scopes]
     lines = [r.summary() for r in results]
     for r in results:
         lines.extend("  " + f for f in r.failures[:20])
@@ -314,8 +326,8 @@ def run_simulation(
         penetration = _require(config, "penetration")
         seats = _require(config, "seats", default=DEFAULT_SEATS)
         position = _require(config, "position", default=DEFAULT_POSITION)
-        hand_mean = _require(config, "hand_mean", default=DEFAULT_HAND_MEAN)
-        model = SeatCardModel.with_hand_mean(seats, position, hand_mean)
+        hand_mean = _require(config, "hand_mean") if "hand_mean" in config else None
+        model = _seat_model(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
 
         def predictions() -> list[str]:
@@ -376,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penetration", type=float, required=True)
     p.add_argument("--seats", type=int, default=DEFAULT_SEATS)
     p.add_argument("--positions", default="1,4,7", help="comma-separated seat list")
-    p.add_argument("--hand-mean", type=float, default=DEFAULT_HAND_MEAN)
+    p.add_argument("--hand-mean", type=float, default=None,
+                   help="mean cards per hand, as a two-point extra-card law "
+                   "(default: the 0/1/2 DEFAULT_EXTRA_LAW, mean 2.6)")
     add_format(p)
 
     p = sub.add_parser("exact", help="exact true-count law for a composition")
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exact verification sweeps")
     p.add_argument("scope", nargs="?", default="all",
-                   choices=("lemmas", "theorem", "kelly", "all"))
+                   choices=(*_VERIFY_SCOPES, "all"))
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("kelly", help="Kelly fraction and growth statistics")

@@ -284,12 +284,6 @@ def check_decks(decks: int) -> None:
         raise BadRangeError(f"decks must be >= 1, got {decks}")
 
 
-def fresh_shoe(system: CountSystem, decks: int) -> WeightComposition:
-    """Full shoe of ``decks`` decks under ``system``; running count 0."""
-    check_decks(decks)
-    return WeightComposition({w: m * decks for w, m in system._per_deck.items()})
-
-
 def parse_composition(spec: str) -> WeightComposition:
     """Parse ``"+1:5,-1:5,0:3"`` style weight:count lists."""
     counts: dict[Fraction, int] = {}
@@ -311,17 +305,6 @@ def parse_composition(spec: str) -> WeightComposition:
     if not counts:
         raise ParseError(f"empty composition spec {spec!r}")
     return WeightComposition(counts)
-
-
-def format_weight(w: Fraction) -> str:
-    if w.denominator == 1:
-        return f"{'+' if w > 0 else ''}{w.numerator}"
-    return f"{'+' if w > 0 else ''}{float(w)}"
-
-
-def format_composition(comp: WeightComposition) -> str:
-    parts = [f"{format_weight(w)}:{comp.counts[w]}" for w in comp.weights()]
-    return ",".join(parts)
 
 
 def parse_system_file(text: str, name: str = "custom") -> CountSystem:

@@ -117,18 +117,28 @@ def _census_layers(
     return layers[lo:]
 
 
-def _laws(comp: WeightComposition, lo: int, hi: int) -> list[TrueCountDistribution]:
-    """The laws for n = ``lo..hi``, each from the DP row min(n, N - n).
+def _scaled(comp: WeightComposition) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """``(weights, counts, scale, r)``: ``scaled_classes`` of ``comp``, and
+    r = scale * R, its running count scaled to an integer.
 
-    Removing the other N - n cards of an n-subset leaves the running count
-    start - x if removing the subset leaves x, with start = scale * R, so
-    the law past N/2 is the mirror of the law at N - n.
+    The laws and the closed form both read this one scaling.
     """
     weights, counts, scale = scaled_classes(comp.counts)
+    return weights, counts, scale, -sum(w * l for w, l in zip(weights, counts))
+
+
+def _laws(comp: WeightComposition, scaled, lo: int, hi: int) -> list[TrueCountDistribution]:
+    """The laws for n = ``lo..hi``, each from the DP row min(n, N - n).
+
+    ``scaled`` is ``_scaled(comp)``.  Removing the other N - n cards of an
+    n-subset leaves the running count start - x if removing the subset
+    leaves x, with start = scale * R, so the law past N/2 is the mirror of
+    the law at N - n.
+    """
+    weights, counts, scale, start = scaled
     N = comp.total
     rows = [min(n, N - n) for n in range(lo, hi + 1)]
     first = min(rows)
-    start = -sum(w * l for w, l in zip(weights, counts))
     layers = _census_layers(weights, counts, start, first, max(rows))
     laws = []
     for n, m in enumerate(rows, start=lo):
@@ -144,32 +154,26 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     N = comp.total
     if not 1 <= n < N:
         raise BadRangeError(f"need 1 <= n < N, got n={n}, N={N}")
-    return _laws(comp, n, n)[0]
+    return _laws(comp, _scaled(comp), n, n)[0]
 
 
 def tc_distributions(comp: WeightComposition) -> list[TrueCountDistribution]:
     """Exact laws of the true count for every n = 1 .. N-1, from one DP to N/2."""
     N = comp.total
-    return _laws(comp, 1, N - 1) if N >= 2 else []
+    return _laws(comp, _scaled(comp), 1, N - 1) if N >= 2 else []
 
 
-def _closed_form_terms(comp: WeightComposition) -> tuple[int, int, int]:
+def _closed_form_terms(comp: WeightComposition, scaled) -> tuple[int, int, int]:
     """``(scale, r, spread)`` of the closed-form variance, all integers.
 
-    With the weights scaled to integers over ``scale``, r = scale * R and
-    spread = N * sum (scale * w)^2 l_w - r^2, so that the theorem's
-    sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
+    ``scaled`` is ``_scaled(comp)``: the weights scaled to integers over
+    ``scale``, and r = scale * R.  spread = N * sum (scale * w)^2 l_w - r^2,
+    so that the theorem's sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
     n * spread / ((N - n) * scale^2 * N^2 * (N - 1)).
     """
-    weights, counts, scale = scaled_classes(comp.counts)
-    r = -sum(w * l for w, l in zip(weights, counts))
+    weights, counts, scale, r = scaled
     spread = comp.total * sum(w * w * l for w, l in zip(weights, counts)) - r * r
     return scale, r, spread
-
-
-def sigma1_exact(comp: WeightComposition) -> SigmaResult:
-    """Std of the true count after one removal, from the deck census."""
-    return sigma_n_exact(comp, 1)
 
 
 def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
@@ -177,16 +181,9 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
     N = comp.total
     if N < 2 or not 1 <= n < N:
         raise BadRangeError(f"need N >= 2 and 1 <= n < N, got n={n}, N={N}")
-    scale, _, spread = _closed_form_terms(comp)
+    scale, _, spread = _closed_form_terms(comp, _scaled(comp))
     squared = Fraction(n * spread, (N - n) * scale**2 * N**2 * (N - 1))
     return SigmaResult(math.sqrt(squared), squared)
-
-
-def sigma1_approx(N: int, system: CountSystem) -> float:
-    """Large-deck approximation sigma1 ~ Sigma0 / N (card units)."""
-    if N < 2:
-        raise BadRangeError(f"need N >= 2, got N={N}")
-    return system.sigma0() / N
 
 
 def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:

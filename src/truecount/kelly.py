@@ -1,9 +1,11 @@
 """Kelly betting analytics for two-outcome games.
 
 Covers the fixed-advantage closed forms for the exponential growth rate,
-a numeric optimality verification of the 2p-1 fraction, the first-order
-correction when the per-round advantage is itself noisy, and the long-run
-hand-count estimator.  Natural logarithms throughout.
+a numeric optimality check of the 2p-1 fraction (``optimality_grid``: one
+golden-section search over an array of p0, judged as arrays by
+``OptimalityGrid.passed``), the first-order correction when the per-round
+advantage is itself noisy, and the long-run hand-count estimator.  Natural
+logarithms throughout.
 """
 from __future__ import annotations
 
@@ -53,11 +55,6 @@ class FuzzyAdvantage:
                 f"var_p0 {self.var_p0} exceeds the probability bound "
                 f"p0(1-p0) = {self.p0 * (1 - self.p0)}"
             )
-
-
-def advantage_variance(eps: float, sigma_bet: float) -> float:
-    """Var(p0(x)) for edge eps and a true-count std of sigma_bet edge units."""
-    return (eps * sigma_bet) ** 2
 
 
 def kelly_fraction(p: float) -> float:
@@ -113,31 +110,6 @@ def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int = 500) -> np
     raise ConvergenceError(f"golden-section search did not reach tol={tol}")
 
 
-def optimality_passed(argmax, expected, tolerance, concave):
-    """The pass rule of the optimality check: argmax within tolerance, and concave.
-
-    Elementwise: the arguments may be floats and bools or numpy arrays.
-    """
-    return (abs(argmax - expected) < tolerance) & concave
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    p0: float
-    argmax: float
-    expected: float
-    tolerance: float
-    concave_at_max: bool
-
-    @property
-    def gap(self) -> float:
-        return abs(self.argmax - self.expected)
-
-    @property
-    def passed(self) -> bool:
-        return optimality_passed(self.argmax, self.expected, self.tolerance, self.concave_at_max)
-
-
 class OptimalityGrid(NamedTuple):
     """One golden-section search over an array of p0, held as arrays."""
 
@@ -148,13 +120,8 @@ class OptimalityGrid(NamedTuple):
     tolerance: float
 
     def passed(self) -> np.ndarray:
-        return optimality_passed(self.argmax, self.expected, self.tolerance, self.concave)
-
-    def report(self, i: int) -> OptimalityReport:
-        return OptimalityReport(
-            self.p0[i].item(), self.argmax[i].item(), self.expected[i].item(),
-            self.tolerance, self.concave[i].item(),
-        )
+        """The pass rule, per point: argmax within tolerance of 2p0 - 1, and concave."""
+        return (abs(self.argmax - self.expected) < self.tolerance) & self.concave
 
 
 def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> OptimalityGrid:
@@ -179,17 +146,6 @@ def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> Optimality
     h = np.minimum(1e-4, (1 - argmax) / 2)
     concave = fn(argmax - h) - 2 * fn(argmax) + fn(argmax + h) < 0
     return OptimalityGrid(p0, argmax, 2 * p0 - 1, concave, tolerance)
-
-
-def optimality_reports(p0s: Sequence[float], tolerance: float = 1e-6) -> list[OptimalityReport]:
-    """``optimality_grid`` as one report per p0."""
-    grid = optimality_grid(p0s, tolerance)
-    return [grid.report(i) for i in range(len(grid.p0))]
-
-
-def verify_kelly_optimality(p0: float, tolerance: float = 1e-6) -> OptimalityReport:
-    """Numerically maximize the growth functional and compare against 2p0-1."""
-    return optimality_reports([p0], tolerance)[0]
 
 
 def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:

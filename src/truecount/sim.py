@@ -80,7 +80,6 @@ class SimulationReport:
     trials: int
     config: dict
     stats: dict[str, StatRow] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,7 +92,6 @@ class SimulationReport:
                 name: {"mean": row.mean, "std": row.std, "stderr": row.stderr}
                 for name, row in sorted(self.stats.items())
             },
-            "notes": self.notes,
         }
 
     def to_json(self) -> str:

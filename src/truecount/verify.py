@@ -15,8 +15,8 @@ per weight set.  The moment sweep compares each law's integer power sums
 with the closed forms and records the laws' checks in bulk, formatting
 only the failed ones.  The Kelly sweep runs one golden-section search over
 the whole p0 grid, every point to the stated tolerance, judges the grid as
-arrays and records one check per point, building a report only for a
-point that fails.
+arrays and records one check per point, formatting a detail only for a
+point that fails.  The ``verify`` subcommand runs the three sweeps.
 """
 from __future__ import annotations
 
@@ -34,14 +34,15 @@ from .errors import BadRangeError
 from .exact import (
     _censuses,
     _closed_form_terms,
+    _laws,
     _removal_identity,
+    _scaled,
     _telescoping,
     check_lemma1,
     check_lemma2,
     check_lemma34,
     check_lemma6,
     sigma_n_exact,
-    tc_distributions,
 )
 from .kelly import optimality_grid
 
@@ -270,14 +271,16 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     (``TrueCountDistribution.sums``); the mean is r / (scale * N) and the
     closed-form variance n * spread / ((N - n) scale^2 N^2 (N - 1)), with
     the integers of ``_closed_form_terms``, which ``sigma_n_exact`` also
-    uses.  Sides are compared by cross-multiplication; the failed
-    (check, law) pairs are recorded in bulk, and fractions are built only
-    for their details.
+    uses.  The laws and the closed form read one scaling of ``comp``
+    (``_scaled``), the one ``tc_distributions`` makes.  Sides are compared
+    by cross-multiplication; the failed (check, law) pairs are recorded in
+    bulk, and fractions are built only for their details.
     """
     N = comp.total
-    scale, r, spread = _closed_form_terms(comp)
+    scaled = _scaled(comp)
+    scale, r, spread = _closed_form_terms(comp, scaled)
     closed_den = scale**2 * N**2 * (N - 1)
-    laws = tc_distributions(comp)
+    laws = _laws(comp, scaled, 1, N - 1)
     failed = []
     for law in laws:
         n = law.n
@@ -371,22 +374,18 @@ def verify_kelly(
     """Golden-section optimality of the 2p-1 fraction over a p grid.
 
     One search runs over the whole grid at once (``optimality_grid``) and
-    the grid is judged as arrays; each point is one check, and a report is
-    built only for a point that fails.
+    the grid is judged as arrays (``OptimalityGrid.passed``); each point is
+    one check, and a detail is formatted only for a point that fails.
     """
     grid = optimality_grid(_kelly_grid(lo, hi, step), tolerance)
 
     def detail(i: int) -> str:
-        report = grid.report(i)
+        argmax, expected = grid.argmax[i].item(), grid.expected[i].item()
         return (
-            f"p0={report.p0}: argmax={report.argmax} expected={report.expected} "
-            f"gap={report.gap} concave={report.concave_at_max}"
+            f"p0={grid.p0[i].item()}: argmax={argmax} expected={expected} "
+            f"gap={abs(argmax - expected)} concave={grid.concave[i].item()}"
         )
 
     result = VerificationResult("kelly")
     result.record_all(len(grid.p0), np.flatnonzero(~grid.passed()).tolist(), detail)
     return result
-
-
-def verify_all(seed: int = 0) -> list[VerificationResult]:
-    return [verify_lemmas(seed=seed), verify_theorem(seed=seed), verify_kelly()]

@@ -23,8 +23,8 @@ from truecount import (
     n_cards_between,
     predicted_increment_std,
     predicted_seat_sigma,
-    sigma1_exact,
     sigma_n_approx,
+    sigma_n_exact,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,
@@ -180,10 +180,10 @@ def test_criterion_4_lemma_suite():
 
 def test_criterion_5_worked_example():
     comp = composition({1: 5, -1: 5, 0: 3})
-    sigma1 = 52 * sigma1_exact(comp).value
+    sigma1 = 52 * sigma_n_exact(comp, 1).value
     tc = float(comp.deplete([1]).true_count("deck"))
     ok = (
-        sigma1_exact(comp).squared == Fraction(5, 936)
+        sigma_n_exact(comp, 1).squared == Fraction(5, 936)
         and abs(sigma1 - 3.80) <= 0.005
         and abs(tc - 4.33) <= 0.005
     )

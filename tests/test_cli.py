@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from truecount import SigmaResult, cli
+from truecount import SeatCardModel, SigmaResult, cli, get_system, predicted_seat_sigma
 from truecount.cli import main, parse_config, run_simulation
 from truecount.errors import ConfigError
 
@@ -263,13 +263,26 @@ class TestSimulateCommand:
         assert "predicted sigma_bet" in out
 
     def test_exact_seat_prediction(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--mode", "seat-sigma", "--system", "hi-lo",
+        args = (
+            "simulate", "--mode", "seat-sigma", "--system", "hi-lo",
             "--decks", "8", "--penetration", "0.5", "--position", "7",
             "--trials", "50", "--seed", "3",
         )
+        code, out, _ = run_cli(capsys, *args)
         assert code == 0
-        # The CLI's 2.6 cards per hand is 0 or 1 extra card with 0.4/0.6.
+        # Without a hand mean the seat takes the library's default law.
+        bet, play = predicted_seat_sigma(get_system("hi-lo"), 8, 0.5, SeatCardModel(7, 7))
+        assert out.endswith(
+            f"predicted sigma_bet (exact): {bet:.6f}\n"
+            f"predicted sigma_play (exact): {play:.6f}\n"
+        )
+        assert out.endswith(
+            "predicted sigma_bet (exact): 1.021695\n"
+            "predicted sigma_play (exact): 0.188515\n"
+        )
+        # An explicit 2.6 cards per hand is 0 or 1 extra card with 0.4/0.6.
+        code, out, _ = run_cli(capsys, *args, "--hand-mean", "2.6")
+        assert code == 0
         assert out.endswith(
             "predicted sigma_bet (exact): 1.021418\n"
             "predicted sigma_play (exact): 0.188248\n"
@@ -293,8 +306,8 @@ class TestSimulateCommand:
         body, _, tail = table.rpartition("}\n")
         assert out == body + "}\n"
         assert tail == (
-            "predicted sigma_bet (exact): 1.021418\n"
-            "predicted sigma_play (exact): 0.188248\n"
+            "predicted sigma_bet (exact): 1.021695\n"
+            "predicted sigma_play (exact): 0.188515\n"
         )
         assert run_cli(capsys, *args, "--format", "csv") == (0, csv_out, "")
         with pytest.raises(AssertionError):

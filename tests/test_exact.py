@@ -15,8 +15,6 @@ from truecount import (
     TrueCountDistribution,
     composition,
     get_system,
-    sigma1_approx,
-    sigma1_exact,
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
@@ -91,7 +89,7 @@ class TestMoments:
     def test_variance_closed_form(self, counts):
         comp = composition(counts)
         N = comp.total
-        s1 = sigma1_exact(comp).squared
+        s1 = sigma_n_exact(comp, 1).squared
         for n in range(1, N):
             dist = tc_distribution(comp, n)
             assert dist.variance() == Fraction(N - 1, N - n) * n * s1
@@ -115,8 +113,8 @@ class TestMoments:
     def test_sigma1_worked_example(self):
         # 13 cards left: 5 high, 5 low, 3 medium; R = 0.
         comp = composition({1: 5, -1: 5, 0: 3})
-        assert sigma1_exact(comp).squared == Fraction(5, 936)
-        assert 52 * sigma1_exact(comp).value == pytest.approx(3.80, abs=0.005)
+        assert sigma_n_exact(comp, 1).squared == Fraction(5, 936)
+        assert 52 * sigma_n_exact(comp, 1).value == pytest.approx(3.80, abs=0.005)
 
     def test_post_removal_true_count(self):
         comp = composition({1: 5, -1: 5, 0: 3}).deplete([1])
@@ -125,12 +123,12 @@ class TestMoments:
 
     def test_sigma_small_deck(self):
         with pytest.raises(BadRangeError):
-            sigma1_exact(composition({1: 1}))
+            sigma_n_exact(composition({1: 1}), 1)
 
 
 class TestApproximations:
     def test_sigma1_approx(self, hi_lo):
-        assert sigma1_approx(52, hi_lo) == pytest.approx(hi_lo.sigma0() / 52)
+        assert sigma_n_approx(52, 1, hi_lo) == pytest.approx(hi_lo.sigma0() / 52)
 
     def test_sigma_n_approx_scales_sqrt_n(self, hi_lo):
         one = sigma_n_approx(208, 1, hi_lo)
@@ -159,7 +157,7 @@ class TestApproximations:
         with pytest.raises(BadRangeError):
             sigma_n_approx(10, 10, hi_lo)
         with pytest.raises(BadRangeError):
-            sigma1_approx(1, hi_lo)
+            sigma_n_approx(1, 1, hi_lo)
 
 
 SMALL_COUNTS = st.dictionaries(

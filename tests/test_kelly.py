@@ -12,14 +12,12 @@ from truecount import (
     ConvergenceError,
     FuzzyAdvantage,
     GrowthStats,
-    advantage_variance,
     growth_stats_binomial,
     growth_var_fuzzy,
     kelly_fraction,
     long_run,
-    verify_kelly_optimality,
 )
-from truecount.kelly import GOLDEN, _golden_max, log_growth, optimality_reports
+from truecount.kelly import GOLDEN, _golden_max, log_growth, optimality_grid
 
 
 def exact_two_point_growth(p0: float, var_p0: float) -> GrowthStats:
@@ -95,14 +93,15 @@ class TestGrowthStats:
 
 class TestOptimality:
     def test_argmax_matches_closed_form(self):
-        report = verify_kelly_optimality(0.6, tolerance=1e-6)
-        assert report.passed
-        assert report.gap < 1e-6
-        assert report.concave_at_max
+        grid = optimality_grid([0.6], tolerance=1e-6)
+        assert grid.passed().tolist() == [True]
+        assert abs(grid.argmax[0] - grid.expected[0]) < 1e-6
+        assert grid.expected[0] == pytest.approx(0.2)
+        assert grid.concave.tolist() == [True]
 
     def test_out_of_range(self):
         with pytest.raises(BadRangeError):
-            verify_kelly_optimality(0.4)
+            optimality_grid([0.4])
 
 
 def scalar_golden_max(fn, lo, hi, tol):
@@ -126,9 +125,9 @@ def scalar_golden_max(fn, lo, hi, tol):
 class TestKellyGrid:
     @pytest.mark.parametrize("lo, hi, count", [(0.5005, 0.6, 200), (0.9, 0.999, 199)])
     def test_argmax_within_tolerance_near_the_ends(self, lo, hi, count):
-        reports = optimality_reports(verify._kelly_grid(lo, hi, 0.0005), tolerance=1e-6)
-        assert len(reports) == count
-        assert all(r.gap < r.tolerance and r.concave_at_max for r in reports)
+        grid = optimality_grid(verify._kelly_grid(lo, hi, 0.0005), tolerance=1e-6)
+        assert len(grid.p0) == count
+        assert np.all(np.abs(grid.argmax - grid.expected) < 1e-6) and grid.concave.all()
 
     def test_batched_search_matches_the_one_point_search(self):
         p0 = verify._kelly_grid(0.5005, 0.999, 0.0035)
@@ -160,23 +159,28 @@ class TestKellyGrid:
 
     def test_failures_match_the_per_report_details(self):
         # At a tolerance below the search's float resolution most points
-        # fail; each failure's text is that of its report, in grid order.
+        # fail; each failure's text is built from the grid's point, in grid
+        # order.
         lo, hi, step, tol = 0.52, 0.92, 0.0005, 1e-9
         result = verify.verify_kelly(lo=lo, hi=hi, step=step, tolerance=tol)
-        reports = optimality_reports(verify._kelly_grid(lo, hi, step), tol)
+        grid = optimality_grid(verify._kelly_grid(lo, hi, step), tol)
         want = [
-            f"p0={r.p0}: argmax={r.argmax} expected={r.expected} "
-            f"gap={r.gap} concave={r.concave_at_max}"
-            for r in reports if not r.passed
+            f"p0={p0}: argmax={argmax} expected={expected} "
+            f"gap={abs(argmax - expected)} concave={concave}"
+            for p0, argmax, expected, concave, passed in zip(
+                grid.p0.tolist(), grid.argmax.tolist(), grid.expected.tolist(),
+                grid.concave.tolist(), grid.passed().tolist(),
+            )
+            if not passed
         ]
-        assert result.checked == len(reports) == 801
-        assert 0 < len(want) < 801
+        assert result.checked == len(grid.p0) == 801
+        assert len(want) == 663
         assert result.failures == want
 
     @pytest.mark.parametrize("p0s", [[], np.array([[0.6, 0.7]]), 0.6])
     def test_bad_grid_shape_rejected(self, p0s):
         with pytest.raises(BadRangeError):
-            optimality_reports(p0s)
+            optimality_grid(p0s)
 
     @pytest.mark.parametrize("lo, hi, step, count", [
         (0.505, 0.95, 0.005, 90),  # the CLI's grid
@@ -206,9 +210,9 @@ class TestKellyGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = verify.verify_kelly(lo=0.9999, hi=0.99999, step=0.00001)
-            report = verify_kelly_optimality(0.9999999)
+            grid = optimality_grid([0.9999999])
         assert result.passed and result.checked == 10
-        assert report.passed
+        assert grid.passed().tolist() == [True]
 
     def test_grid_size_is_bounded(self):
         step = 2.0**-20
@@ -243,10 +247,6 @@ class TestFuzzyAdvantage:
     def test_variance_bound_enforced(self):
         with pytest.raises(BadRangeError):
             FuzzyAdvantage(0.51, 0.3)
-
-    def test_advantage_variance_units(self):
-        # Edge eps per true count unit, sigma_bet true count units of noise.
-        assert advantage_variance(0.005, 2.0) == pytest.approx(1e-4)
 
     def test_reduces_to_fixed_when_noiseless(self):
         base = growth_stats_binomial(0.53)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import TrueCountDistribution, composition, tc_distributions, verify
+from truecount import TrueCountDistribution, composition, exact, verify
+from truecount.counting import scaled_classes
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
     IdentityReport,
@@ -469,16 +470,16 @@ class TestSweeps:
 
 
 def _bent_laws(move: bool):
-    """``tc_distributions`` with one subset added to (or moved within) each census.
+    """``exact._laws`` with one subset added to (or moved within) each census.
 
     Adding a subset at the lowest running count breaks the total mass;
     moving one from the lowest to the highest keeps the mass but shifts
     the mean.
     """
 
-    def laws(comp):
+    def laws(comp, scaled, lo, hi):
         out = []
-        for law in tc_distributions(comp):
+        for law in exact._laws(comp, scaled, lo, hi):
             ways = dict(law.ways)
             lo, hi = min(ways), max(ways)
             ways[lo] += -1 if move else 1
@@ -494,7 +495,7 @@ class TestMomentChecksCatchWrongCensus:
     COMP = {1: 3, -1: 2, 0: 2}
 
     def _check(self, monkeypatch, move):
-        monkeypatch.setattr(verify, "tc_distributions", _bent_laws(move))
+        monkeypatch.setattr(verify, "_laws", _bent_laws(move))
         result = VerificationResult("theorem")
         verify._check_moments(result, composition(self.COMP))
         assert result.checked == 3 * (sum(self.COMP.values()) - 1)
@@ -510,3 +511,18 @@ class TestMomentChecksCatchWrongCensus:
         assert not any(f.startswith("probs sum") for f in failures)
         # Every law has at least two running counts, so every mean moves.
         assert sum(f.startswith("mean") for f in failures) == 6
+
+
+def test_moment_sweep_scales_each_composition_once(monkeypatch):
+    calls = []
+
+    def counted(counts):
+        calls.append(dict(counts))
+        return scaled_classes(counts)
+
+    monkeypatch.setattr(exact, "scaled_classes", counted)
+    comp = composition({Fraction(-3, 2): 3, Fraction(1, 2): 4, 1: 2})
+    result = VerificationResult("theorem")
+    verify._check_moments(result, comp)
+    assert result.passed and result.checked == 3 * (comp.total - 1)
+    assert calls == [comp.counts]

@@ -1,4 +1,5 @@
 """Monte Carlo engine: stream contract, sampler law, kernel arithmetic, and closed-form checks."""
+import json
 import math
 from fractions import Fraction
 
@@ -149,6 +150,17 @@ class TestDeterminism:
         b = simulate_seat_sigma(get_system("hi-lo"), **kwargs)
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
+
+    def test_json_report_keys(self, hi_lo):
+        reports = (
+            simulate_seat_sigma(hi_lo, 8, 0.5, SeatCardModel(7, 4), 20, 1),
+            simulate_tc_increment(hi_lo, 8, 0.5, [1, 4], 20, 1),
+            simulate_bankroll(FixedAdvantageModel(0.52), 10, 20, 1),
+        )
+        for report in reports:
+            assert list(json.loads(report.to_json())) == [
+                "config", "kind", "seed", "stats", "stream_version", "trials",
+            ]
 
 
 class TestTcIncrement:
