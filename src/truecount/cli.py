@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``systems``, ``sigma-table``, ``exact``, ``verify``, ``kelly``,
-``longrun``, ``simulate``.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.
+``longrun``, ``simulate``.  Each is declared once, in ``build_parser``: its
+flags and the handler that turns them into its output text and exit code.
+``main`` parses, runs that handler and maps errors to exit codes: 0 success,
+1 verification failure, 2 usage or input error.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .reports import FORMATS, ReportTable
 from .seats import SeatCardModel, n_cards_between
 from .sim import (
     FixedAdvantageModel,
-    SimulationReport,
     TwoPointAdvantageModel,
     predicted_seat_sigma,
     simulate_bankroll,
@@ -182,8 +183,8 @@ _VERIFY_SCOPES: dict[str, Callable] = {
 }
 
 
-def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, bool]:
-    """Run a verification sweep, or all three; returns (text, all_passed)."""
+def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, int]:
+    """Run a verification sweep, or all three; returns (text, exit code)."""
     if scope == "all":
         scopes = list(_VERIFY_SCOPES)
     elif scope in _VERIFY_SCOPES:
@@ -194,7 +195,7 @@ def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, bool]:
     lines = [r.summary() for r in results]
     for r in results:
         lines.extend("  " + f for f in r.failures[:20])
-    return "\n".join(lines) + "\n", all(r.passed for r in results)
+    return "\n".join(lines) + "\n", 0 if all(r.passed for r in results) else 1
 
 
 def cmd_kelly(p0: float, var_p0: float = 0.0, hands: int = 1) -> ReportTable:
@@ -204,10 +205,8 @@ def cmd_kelly(p0: float, var_p0: float = 0.0, hands: int = 1) -> ReportTable:
     fraction = kelly_fraction(p0)
     if p0 <= 0.5:
         stats = GrowthStats(0.0, 0.0)
-    elif var_p0 > 0:
-        stats = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0))
     else:
-        stats = growth_stats_binomial(p0)
+        stats = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0))
     return ReportTable(
         title=f"Kelly betting at p0={p0}, var_p0={var_p0}",
         row_labels=[
@@ -229,20 +228,22 @@ def cmd_longrun(
     n_a = long_run(eps, sigma_bet_a, threshold)
     n_b = long_run(eps, sigma_bet_b, threshold)
     delta = n_b - n_a
-    rel = delta / n_a if n_a else float("nan")
     # Favorable hands are roughly 40% of hands dealt, hence the x2.5 total;
     # 50 hands/hour converts totals to table time.
     rows = [
         ("favorable hands (a)", n_a),
         ("favorable hands (b)", n_b),
         ("delta favorable hands", delta),
-        ("delta relative", rel),
+        ("delta relative", delta / n_a),
         ("delta total hands (x2.5)", 2.5 * delta),
         ("delta hours at 50 hands/h", 2.5 * delta / 50),
         ("total hands (a, x2)", 2 * n_a),
         ("total hands (a, x2.5)", 2.5 * n_a),
         ("hours (a) at 50 hands/h", 2.5 * n_a / 50),
     ]
+    for label, value in rows:
+        if not math.isfinite(value):
+            raise BadRangeError(f"{label} is {value}: past the float range")
     return ReportTable(
         title=(
             f"Long run at eps={eps}, threshold={threshold}: "
@@ -306,20 +307,19 @@ def _config_system(config: dict):
     return _resolve_system(name, system_file)
 
 
-def run_simulation(
-    config: dict,
-) -> tuple[SimulationReport, Callable[[], list[str]]]:
-    """Run a parsed simulation config.
+def run_simulation(config: dict, fmt: str = "table") -> str:
+    """Run a parsed simulation config and render its report in ``fmt``.
 
-    Returns the report and a function giving the exact or closed-form
-    predictions rendered next to its empirical statistics in the table
-    format; only that format calls it.
+    The table format follows the JSON report with the exact or closed-form
+    predictions its statistics converge to; the exact seat prediction is
+    computed for that format only.
     """
     mode = _require(config, "mode", default="seat-sigma")
     if mode not in ("seat-sigma", "tc-increment", "bankroll"):
         raise ConfigError(f"unknown mode {mode!r}")
     seed = _require(config, "seed")
     trials = _require(config, "trials")
+    lines: list[str] = []
     if mode == "seat-sigma":
         system = _config_system(config)
         decks = _require(config, "decks")
@@ -329,55 +329,74 @@ def run_simulation(
         hand_mean = _require(config, "hand_mean") if "hand_mean" in config else None
         model = _seat_model(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
-
-        def predictions() -> list[str]:
+        if fmt == "table":
             predicted = predicted_seat_sigma(system, decks, penetration, model)
-            return [
+            lines = [
                 f"predicted {label} (exact): {pred:.6f}"
                 for label, pred in zip(("sigma_bet", "sigma_play"), predicted)
             ]
-
-        return report, predictions
-    if mode == "tc-increment":
+    elif mode == "tc-increment":
         system = _config_system(config)
         decks = _require(config, "decks")
         penetration = _require(config, "penetration")
         n_cards = _require(config, "n_cards")
         report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
-        return report, lambda: []
-    hands = _require(config, "hands")
-    if "p" in config:
-        p = _require(config, "p")
-        model = FixedAdvantageModel(p)
-        basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
     else:
-        p0 = _require(config, "p0")
-        var_p0 = _require(config, "var_p0")
-        model = TwoPointAdvantageModel(p0, var_p0)
-        fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
-        basis, stats = "first order", fuzzy
-    report = simulate_bankroll(model, hands, trials, seed)
-    lines = []
-    if stats is not None:
-        lines.append(f"predicted growth mean ({basis}): {stats.mean:.6e}")
-        lines.append(f"predicted growth std over {hands} hands: {stats.std(hands):.6e}")
-    return report, lambda: lines
+        hands = _require(config, "hands")
+        if "p" in config:
+            p = _require(config, "p")
+            model = FixedAdvantageModel(p)
+            basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
+        else:
+            p0 = _require(config, "p0")
+            var_p0 = _require(config, "var_p0")
+            model = TwoPointAdvantageModel(p0, var_p0)
+            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
+            basis, stats = "first order", fuzzy
+        report = simulate_bankroll(model, hands, trials, seed)
+        if stats is not None:
+            lines = [
+                f"predicted growth mean ({basis}): {stats.mean:.6e}",
+                f"predicted growth std over {hands} hands: {stats.std(hands):.6e}",
+            ]
+    if fmt == "csv":
+        return report.to_csv()
+    return "\n".join([report.to_json(), *(lines if fmt == "table" else [])]) + "\n"
+
+
+def _simulate(args) -> tuple[str, int]:
+    """``simulate``: the config file, if any, with the flags given over it."""
+    config: dict = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = parse_config(fh.read())
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    return run_simulation(config, args.format), 0
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    """The argument parser, built once per process (parsing leaves it unchanged).
+
+    Each subcommand sets ``run``: its handler, mapping the parsed arguments
+    to (output text, exit code).
+    """
     parser = argparse.ArgumentParser(
         prog="truecount",
         description="True-count dispersion, Kelly long-run analytics, and Monte Carlo checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add_format(p, table=None):
+        """``--format``; with ``table``, a handler rendering ``table(args)`` in it."""
         p.add_argument("--format", choices=FORMATS, default="table")
+        if table is not None:
+            p.set_defaults(run=lambda args: (table(args).render(args.format), 0))
 
     p = sub.add_parser("systems", help="builtin count systems and their sigma0")
-    add_format(p)
+    add_format(p, lambda a: cmd_systems())
 
     p = sub.add_parser("sigma-table", help="sigma_bet / sigma_play by seat position")
     p.add_argument("--system", default=None,
@@ -391,93 +410,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hand-mean", type=float, default=None,
                    help="mean cards per hand, as a two-point extra-card law "
                    "(default: the 0/1/2 DEFAULT_EXTRA_LAW, mean 2.6)")
-    add_format(p)
+    add_format(p, lambda a: cmd_sigma_table(
+        _resolve_system(a.system, a.system_file), a.decks, a.penetration,
+        a.seats, _parse_int_list(a.positions), a.hand_mean,
+    ))
 
     p = sub.add_parser("exact", help="exact true-count law for a composition")
     p.add_argument("-c", "--composition", required=True)
     p.add_argument("-n", "--n", type=int, required=True)
     p.add_argument("--units", choices=("card", "deck"), default="deck")
-    add_format(p)
+    add_format(p, lambda a: cmd_exact(a.composition, a.n, a.units))
 
     p = sub.add_parser("verify", help="run exact verification sweeps")
     p.add_argument("scope", nargs="?", default="all",
                    choices=(*_VERIFY_SCOPES, "all"))
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda a: cmd_verify(a.scope, a.seed))
 
     p = sub.add_parser("kelly", help="Kelly fraction and growth statistics")
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--var-p0", type=float, default=0.0)
     p.add_argument("--hands", type=int, default=1)
-    add_format(p)
+    add_format(p, lambda a: cmd_kelly(a.p0, a.var_p0, a.hands))
 
     p = sub.add_parser("longrun", help="long-run hand counts for two sigma_bet levels")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--sigma-bet-a", type=float, default=0.0)
     p.add_argument("--sigma-bet-b", type=float, default=0.0)
     p.add_argument("--threshold", type=float, default=2.0)
-    add_format(p)
+    add_format(p, lambda a: cmd_longrun(a.eps, a.sigma_bet_a, a.sigma_bet_b, a.threshold))
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     p.add_argument("--config", default=None, help="key = value config file")
     for key in _CONFIG_KEYS:
         p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     add_format(p)
+    p.set_defaults(run=_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "systems":
-            out.write(cmd_systems().render(args.format))
-        elif args.command == "sigma-table":
-            system = _resolve_system(args.system, args.system_file)
-            positions = _parse_int_list(args.positions)
-            table = cmd_sigma_table(
-                system, args.decks, args.penetration, args.seats, positions,
-                args.hand_mean,
-            )
-            out.write(table.render(args.format))
-        elif args.command == "exact":
-            out.write(cmd_exact(args.composition, args.n, args.units).render(args.format))
-        elif args.command == "verify":
-            text, ok = cmd_verify(args.scope, args.seed)
-            out.write(text)
-            return 0 if ok else 1
-        elif args.command == "kelly":
-            out.write(cmd_kelly(args.p0, args.var_p0, args.hands).render(args.format))
-        elif args.command == "longrun":
-            table = cmd_longrun(
-                args.eps, args.sigma_bet_a, args.sigma_bet_b, args.threshold
-            )
-            out.write(table.render(args.format))
-        elif args.command == "simulate":
-            config: dict = {}
-            if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config = parse_config(fh.read())
-            for key in _CONFIG_KEYS:
-                value = getattr(args, key)
-                if value is not None:
-                    config[key] = value
-            report, predictions = run_simulation(config)
-            if args.format == "json":
-                out.write(report.to_json() + "\n")
-            elif args.format == "csv":
-                out.write(report.to_csv())
-            else:
-                out.write(report.to_json() + "\n")
-                for line in predictions():
-                    out.write(line + "\n")
-    except TrueCountError as exc:
+        text, code = args.run(args)
+        # Written inside the try: a failed write (a closed pipe) exits 2 too.
+        sys.stdout.write(text)
+    except (TrueCountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":

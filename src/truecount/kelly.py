@@ -167,7 +167,8 @@ def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:
 def long_run(eps: float, sigma_bet: float, threshold: float = 2.0) -> float:
     """Minimal favorable-hand count with E(G_N)/std(G_N) >= threshold.
 
-    Uses the small-edge closed form threshold^2 (1 + sigma_bet^2) / eps^2.
+    Uses the small-edge closed form threshold^2 (1 + sigma_bet^2) / eps^2,
+    and raises ``BadRangeError`` where that is not a finite float > 0.
     """
     for name, value in (("eps", eps), ("sigma_bet", sigma_bet), ("threshold", threshold)):
         if not math.isfinite(value):
@@ -178,4 +179,13 @@ def long_run(eps: float, sigma_bet: float, threshold: float = 2.0) -> float:
         raise BadRangeError(f"need sigma_bet >= 0, got {sigma_bet}")
     if threshold <= 0:
         raise BadRangeError(f"need threshold > 0, got {threshold}")
-    return threshold**2 * (1 + sigma_bet**2) / eps**2
+    try:
+        n = threshold**2 * (1 + sigma_bet**2) / eps**2
+    except (OverflowError, ZeroDivisionError):  # a square past the float range
+        n = math.inf
+    if not (math.isfinite(n) and n > 0):
+        raise BadRangeError(
+            f"no finite long run > 0 at eps={eps}, sigma_bet={sigma_bet}, "
+            f"threshold={threshold}"
+        )
+    return n

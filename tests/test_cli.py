@@ -1,10 +1,21 @@
 """CLI subcommands, formats, config parsing, and exit codes."""
+import argparse
+import io
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from truecount import SeatCardModel, SigmaResult, cli, get_system, predicted_seat_sigma
+from truecount import (
+    SeatCardModel,
+    SigmaResult,
+    cli,
+    get_system,
+    growth_stats_binomial,
+    predicted_seat_sigma,
+)
 from truecount.cli import main, parse_config, run_simulation
 from truecount.errors import ConfigError
 
@@ -120,6 +131,34 @@ class TestSigmaTable:
         assert "hi-lo" not in err
 
 
+class TestDispatch:
+    def test_every_subcommand_declares_its_handler(self):
+        (subparsers,) = [
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == {
+            "systems", "sigma-table", "exact", "verify", "kelly", "longrun", "simulate",
+        }
+        for name, parser in subparsers.choices.items():
+            assert callable(parser.get_default("run")), name
+
+    def test_missing_system_file_exit_2(self, capsys, tmp_path):
+        assert_typed_error(
+            capsys, "sigma-table", "--penetration", "0.5",
+            "--system-file", str(tmp_path / "absent.txt"),
+        )
+
+    def test_failed_write_exit_2(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["systems"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 class TestParserBuiltOnce:
     # A good command, a bad one (argparse exits 2 with usage), another subcommand.
     COMMANDS = (
@@ -199,6 +238,17 @@ class TestKelly:
         assert code == 0
         assert "0.04" in out  # kelly fraction 2p - 1
 
+    def test_growth_is_the_closed_form_without_noise(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "kelly", "--p0", "0.52", "--hands", "100", "--format", "json"
+        )
+        assert code == 0
+        cells = {row["label"]: row["cells"][0] for row in json.loads(out)["rows"]}
+        stats = growth_stats_binomial(0.52)
+        assert cells["mean growth rate"] == stats.mean
+        assert cells["growth variance (1 hand)"] == stats.variance
+        assert cells["growth std (100 hands)"] == stats.std(100)
+
     def test_subfair_probability(self, capsys):
         code, out, _ = run_cli(capsys, "kelly", "--p0", "0.4")
         assert code == 0
@@ -223,6 +273,26 @@ class TestLongrun:
         assert code == 0
         assert "40000.0" in out
         assert "800.0" in out
+
+    @pytest.mark.parametrize("args", [
+        ("--eps", "1e-200"),
+        ("--eps", "1e200"),
+        ("--eps", "1e-154"),
+        ("--eps", "0.01", "--threshold", "1e200"),
+        ("--eps", "0.01", "--threshold", "1e-200"),
+        ("--eps", "0.01", "--threshold", "1e152"),  # a finite count, inf x2 rows
+    ], ids=["eps-squared-0", "eps-squared-over", "count-inf", "threshold-over",
+            "count-0", "row-over"])
+    def test_count_past_float_range_exit_2(self, capsys, args):
+        for fmt in ("table", "csv", "json"):
+            assert_typed_error(capsys, "longrun", *args, "--format", fmt)
+
+    def test_count_near_float_max(self, capsys):
+        code, out, err = run_cli(capsys, "longrun", "--eps", "1e-153", "--format", "json")
+        assert (code, err) == (0, "")
+        cells = [row["cells"][0] for row in json.loads(out)["rows"]]
+        assert cells[0] == pytest.approx(4e306)
+        assert all(math.isfinite(c) for c in cells)
 
 
 class TestConfigParsing:

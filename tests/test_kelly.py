@@ -309,6 +309,17 @@ class TestLongRun:
         with pytest.raises(BadRangeError):
             long_run(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1e-200, 0.0, 2.0), (1e200, 0.0, 2.0), (1e-154, 0.0, 2.0),
+        (0.01, 0.0, 1e200), (0.01, 0.0, 1e-200), (0.01, 1e200, 2.0),
+    ], ids=["eps-squared-0", "eps-squared-over", "count-inf", "threshold-over",
+            "count-0", "sigma-over"])
+    def test_count_past_float_range_rejected(self, args):
+        # A square that overflows or underflows, or a count that does, never
+        # comes back as inf, 0 or a traceback.
+        with pytest.raises(BadRangeError, match="no finite long run"):
+            long_run(*args)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.505, max_value=0.95))
