@@ -105,11 +105,10 @@ def cmd_sigma_table(
 ) -> ReportTable:
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
     check_decks(decks)
+    if 52 * decks > sys.float_info.max:
+        raise BadRangeError(f"need a shoe within the float range, got {decks} decks")
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
-    for p in positions:
-        if not 1 <= p <= seats:
-            raise BadRangeError(f"position {p} outside 1..{seats}")
     remaining = 52 * decks * (1 - penetration)
     cells_bet, cells_play = [], []
     markers = {}
@@ -289,45 +288,67 @@ def parse_config(text: str) -> dict:
     return config
 
 
-def _require(config: dict, key: str, default=None):
+def _take(config: dict, key: str, default=None):
+    """Remove ``key`` from ``config`` and return its value read, else ``default``."""
     if key not in config:
         if default is not None:
             return default
         raise ConfigError(f"missing required config key {key!r}")
+    value = config.pop(key)
     try:
-        return _CONFIG_KEYS[key](config[key])
+        return _CONFIG_KEYS[key](value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for config key {key!r}: {config[key]!r}") from exc
+        raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
 
 
 def _config_system(config: dict):
     """The config's count system: a builtin name, or a ``system_file``."""
-    system_file = config.get("system_file")
-    name = config.get("system") if system_file else _require(config, "system")
+    system_file = config.pop("system_file", None)
+    name = config.pop("system", None) if system_file else _take(config, "system")
     return _resolve_system(name, system_file)
 
 
 def run_simulation(config: dict, fmt: str = "table") -> str:
     """Run a parsed simulation config and render its report in ``fmt``.
 
-    The table format follows the JSON report with the exact or closed-form
+    A key that the mode does not read raises ``ConfigError``.  The table
+    format follows the JSON report with the exact or closed-form
     predictions its statistics converge to; the exact seat prediction is
     computed for that format only.
     """
-    mode = _require(config, "mode", default="seat-sigma")
+    config = dict(config)  # each read takes its key out
+    mode = _take(config, "mode", default="seat-sigma")
     if mode not in ("seat-sigma", "tc-increment", "bankroll"):
         raise ConfigError(f"unknown mode {mode!r}")
-    seed = _require(config, "seed")
-    trials = _require(config, "trials")
+    seed = _take(config, "seed")
+    trials = _take(config, "trials")
+    if mode == "bankroll":
+        hands = _take(config, "hands")
+        if "p" in config:
+            p = _take(config, "p")
+            model = FixedAdvantageModel(p)
+            basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
+        else:
+            p0 = _take(config, "p0")
+            var_p0 = _take(config, "var_p0")
+            model = TwoPointAdvantageModel(p0, var_p0)
+            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
+            basis, stats = "first order", fuzzy
+    else:
+        system = _config_system(config)
+        decks = _take(config, "decks")
+        penetration = _take(config, "penetration")
+        if mode == "seat-sigma":
+            seats = _take(config, "seats", default=DEFAULT_SEATS)
+            position = _take(config, "position", default=DEFAULT_POSITION)
+            hand_mean = _take(config, "hand_mean") if "hand_mean" in config else None
+            model = _seat_model(seats, position, hand_mean)
+        else:
+            n_cards = _take(config, "n_cards")
+    if config:
+        raise ConfigError(f"mode {mode!r} does not read config keys {', '.join(config)}")
     lines: list[str] = []
     if mode == "seat-sigma":
-        system = _config_system(config)
-        decks = _require(config, "decks")
-        penetration = _require(config, "penetration")
-        seats = _require(config, "seats", default=DEFAULT_SEATS)
-        position = _require(config, "position", default=DEFAULT_POSITION)
-        hand_mean = _require(config, "hand_mean") if "hand_mean" in config else None
-        model = _seat_model(seats, position, hand_mean)
         report = simulate_seat_sigma(system, decks, penetration, model, trials, seed)
         if fmt == "table":
             predicted = predicted_seat_sigma(system, decks, penetration, model)
@@ -336,23 +357,8 @@ def run_simulation(config: dict, fmt: str = "table") -> str:
                 for label, pred in zip(("sigma_bet", "sigma_play"), predicted)
             ]
     elif mode == "tc-increment":
-        system = _config_system(config)
-        decks = _require(config, "decks")
-        penetration = _require(config, "penetration")
-        n_cards = _require(config, "n_cards")
         report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
     else:
-        hands = _require(config, "hands")
-        if "p" in config:
-            p = _require(config, "p")
-            model = FixedAdvantageModel(p)
-            basis, stats = "closed form", growth_stats_binomial(p) if p > 0.5 else None
-        else:
-            p0 = _require(config, "p0")
-            var_p0 = _require(config, "var_p0")
-            model = TwoPointAdvantageModel(p0, var_p0)
-            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
-            basis, stats = "first order", fuzzy
         report = simulate_bankroll(model, hands, trials, seed)
         if stats is not None:
             lines = [

@@ -300,37 +300,34 @@ def _removal_identity(
     )
 
 
-def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityReport:
-    """One random removal does not change the chance of next drawing v0."""
-    N, p = comp.total, len(prefix)
-    if p > N - 2:
-        raise BadRangeError(f"need len(prefix) <= N - 2, got {p} with N={N}")
-    counts, slots = _layout(comp, prefix, [v0])
-    return _removal_identity("lemma1", counts, slots, 1, _censuses(counts, 1))
-
-
-def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> IdentityReport:
-    """Ordered-clump version: removal of one random card preserves the law."""
-    N, p, q = comp.total, len(prefix), len(vs) - 1
-    if not vs:
-        raise BadRangeError("need at least one v weight")
-    if p + q > N - 2:
-        raise BadRangeError(f"need p + q <= N - 2, got p={p}, q={q}, N={N}")
-    counts, slots = _layout(comp, prefix, vs)
-    return _removal_identity("lemma2", counts, slots, 1, _censuses(counts, 1))
-
-
-def check_lemma34(
-    comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
+def _check_removal(
+    name: str, comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
 ) -> IdentityReport:
-    """k-fold removal invariance (sum over the census of the k removed cards)."""
+    """Lemma 3-4's identity and range rule, of which lemmas 1 and 2 are the k = 1 cases."""
     N, p, q = comp.total, len(prefix), len(vs) - 1
     if k < 1:
         raise BadRangeError(f"need k >= 1, got {k}")
     if not vs or p + k + q > N - 1:
         raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
     counts, slots = _layout(comp, prefix, vs)
-    return _removal_identity("lemma34", counts, slots, k, _censuses(counts, k))
+    return _removal_identity(name, counts, slots, k, _censuses(counts, k))
+
+
+def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityReport:
+    """One random removal does not change the chance of next drawing v0."""
+    return _check_removal("lemma1", comp, prefix, 1, [v0])
+
+
+def check_lemma2(comp: WeightComposition, prefix: Sequence, vs: Sequence) -> IdentityReport:
+    """Ordered-clump version: removal of one random card preserves the law."""
+    return _check_removal("lemma2", comp, prefix, 1, vs)
+
+
+def check_lemma34(
+    comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
+) -> IdentityReport:
+    """k-fold removal invariance (sum over the census of the k removed cards)."""
+    return _check_removal("lemma34", comp, prefix, k, vs)
 
 
 def _telescoping(r: int, s: Sequence[int], D: int, N: int, n: int) -> IdentityReport:

@@ -10,6 +10,7 @@ logarithms throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -35,6 +36,8 @@ class GrowthStats:
         """Std of G_n; variance scales as 1/n for independent rounds."""
         if n < 1:
             raise BadRangeError(f"need n >= 1 rounds, got {n}")
+        if n > sys.float_info.max:
+            raise BadRangeError(f"need n rounds within the float range, got {n}")
         return math.sqrt(self.variance / n)
 
 

@@ -39,6 +39,10 @@ CHUNK = 4096
 #: Version of the stream contract, written into JSON reports.
 STREAM_VERSION = 2
 
+#: A shoe must hold fewer cards than this: numpy's multivariate
+#: hypergeometric sampler takes no more.
+MAX_SHOE_CARDS = 10**9
+
 
 def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
     """Counter-split Philox stream for one chunk of :data:`CHUNK` trials."""
@@ -230,6 +234,44 @@ def predicted_seat_sigma(
     return 52 * math.sqrt(var_bet), 52 * math.sqrt(var_play)
 
 
+def _shoe_run(
+    kind: str, system: CountSystem, decks: int, penetration: float,
+    tail_len: int, trials: int, seed: int, config: dict, extra=None,
+):
+    """Deal every trial's shoe to the cut and ``tail_len`` cards past it.
+
+    Each chunk draws the cut census and tail, then ``extra(rng, size)`` if
+    given.  Returns the report, with the shoe's config keys before
+    ``config``; ``true_counts(*ns)``, each trial's true count (deck units)
+    after each n of ``ns`` tail cards; and the draws of ``extra``, if any.
+    """
+    if 52 * decks >= MAX_SHOE_CARDS:
+        raise BadRangeError(
+            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
+        )
+    weights, counts, scale = _shoe_classes(system, decks)
+    cut = _cut_index(decks, penetration)
+    remaining = int(counts.sum()) - cut
+    # The true count after the last tail card needs one card unseen.
+    if tail_len >= remaining:
+        raise ShoeExhaustedError(
+            f"{tail_len} cards past the cut must leave one unseen, but {remaining} remain"
+        )
+
+    def draw(rng, size):
+        r_cut, tail = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
+        return (r_cut, tail) + ((extra(rng, size),) if extra else ())
+
+    r_cut, tail, *drawn = _by_chunk(seed, trials, draw)
+
+    def true_counts(*ns):
+        r_after = kernels.running_counts(r_cut, tail, *ns)
+        return [52.0 * r / (scale * (remaining - n)) for n, r in zip(ns, r_after)]
+
+    shoe = {"system": system.name, "decks": decks, "penetration": penetration}
+    return SimulationReport(kind, seed, trials, {**shoe, **config}), true_counts, *drawn
+
+
 def simulate_tc_increment(
     system: CountSystem,
     decks: int,
@@ -247,36 +289,14 @@ def simulate_tc_increment(
     n_cards = sorted(set(int(n) for n in n_cards))
     if not n_cards or n_cards[0] < 1:
         raise BadRangeError(f"n_cards must be positive integers, got {n_cards}")
-    weights, counts, scale = _shoe_classes(system, decks)
-    n0 = int(counts.sum())
-    cut = _cut_index(decks, penetration)
-    max_n = n_cards[-1]
-    # Strict, as in seat-sigma: the true count after n cards needs one unseen.
-    if cut + max_n >= n0:
-        raise ShoeExhaustedError(
-            f"n={max_n} leaves no card unseen: {n0 - cut} remain past the cut"
-        )
-    r_cut, tail = _by_chunk(
-        seed, trials,
-        lambda rng, size: _draw_cut_and_tail(rng, size, weights, counts, cut, max_n),
+    report, true_counts = _shoe_run(
+        "tc-increment", system, decks, penetration, n_cards[-1], trials, seed,
+        {"n_cards": n_cards},
     )
-    remaining = n0 - cut
-    tc_cut = 52.0 * r_cut / (scale * remaining)
-    report = SimulationReport(
-        kind="tc-increment",
-        seed=seed,
-        trials=trials,
-        config={
-            "system": system.name,
-            "decks": decks,
-            "penetration": penetration,
-            "n_cards": n_cards,
-        },
-    )
-    for n, r_after in zip(n_cards, kernels.running_counts(r_cut, tail, *n_cards)):
-        tc_after = 52.0 * r_after / (scale * (remaining - n))
+    tc_cut, *tc_after = true_counts(0, *n_cards)
+    for n, tc in zip(n_cards, tc_after):
         label = f"tc_increment_n{n}"
-        report.stats[label] = _stat_row(tc_after - tc_cut, label)
+        report.stats[label] = _stat_row(tc - tc_cut, label)
     return report
 
 
@@ -299,44 +319,17 @@ def simulate_seat_sigma(
     seed: int,
 ) -> SimulationReport:
     """Empirical bet->play and play->dealer true-count dispersion for a seat."""
-    weights, counts, scale = _shoe_classes(system, decks)
-    n0 = int(counts.sum())
-    cut = _cut_index(decks, penetration)
     base_deal = 2 * (model.seats + 1)
-    # Strict: the dealer moment still needs at least one card in the shoe.
-    worst = cut + base_deal + model.seats * model.max_extra
-    if worst >= n0:
-        raise ShoeExhaustedError(
-            f"worst-case hand needs {worst} cards but the shoe holds {n0}"
-        )
-    max_tail = base_deal + model.seats * model.max_extra
-
-    def draw(rng, size):
-        r_cut, tail = _draw_cut_and_tail(rng, size, weights, counts, cut, max_tail)
-        return r_cut, tail, _sample_extras(rng, model, size)
-
-    r_cut, tail, extras = _by_chunk(seed, trials, draw)
+    report, true_counts, extras = _shoe_run(
+        "seat-sigma", system, decks, penetration,
+        base_deal + model.seats * model.max_extra, trials, seed,
+        {"seats": model.seats, "position": model.position,
+         "hand_mean": model.mean_cards_per_hand},
+        lambda rng, size: _sample_extras(rng, model, size),
+    )
     n_bet = base_deal + extras[:, : model.position - 1].sum(axis=1)
     n_play = extras[:, model.position - 1 :].sum(axis=1)
-    r_play, r_dealer = kernels.running_counts(r_cut, tail, n_bet, n_bet + n_play)
-    remaining = n0 - cut
-    tc_bet = 52.0 * r_cut / (scale * remaining)
-    tc_play = 52.0 * r_play / (scale * (remaining - n_bet))
-    dealer_left = remaining - n_bet - n_play
-    tc_dealer = 52.0 * r_dealer / (scale * dealer_left)
-    report = SimulationReport(
-        kind="seat-sigma",
-        seed=seed,
-        trials=trials,
-        config={
-            "system": system.name,
-            "decks": decks,
-            "penetration": penetration,
-            "seats": model.seats,
-            "position": model.position,
-            "hand_mean": model.mean_cards_per_hand,
-        },
-    )
+    tc_bet, tc_play, tc_dealer = true_counts(0, n_bet, n_bet + n_play)
     report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, "sigma_bet")
     report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, "sigma_play")
     report.stats["cards_per_hand"] = _stat_row(
@@ -389,8 +382,9 @@ def simulate_bankroll(
     seed: int,
 ) -> SimulationReport:
     """Per-trial exponential growth rate G_n under Kelly betting."""
-    if n_hands < 1:
-        raise BadRangeError(f"need n_hands >= 1, got {n_hands}")
+    # numpy's binomial sampler takes a count below 2**63.
+    if not 1 <= n_hands < 2**63:
+        raise BadRangeError(f"need 1 <= n_hands < 2**63, got {n_hands}")
     if isinstance(adv_model, FixedAdvantageModel):
         f = kelly_fraction(adv_model.p)
         up, down = math.log1p(f), math.log1p(-f)

@@ -88,27 +88,20 @@ class VerificationResult:
 
 
 def compositions_over(weights, total: int):
-    """All censuses of ``total`` cards over the given weight classes."""
-    k = len(weights)
-
-    def parts(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in parts(remaining - first, slots - 1):
-                yield (first, *rest)
-
-    for counts in parts(total, k):
-        yield WeightComposition(dict(zip(weights, counts)))
+    """All censuses of ``total`` cards over ``weights``, in lexicographic order."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), len(weights) - 1):
+        yield _composition(weights, cuts, total)
 
 
-def _random_composition(rng: random.Random, n_max: int) -> WeightComposition:
-    weights = rng.choice(WEIGHT_SETS)
-    total = rng.randint(3, n_max)
-    cuts = sorted(rng.randint(0, total) for _ in range(len(weights) - 1))
+def _composition(weights, cuts, total: int) -> WeightComposition:
+    """``total`` cards over ``weights``, the class counts between the sorted ``cuts``."""
     counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
     return WeightComposition(dict(zip(weights, counts)))
+
+
+def _random_composition(rng: random.Random, weights, total: int) -> WeightComposition:
+    cuts = sorted(rng.randint(0, total) for _ in range(len(weights) - 1))
+    return _composition(weights, cuts, total)
 
 
 def _random_feasible_sequence(rng: random.Random, comp: WeightComposition, length: int):
@@ -242,7 +235,7 @@ def verify_lemmas(
 
     rng = random.Random(seed)
     for _ in range(random_instances):
-        comp = _random_composition(rng, random_n_max)
+        comp = _random_composition(rng, rng.choice(WEIGHT_SETS), rng.randint(3, random_n_max))
         total = comp.total
         weights = comp.weights()
         prefix = _random_feasible_sequence(rng, comp, rng.randint(0, min(3, total - 2)))
@@ -342,9 +335,7 @@ def verify_theorem(
     for total in sampled_totals:
         for weights in WEIGHT_SETS:
             for _ in range(samples_per_total):
-                cuts = sorted(rng.randint(0, total) for _ in range(len(weights) - 1))
-                counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-                _check_moments(result, WeightComposition(dict(zip(weights, counts))))
+                _check_moments(result, _random_composition(rng, weights, total))
     return result
 
 

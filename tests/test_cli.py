@@ -487,6 +487,30 @@ class TestSimulateCommand:
             "--trials", "20", "--seed", "1",
         )
 
+    @pytest.mark.parametrize("args, unread", [
+        (("--mode", "bankroll", "--p", "0.51", "--p0", "0.6", "--var-p0", "0.01",
+          "--hands", "10"), "p0, var_p0"),
+        (("--mode", "seat-sigma", "--system", "hi-lo", "--decks", "8",
+          "--penetration", "0.5", "--n-cards", "3"), "n_cards"),
+        (("--mode", "tc-increment", "--system", "hi-lo", "--decks", "8",
+          "--penetration", "0.5", "--n-cards", "3", "--hand-mean", "3"), "hand_mean"),
+    ], ids=["bankroll", "seat-sigma", "tc-increment"])
+    def test_unread_key_exit_2(self, capsys, args, unread):
+        code, out, err = run_cli(capsys, "simulate", *args, "--trials", "10", "--seed", "1")
+        mode = args[1]
+        assert (code, out) == (2, "")
+        assert err == f"error: mode {mode!r} does not read config keys {unread}\n"
+
+    def test_unread_key_from_config_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = bankroll\np0 = 0.52\nvar_p0 = 0\nhands = 50\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(path), "--p", "0.51",
+            "--trials", "5", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: mode 'bankroll' does not read config keys p0, var_p0\n"
+
     def test_csv_determinism(self, capsys):
         args = (
             "simulate", "--mode", "tc-increment", "--system", "hi-lo",
@@ -498,3 +522,30 @@ class TestSimulateCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert "\r\n" in out_a
+
+
+#: Each command with the flag whose value leaves the arithmetic's range, the
+#: first value past it and the largest value accepted.
+PAST_THE_RANGE = {
+    "kelly-hands": (("kelly", "--p0", "0.52", "--hands"),
+                    10**400, int(sys.float_info.max)),
+    "sigma-table-decks": (("sigma-table", "--penetration", "0.5", "--decks"),
+                          10**400, int(sys.float_info.max) // 52),
+    "bankroll-hands": (("simulate", "--mode", "bankroll", "--p", "0.51", "--trials", "10",
+                        "--seed", "1", "--hands"), 2**63, 2**63 - 1),
+    "seat-sigma-decks": (("simulate", "--mode", "seat-sigma", "--system", "hi-lo",
+                          "--penetration", "0.5", "--trials", "10", "--seed", "1",
+                          "--decks"), 10**20, 19_230_769),
+    "tc-increment-decks": (("simulate", "--mode", "tc-increment", "--system", "hi-lo",
+                            "--penetration", "0.5", "--n-cards", "1", "--trials", "10",
+                            "--seed", "1", "--decks"), 19_230_770, 19_230_769),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_RANGE.values(), ids=PAST_THE_RANGE.keys())
+def test_value_past_the_arithmetic_exit_2(capsys, case):
+    args, rejected, largest = case
+    code, out, err = run_cli(capsys, *args, str(largest), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "nan" not in out and "inf" not in out
+    assert_typed_error(capsys, *args, str(rejected))

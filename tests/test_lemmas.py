@@ -85,6 +85,20 @@ class TestIdentityCheckers:
             check_lemma34(comp, [], 0, [1])
         with pytest.raises(BadRangeError):
             check_lemma6(0, 4, 4, [1, 1, 1, 1])
+        # p + k + q = N - 1 is in range for all three; one card more is not.
+        two = composition({1: 1, -1: 1})
+        assert check_lemma1(two, [], 1).equal
+        assert check_lemma2(two, [], [1]).equal
+        assert check_lemma34(two, [], 1, [1]).equal
+        for out_of_range in (
+            lambda: check_lemma2(two, [], [1, -1]),
+            lambda: check_lemma2(two, [1], [-1]),
+            lambda: check_lemma34(two, [], 2, [1]),
+            lambda: check_lemma34(two, [1], 1, [-1]),
+            lambda: check_lemma34(two, [], 1, []),
+        ):
+            with pytest.raises(BadRangeError):
+                out_of_range()
 
 
 @settings(max_examples=50, deadline=None)
@@ -390,6 +404,25 @@ class TestSweeps:
         comps = list(compositions_over((Fraction(-1), Fraction(1)), 4))
         assert len(comps) == 5
         assert all(c.total == 4 for c in comps)
+
+    def test_compositions_over_matches_recursive_reference(self):
+        def reference(classes: int, total: int) -> list[tuple[int, ...]]:
+            if classes == 1:
+                return [(total,)]
+            return [
+                (first, *rest)
+                for first in range(total + 1)
+                for rest in reference(classes - 1, total - first)
+            ]
+
+        weights = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
+        for classes in range(1, 5):
+            for total in range(11):
+                got = [
+                    tuple(c.counts.values())
+                    for c in compositions_over(weights[:classes], total)
+                ]
+                assert got == reference(classes, total), (classes, total)
 
     def test_verify_lemmas_quick(self):
         result = verify_lemmas(seed=1, exhaustive_n=4, random_instances=5)

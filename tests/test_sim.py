@@ -216,6 +216,21 @@ class TestSeatSigma:
         with pytest.raises(ShoeExhaustedError):
             simulate_seat_sigma(hi_lo, 1, 0.7, model, 10, 0)
 
+    def test_both_shoe_simulators_leave_one_card_unseen(self, hi_lo):
+        # Seven seats take up to 2 * 8 + 7 * 2 = 30 cards past the cut.
+        model = SeatCardModel(seats=7, position=1)
+        messages = []
+        for run in (
+            lambda penetration: simulate_tc_increment(hi_lo, 1, penetration, [30], 10, 0),
+            lambda penetration: simulate_seat_sigma(hi_lo, 1, penetration, model, 10, 0),
+        ):
+            report = run(21 / 52)  # 31 cards left past the cut
+            assert all(math.isfinite(row.std) for row in report.stats.values())
+            with pytest.raises(ShoeExhaustedError) as exc:
+                run(22 / 52)  # 30 left
+            messages.append(str(exc.value))
+        assert messages == ["30 cards past the cut must leave one unseen, but 30 remain"] * 2
+
     def test_insufficient_sample(self, hi_lo):
         # One trial gives no std: every mode refuses it rather than report NaN.
         model = SeatCardModel(seats=1, position=1)
