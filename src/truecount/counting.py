@@ -7,6 +7,7 @@ rational.  Floats only appear at presentation boundaries (``sigma0``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -279,7 +280,9 @@ def composition(counts: Mapping[object, int]) -> WeightComposition:
 
 
 def check_decks(decks: int) -> None:
-    """Raise :class:`BadRangeError` unless a shoe has at least one deck."""
+    """Raise :class:`BadRangeError` unless a shoe has a whole number of decks, at least one."""
+    if not isinstance(decks, numbers.Integral):
+        raise BadRangeError(f"decks must be a whole number, got {decks!r}")
     if decks < 1:
         raise BadRangeError(f"decks must be >= 1, got {decks}")
 

@@ -7,8 +7,11 @@ by the running count their removal leaves; the law past N/2 is the mirror
 of the law at N - n, since removing the other N - n cards leaves
 scale * R - x where removing the n leaves x.  A law is held as those
 integer multiplicities over the common denominator C(N, n) * scale * (N - n),
-and its moments come from integer power sums.  Rationals appear only in the
-results; square roots only when a standard deviation is presented as a
+and its moments come from the integer power sums (S0, S1, S2) of x, which
+``_power_sums`` takes in one pass over a DP row.  The mirror x -> start - x
+maps power sums by arithmetic alone (``_mirrored``), so the moment sweep
+reads each row once and builds no law past N/2.  Rationals appear only in
+the results; square roots only when a standard deviation is presented as a
 float.
 """
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .counting import CountSystem, WeightComposition, as_weight, scaled_classes
@@ -50,15 +54,9 @@ class TrueCountDistribution:
 
     def __post_init__(self):
         # Integer power sums of x and the two denominators, computed once.
-        s0 = s1 = s2 = 0
-        for x, ways in self.ways.items():
-            wx = ways * x
-            s0 += ways
-            s1 += wx
-            s2 += wx * x
         N = self.source.total
         denominators = (math.comb(N, self.n), self.scale * (N - self.n))
-        object.__setattr__(self, "sums", (s0, s1, s2, *denominators))
+        object.__setattr__(self, "sums", (*_power_sums(self.ways), *denominators))
 
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -79,13 +77,34 @@ class TrueCountDistribution:
     def variance_numerator(self) -> int:
         """The variance times c^3 d^2, with c, d the two denominators of ``sums``."""
         s0, s1, s2, c, _ = self.sums
-        # E[v^2] - mean^2 * (2 - sum p), over the common denominator c^3 d^2.
-        return s2 * c * c - s1 * s1 * (2 * c - s0)
+        return _variance_numerator(s0, s1, s2, c)
 
     def variance(self) -> Fraction:
         """Sum of p * (v - mean)**2, exact even if the p do not sum to 1."""
         *_, c, d = self.sums
         return Fraction(self.variance_numerator(), c**3 * d * d)
+
+
+def _power_sums(ways: dict[int, int]) -> tuple[int, int, int]:
+    """``(S0, S1, S2)``: the sums of ways, ways * x and ways * x^2 over ``ways``."""
+    xs, counts = ways.keys(), ways.values()
+    wx = list(map(mul, counts, xs))
+    return sum(counts), sum(wx), sum(map(mul, wx, xs))
+
+
+def _mirrored(sums: tuple[int, int, int], start: int) -> tuple[int, int, int]:
+    """The power sums of the mirror x -> start - x of a row with power sums ``sums``."""
+    s0, s1, s2 = sums
+    return s0, start * s0 - s1, start * start * s0 - 2 * start * s1 + s2
+
+
+def _variance_numerator(s0: int, s1: int, s2: int, c: int) -> int:
+    """A law's variance times c^3 d^2, from its power sums over denominators c and d.
+
+    E[v^2] - mean^2 * (2 - sum p), over the common denominator c^3 d^2, so
+    the variance is exact even if the probabilities do not sum to 1.
+    """
+    return s2 * c * c - s1 * s1 * (2 * c - s0)
 
 
 def _census_layers(
@@ -147,6 +166,19 @@ def _laws(comp: WeightComposition, scaled, lo: int, hi: int) -> list[TrueCountDi
             ways = {start - x: w for x, w in ways.items()}
         laws.append(TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp))
     return laws
+
+
+def _law_sums(comp: WeightComposition, scaled) -> list[tuple[int, int, int]]:
+    """The power sums of the laws for n = 1 .. N - 1, from one DP to N/2.
+
+    ``scaled`` is ``_scaled(comp)``, and N >= 2.  Each row n <= N/2 is read
+    once by ``_power_sums``; the sums past N/2 are those of row N - n
+    mirrored (``_mirrored``), the sums of the laws ``_laws`` gives.
+    """
+    weights, counts, _, start = scaled
+    N = comp.total
+    rows = [_power_sums(ways) for ways in _census_layers(weights, counts, start, 1, N // 2)]
+    return rows + [_mirrored(rows[N - n - 1], start) for n in range(N // 2 + 1, N)]
 
 
 def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +41,8 @@ CHUNK = 4096
 STREAM_VERSION = 2
 
 #: A shoe must hold fewer cards than this: numpy's multivariate
-#: hypergeometric sampler takes no more.
+#: hypergeometric sampler takes no more, and the exact predictors refuse
+#: the shoes the simulators refuse.
 MAX_SHOE_CARDS = 10**9
 
 
@@ -119,7 +121,6 @@ def _stat_row(samples: np.ndarray, label: str) -> StatRow:
 
 def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer-scaled weight and card count of each weight class of a shoe."""
-    check_decks(decks)
     weights, counts, scale = system.scaled_classes
     return (
         np.array(weights, dtype=np.int64),
@@ -155,6 +156,17 @@ def _draw_cut_and_tail(
 
 
 def _cut_index(decks: int, penetration: float) -> int:
+    """Cards dealt before the cut, once the shoe and the penetration are checked.
+
+    The simulators and the exact predictors all take their cut here, so
+    they refuse the same shoes: a whole number of decks, at least one, of
+    fewer than ``MAX_SHOE_CARDS`` cards.
+    """
+    check_decks(decks)
+    if 52 * decks >= MAX_SHOE_CARDS:
+        raise BadRangeError(
+            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
+        )
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
     return round(52 * decks * penetration)
@@ -245,12 +257,8 @@ def _shoe_run(
     ``config``; ``true_counts(*ns)``, each trial's true count (deck units)
     after each n of ``ns`` tail cards; and the draws of ``extra``, if any.
     """
-    if 52 * decks >= MAX_SHOE_CARDS:
-        raise BadRangeError(
-            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
-        )
-    weights, counts, scale = _shoe_classes(system, decks)
     cut = _cut_index(decks, penetration)
+    weights, counts, scale = _shoe_classes(system, decks)
     remaining = int(counts.sum()) - cut
     # The true count after the last tail card needs one card unseen.
     if tail_len >= remaining:
@@ -382,7 +390,10 @@ def simulate_bankroll(
     seed: int,
 ) -> SimulationReport:
     """Per-trial exponential growth rate G_n under Kelly betting."""
-    # numpy's binomial sampler takes a count below 2**63.
+    # A whole number of hands: numpy's binomial sampler would truncate
+    # 10.5 hands to 10, and it takes a count below 2**63.
+    if not isinstance(n_hands, numbers.Integral):
+        raise BadRangeError(f"n_hands must be a whole number, got {n_hands!r}")
     if not 1 <= n_hands < 2**63:
         raise BadRangeError(f"need 1 <= n_hands < 2**63, got {n_hands}")
     if isinstance(adv_model, FixedAdvantageModel):

@@ -12,11 +12,13 @@ the counts left, so each sweep call evaluates the block of checks for a
 tuple of counts left once and records it for every (composition, prefix)
 that leaves those counts.  Lemma 6 takes weights scaled to integers once
 per weight set.  The moment sweep compares each law's integer power sums
-with the closed forms and records the laws' checks in bulk, formatting
-only the failed ones.  The Kelly sweep runs one golden-section search over
-the whole p0 grid, every point to the stated tolerance, judges the grid as
-arrays and records one check per point, formatting a detail only for a
-point that fails.  The ``verify`` subcommand runs the three sweeps.
+with the closed forms: it reads each census row to N/2 once, takes the
+sums past N/2 by the mirror identity, builds no law on the passing path
+and records the checks in bulk, building a law only for a failed one.
+The Kelly sweep runs one golden-section search over the whole p0 grid,
+every point to the stated tolerance, judges the grid as arrays and
+records one check per point, formatting a detail only for a point that
+fails.  The ``verify`` subcommand runs the three sweeps.
 """
 from __future__ import annotations
 
@@ -34,10 +36,12 @@ from .errors import BadRangeError
 from .exact import (
     _censuses,
     _closed_form_terms,
+    _law_sums,
     _laws,
     _removal_identity,
     _scaled,
     _telescoping,
+    _variance_numerator,
     check_lemma1,
     check_lemma2,
     check_lemma34,
@@ -260,44 +264,45 @@ def verify_lemmas(
 def _check_moments(result: VerificationResult, comp: WeightComposition):
     """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance.
 
-    Each law's moments are its integer power sums over its denominators
-    (``TrueCountDistribution.sums``); the mean is r / (scale * N) and the
-    closed-form variance n * spread / ((N - n) scale^2 N^2 (N - 1)), with
-    the integers of ``_closed_form_terms``, which ``sigma_n_exact`` also
-    uses.  The laws and the closed form read one scaling of ``comp``
-    (``_scaled``), the one ``tc_distributions`` makes.  Sides are compared
-    by cross-multiplication; the failed (check, law) pairs are recorded in
-    bulk, and fractions are built only for their details.
+    Each law's moments are its integer power sums (``_law_sums``: one pass
+    per census row to N/2, the rows past it mirrored by arithmetic) over
+    its denominators C(N, n) and scale * (N - n); the mean is
+    r / (scale * N) and the closed-form variance
+    n * spread / ((N - n) scale^2 N^2 (N - 1)), with the integers of
+    ``_closed_form_terms``, which ``sigma_n_exact`` also uses.  The laws
+    and the closed form read one scaling of ``comp`` (``_scaled``), the one
+    ``tc_distributions`` makes.  Sides are compared by cross-multiplication;
+    the failed (check, n) pairs are recorded in bulk, and a law and its
+    fractions are built only for their details.
     """
     N = comp.total
     scaled = _scaled(comp)
     scale, r, spread = _closed_form_terms(comp, scaled)
     closed_den = scale**2 * N**2 * (N - 1)
-    laws = _laws(comp, scaled, 1, N - 1)
     failed = []
-    for law in laws:
-        n = law.n
-        s0, s1, _, c, d = law.sums
+    for n, (s0, s1, s2) in enumerate(_law_sums(comp, scaled), start=1):
+        c, d = math.comb(N, n), scale * (N - n)
         if s0 != c:
-            failed.append(("probs", law))
+            failed.append(("probs", n))
         if s1 * scale * N != r * c * d:
-            failed.append(("mean", law))
-        if law.variance_numerator() * (N - n) * closed_den != n * spread * c**3 * d**2:
-            failed.append(("variance", law))
+            failed.append(("mean", n))
+        if _variance_numerator(s0, s1, s2, c) * (N - n) * closed_den != n * spread * c**3 * d**2:
+            failed.append(("variance", n))
 
     def detail(entry) -> str:
-        check, law = entry
-        where = f"for comp={dict(comp.counts)} n={law.n}"
+        check, n = entry
+        law = _laws(comp, scaled, n, n)[0]
+        where = f"for comp={dict(comp.counts)} n={n}"
         if check == "probs":
             return f"probs sum {law.probabilities_sum()} != 1 {where}"
         if check == "mean":
             return f"mean {law.mean()} != R/N {comp.true_count('card')} {where}"
         return (
             f"variance {law.variance()} != closed form "
-            f"{sigma_n_exact(comp, law.n).squared} {where}"
+            f"{sigma_n_exact(comp, n).squared} {where}"
         )
 
-    result.record_all(3 * len(laws), failed, detail)
+    result.record_all(3 * (N - 1), failed, detail)
 
 
 def verify_theorem(

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import TrueCountDistribution, composition, exact, verify
+from truecount import composition, exact, verify
 from truecount.counting import scaled_classes
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
@@ -255,10 +255,14 @@ class TestFailuresAreDiagnosable:
         )
 
     def test_off_by_one_variance_numerator(self, monkeypatch):
-        real = TrueCountDistribution.variance_numerator
-        monkeypatch.setattr(
-            TrueCountDistribution, "variance_numerator", lambda law: real(law) + 1
-        )
+        """The sweep and the law share one variance numerator; bend it in both."""
+        real = exact._variance_numerator
+
+        def bent(*sums):
+            return real(*sums) + 1
+
+        monkeypatch.setattr(exact, "_variance_numerator", bent)
+        monkeypatch.setattr(verify, "_variance_numerator", bent)
         result = VerificationResult("theorem")
         verify._check_moments(result, composition({1: 3, -1: 2, 0: 2}))
         assert len(result.failures) == 6
@@ -502,33 +506,34 @@ class TestSweeps:
         assert result.failures == ["bad b", "bad d"] and formatted == ["b", "d"]
 
 
-def _bent_laws(move: bool):
-    """``exact._laws`` with one subset added to (or moved within) each census.
+def _bent_rows(move: bool):
+    """``exact._census_layers`` with one subset added to (or moved within) each row.
 
     Adding a subset at the lowest running count breaks the total mass;
     moving one from the lowest to the highest keeps the mass but shifts
-    the mean.
+    the mean.  The laws past N/2 are the mirrors of the bent rows.
     """
+    real = exact._census_layers
 
-    def laws(comp, scaled, lo, hi):
+    def layers(*args):
         out = []
-        for law in exact._laws(comp, scaled, lo, hi):
-            ways = dict(law.ways)
-            lo, hi = min(ways), max(ways)
-            ways[lo] += -1 if move else 1
+        for row in real(*args):
+            row = dict(row)
+            lo, hi = min(row), max(row)
+            row[lo] += -1 if move else 1
             if move:
-                ways[hi] += 1
-            out.append(TrueCountDistribution(ways, law.scale, law.n, law.source))
+                row[hi] += 1
+            out.append(row)
         return out
 
-    return laws
+    return layers
 
 
 class TestMomentChecksCatchWrongCensus:
     COMP = {1: 3, -1: 2, 0: 2}
 
     def _check(self, monkeypatch, move):
-        monkeypatch.setattr(verify, "_laws", _bent_laws(move))
+        monkeypatch.setattr(exact, "_census_layers", _bent_rows(move))
         result = VerificationResult("theorem")
         verify._check_moments(result, composition(self.COMP))
         assert result.checked == 3 * (sum(self.COMP.values()) - 1)
@@ -542,8 +547,39 @@ class TestMomentChecksCatchWrongCensus:
     def test_moved_subset(self, monkeypatch):
         failures = self._check(monkeypatch, move=True)
         assert not any(f.startswith("probs sum") for f in failures)
-        # Every law has at least two running counts, so every mean moves.
+        # Every row has at least two running counts, so every mean moves,
+        # the mirrored laws' too.
         assert sum(f.startswith("mean") for f in failures) == 6
+
+    def test_mirror_sign_slip(self, monkeypatch):
+        """A sign slip in the mirrored S1 fails the mean of every law past N/2."""
+        real = exact._mirrored
+
+        def slipped(sums, start):
+            s0, s1, s2 = real(sums, start)
+            return s0, -s1, s2
+
+        monkeypatch.setattr(exact, "_mirrored", slipped)
+        result = VerificationResult("theorem")
+        verify._check_moments(result, composition(self.COMP))
+        assert result.checked == 18
+        assert [(f.split()[0], f.rsplit("n=", 1)[1]) for f in result.failures] == [
+            ("mean", "4"), ("mean", "5"), ("mean", "6")
+        ]
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+@settings(max_examples=40, deadline=None)
+@given(weights=st.sampled_from(WEIGHT_SETS), data=st.data())
+def test_sweep_sums_are_the_laws_sums(odd, weights, data):
+    """For odd and even N <= 14, mirrored laws included: the sweep's sums are the laws'."""
+    total = 2 * data.draw(st.integers(1, 7 - odd)) + odd
+    cuts = sorted(data.draw(st.lists(
+        st.integers(0, total), min_size=len(weights) - 1, max_size=len(weights) - 1
+    )))
+    comp = verify._composition(weights, cuts, total)
+    sums = exact._law_sums(comp, exact._scaled(comp))
+    assert sums == [law.sums[:3] for law in exact.tc_distributions(comp)]
 
 
 def test_moment_sweep_scales_each_composition_once(monkeypatch):

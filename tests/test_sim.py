@@ -261,6 +261,14 @@ class TestBankroll:
         se_std = row.std / math.sqrt(2 * (report.trials - 1))
         assert abs(row.std - stats.std(2000)) < 5 * se_std
 
+    @pytest.mark.parametrize("model", [FixedAdvantageModel(0.99),
+                                       TwoPointAdvantageModel(0.54, 4e-4)])
+    def test_whole_hands(self, model):
+        with pytest.raises(BadRangeError, match="n_hands must be a whole number"):
+            simulate_bankroll(model, 10.5, 10, 1)
+        whole = simulate_bankroll(model, np.int64(10), 10, 1).stats["growth_rate"]
+        assert whole == simulate_bankroll(model, 10, 10, 1).stats["growth_rate"]
+
     def test_two_point_levels(self):
         model = TwoPointAdvantageModel(0.54, 4e-4)
         assert model.levels == (pytest.approx(0.52), pytest.approx(0.56))
@@ -272,6 +280,37 @@ class TestBankroll:
             TwoPointAdvantageModel(0.99, 0.01)
         with pytest.raises(BadRangeError):
             simulate_bankroll(object(), 10, 10, 0)
+
+
+#: Every function that takes a shoe, called on hi-lo at 50% penetration.
+SHOE_FUNCTIONS = {
+    "simulate_tc_increment": lambda decks: simulate_tc_increment(
+        get_system("hi-lo"), decks, 0.5, [1], 10, 1),
+    "simulate_seat_sigma": lambda decks: simulate_seat_sigma(
+        get_system("hi-lo"), decks, 0.5, SeatCardModel(7, 7), 10, 1),
+    "predicted_increment_std": lambda decks: predicted_increment_std(
+        get_system("hi-lo"), decks, 0.5, 3),
+    "predicted_seat_sigma": lambda decks: predicted_seat_sigma(
+        get_system("hi-lo"), decks, 0.5, SeatCardModel(7, 7)),
+}
+
+
+@pytest.mark.parametrize("run", SHOE_FUNCTIONS.values(), ids=SHOE_FUNCTIONS.keys())
+class TestShoeChecks:
+    """The simulators and the exact predictors refuse the same shoes."""
+
+    @pytest.mark.parametrize("decks", [1.5, 2.0, math.nan])
+    def test_whole_decks(self, run, decks):
+        with pytest.raises(BadRangeError, match="decks must be a whole number"):
+            run(decks)
+
+    def test_at_and_below_the_card_limit(self, run):
+        largest = (sim.MAX_SHOE_CARDS - 1) // 52
+        assert 52 * (largest + 1) >= sim.MAX_SHOE_CARDS
+        for decks in (largest + 1, 10**400):
+            with pytest.raises(BadRangeError, match="need a shoe of fewer than"):
+                run(decks)
+        run(largest)
 
 
 class TestPredictedIncrementStd:
