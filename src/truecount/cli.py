@@ -42,6 +42,7 @@ from .seats import SeatCardModel, n_cards_between
 from .sim import (
     FixedAdvantageModel,
     TwoPointAdvantageModel,
+    predicted_increment_std,
     predicted_seat_sigma,
     simulate_bankroll,
     simulate_seat_sigma,
@@ -313,8 +314,8 @@ def run_simulation(config: dict, fmt: str = "table") -> str:
 
     A key that the mode does not read raises ``ConfigError``.  The table
     format follows the JSON report with the exact or closed-form
-    predictions its statistics converge to; the exact seat prediction is
-    computed for that format only.
+    predictions its statistics converge to; the exact seat and increment
+    predictions are computed for that format only.
     """
     config = dict(config)  # each read takes its key out
     mode = _take(config, "mode", default="seat-sigma")
@@ -358,6 +359,12 @@ def run_simulation(config: dict, fmt: str = "table") -> str:
             ]
     elif mode == "tc-increment":
         report = simulate_tc_increment(system, decks, penetration, n_cards, trials, seed)
+        if fmt == "table":
+            lines = [
+                f"predicted tc_increment_n{n} (exact): "
+                f"{predicted_increment_std(system, decks, penetration, n):.6f}"
+                for n in report.config["n_cards"]
+            ]
     else:
         report = simulate_bankroll(model, hands, trials, seed)
         if stats is not None:

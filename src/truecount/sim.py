@@ -11,8 +11,11 @@ A shoe trial never shuffles the shoe: it needs only the running count at
 the cut and the next few cards.  The census of the cards dealt before the
 cut is drawn multivariate hypergeometric for the whole chunk, then the tail
 card by card, each uniform among the cards left, which is the law of a
-uniformly shuffled shoe.  A bankroll trial draws its win counts as
-binomials.  The running-count accounting runs through :mod:`truecount.kernels`.
+uniformly shuffled shoe.  Each tail card costs two array passes over the
+chunk, a compare and a subtract; its weight class is read off the stored
+compares once the whole tail is drawn.  A bankroll trial draws its win
+counts as binomials.  The running-count accounting runs through
+:mod:`truecount.kernels`.
 """
 from __future__ import annotations
 
@@ -137,22 +140,33 @@ def _draw_cut_and_tail(
     cut: int,
     tail_len: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled running count at the cut and the next ``tail_len`` card weights."""
+    """Scaled running count at the cut and the next ``tail_len`` card weights.
+
+    Each tail card is a uniform position ``u`` among the cards left, and its
+    class is the first whose running total of cards left exceeds ``u``.  The
+    rows that ``u`` lies below are then exactly the rows of that class and
+    after, which are the rows that lose the card: one compare and one
+    subtract per card, and the classes are read off the stored compares
+    once the tail is drawn.  The last row, all the cards left, is always
+    above ``u``, so it is not kept.
+    """
     census = rng.multivariate_hypergeometric(counts, cut, size=size)
     r_cut = census @ weights
-    # Cards left in each class and the classes before it, one row per class:
-    # a uniform position among the cards left falls in the first class whose
-    # row exceeds it.
-    cum_left = np.cumsum(counts - census, axis=1).T.copy()
-    classes = np.arange(counts.size)[:, None]
+    # Cards left in each class and the classes before it, one row per class
+    # but the last, summed row by row: a cumsum over the short class axis
+    # takes several times as long.
+    cum_left = np.subtract(counts[:-1, None], census.T[:-1], order="C")
+    for k in range(1, counts.size - 1):
+        cum_left[k] += cum_left[k - 1]
     n_left = int(counts.sum()) - cut
-    tail = np.empty((size, tail_len), dtype=np.int64)
+    below = np.empty((tail_len, counts.size - 1, size), dtype=bool)
     for j in range(tail_len):
         u = rng.integers(0, n_left - j, size=size)
-        cls = (u >= cum_left).sum(axis=0)
-        tail[:, j] = weights[cls]
-        cum_left -= classes >= cls
-    return r_cut, tail
+        np.less(u, cum_left, out=below[j])
+        cum_left -= below[j]
+    # An int8 count holds up to 127 rows; a system has at most 13 classes.
+    cls = counts.size - 1 - below.sum(axis=1, dtype=np.int8)
+    return r_cut, weights.take(cls).T
 
 
 def _cut_index(decks: int, penetration: float) -> int:

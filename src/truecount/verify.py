@@ -37,7 +37,6 @@ from .exact import (
     _censuses,
     _closed_form_terms,
     _law_sums,
-    _laws,
     _removal_identity,
     _scaled,
     _telescoping,
@@ -46,7 +45,6 @@ from .exact import (
     check_lemma2,
     check_lemma34,
     check_lemma6,
-    sigma_n_exact,
 )
 from .kelly import optimality_grid
 
@@ -272,8 +270,9 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     ``_closed_form_terms``, which ``sigma_n_exact`` also uses.  The laws
     and the closed form read one scaling of ``comp`` (``_scaled``), the one
     ``tc_distributions`` makes.  Sides are compared by cross-multiplication;
-    the failed (check, n) pairs are recorded in bulk, and a law and its
-    fractions are built only for their details.
+    the failed checks are recorded in bulk with the power sums they
+    compared, and a failure's two sides are built as fractions from those
+    sums only for its detail.
     """
     N = comp.total
     scaled = _scaled(comp)
@@ -283,23 +282,23 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     for n, (s0, s1, s2) in enumerate(_law_sums(comp, scaled), start=1):
         c, d = math.comb(N, n), scale * (N - n)
         if s0 != c:
-            failed.append(("probs", n))
+            failed.append(("probs", n, s0, s1, s2))
         if s1 * scale * N != r * c * d:
-            failed.append(("mean", n))
+            failed.append(("mean", n, s0, s1, s2))
         if _variance_numerator(s0, s1, s2, c) * (N - n) * closed_den != n * spread * c**3 * d**2:
-            failed.append(("variance", n))
+            failed.append(("variance", n, s0, s1, s2))
 
     def detail(entry) -> str:
-        check, n = entry
-        law = _laws(comp, scaled, n, n)[0]
+        check, n, s0, s1, s2 = entry
+        c, d = math.comb(N, n), scale * (N - n)
         where = f"for comp={dict(comp.counts)} n={n}"
         if check == "probs":
-            return f"probs sum {law.probabilities_sum()} != 1 {where}"
+            return f"probs sum {Fraction(s0, c)} != 1 {where}"
         if check == "mean":
-            return f"mean {law.mean()} != R/N {comp.true_count('card')} {where}"
+            return f"mean {Fraction(s1, c * d)} != R/N {Fraction(r, scale * N)} {where}"
         return (
-            f"variance {law.variance()} != closed form "
-            f"{sigma_n_exact(comp, n).squared} {where}"
+            f"variance {Fraction(_variance_numerator(s0, s1, s2, c), c**3 * d * d)} "
+            f"!= closed form {Fraction(n * spread, (N - n) * closed_den)} {where}"
         )
 
     result.record_all(3 * (N - 1), failed, detail)

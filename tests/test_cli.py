@@ -14,6 +14,7 @@ from truecount import (
     cli,
     get_system,
     growth_stats_binomial,
+    predicted_increment_std,
     predicted_seat_sigma,
 )
 from truecount.cli import main, parse_config, run_simulation
@@ -379,6 +380,37 @@ class TestSimulateCommand:
             "predicted sigma_bet (exact): 1.021695\n"
             "predicted sigma_play (exact): 0.188515\n"
         )
+        assert run_cli(capsys, *args, "--format", "csv") == (0, csv_out, "")
+        with pytest.raises(AssertionError):
+            run_cli(capsys, *args)
+
+    def test_exact_increment_prediction(self, capsys, monkeypatch):
+        args = (
+            "simulate", "--mode", "tc-increment", "--system", "halves",
+            "--decks", "6", "--penetration", "0.75", "--n-cards", "16,1,4,4",
+            "--trials", "50", "--seed", "3",
+        )
+        code, table, _ = run_cli(capsys, *args)
+        assert code == 0
+        body, _, tail = table.rpartition("}\n")
+        halves = get_system("halves")
+        assert tail == "".join(
+            f"predicted tc_increment_n{n} (exact): "
+            f"{predicted_increment_std(halves, 6, 0.75, n):.6f}\n"
+            for n in (1, 4, 16)
+        )
+        assert tail == (
+            "predicted tc_increment_n1 (exact): 0.618205\n"
+            "predicted tc_increment_n4 (exact): 1.261223\n"
+            "predicted tc_increment_n16 (exact): 2.755764\n"
+        )
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+
+        def not_printed(*_args):
+            raise AssertionError("predicted_increment_std called for a format without it")
+
+        monkeypatch.setattr(cli, "predicted_increment_std", not_printed)
+        assert run_cli(capsys, *args, "--format", "json") == (0, body + "}\n", "")
         assert run_cli(capsys, *args, "--format", "csv") == (0, csv_out, "")
         with pytest.raises(AssertionError):
             run_cli(capsys, *args)

@@ -566,6 +566,11 @@ class TestMomentChecksCatchWrongCensus:
         assert [(f.split()[0], f.rsplit("n=", 1)[1]) for f in result.failures] == [
             ("mean", "4"), ("mean", "5"), ("mean", "6")
         ]
+        # Each detail prints the sums the check compared, so its sides differ.
+        for failure in result.failures:
+            mean, closed = re.match(r"mean (\S+) != R/N (\S+) for comp=", failure).groups()
+            _assert_reduced(mean, closed)
+            assert Fraction(mean) != Fraction(closed)
 
 
 @pytest.mark.parametrize("odd", [0, 1])

@@ -1,4 +1,5 @@
 """Monte Carlo engine: stream contract, sampler law, kernel arithmetic, and closed-form checks."""
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from truecount import (
     growth_var_fuzzy,
     FuzzyAdvantage,
     InvariantError,
+    parse_system_file,
     predicted_increment_std,
     predicted_seat_sigma,
     simulate_bankroll,
@@ -74,6 +76,119 @@ class TestTrialRng:
         assert [label for label, _ in longer] == [label for label, _ in samples]
         for (_, a), (_, b) in zip(longer, samples):
             assert a.size == sim.CHUNK + 5 and np.array_equal(a[: sim.CHUNK], b)
+
+
+#: A full-rank system with 13 weight classes, the most a system can have.
+THIRTEEN_CLASSES = "".join(
+    f"{rank} {weight / 2}\n"
+    for rank, weight in zip(
+        ("A", "2", "3", "4", "5", "6", "7", "8", "9", "T", "J", "Q", "K"), range(-6, 7)
+    )
+)
+
+#: sha256 of seeded ``to_json()`` reports, recorded before the two-pass tail
+#: draw: (system, mode, decks, penetration, seats and position or n_cards,
+#: trials, seed) -> digest.  A changed digest is a changed stream.
+PINNED_REPORTS = {
+    ("hi-lo", "seat-sigma", 1, 0.25, (7, 1), 300, 3):
+        "8d99712fdfac5ca03ba0dbd5a0bac53fbf8f2fd0eacd652a7475da12f85dbdf2",
+    ("hi-lo", "seat-sigma", 6, 0.75, (5, 3), 300, 2**127 + 11):
+        "ff3fc657f513a49d7b3fa5aa87d5a74ba729f8b76cac2896ea35969eab1a6fa2",
+    ("hi-lo", "seat-sigma", 8, 0.5, (7, 7), 300, 0):
+        "58a4ebb3cfe61f87ca6f334a63ec9671505989b8e0777fb84ac591e64551641b",
+    ("hi-lo", "tc-increment", 1, 0.5, (1, 4, 25), 300, 5):
+        "36fb1dd2ce04aeb6adbdc3297840e39f1c18ff6e0aa44da6491e433e6cc95bb9",
+    ("hi-lo", "tc-increment", 8, 0.8, (1, 16, 80), 300, 2**128 - 1):
+        "4b686bc14a01cab5aca99e46c55654fb18694f7b7188e837ec776c1656db4338",
+    ("halves", "seat-sigma", 1, 0.25, (7, 1), 300, 3):
+        "f4dc1c9c1e63f88c979edb0879ffca52bfb7358f2c1659e8d4c30107154cd548",
+    ("halves", "seat-sigma", 6, 0.75, (5, 3), 300, 2**127 + 11):
+        "e63f9029a5eb83dc17d52fb7daf0d3ecb7c8b30dfa5c8b78a82dea309f136757",
+    ("halves", "seat-sigma", 8, 0.5, (7, 7), 300, 0):
+        "a7f34cdd540849dbe975c82577b0c09be2c5453cb87ef44ae9bef0940e134913",
+    ("halves", "tc-increment", 1, 0.5, (1, 4, 25), 300, 5):
+        "a989c91e438f10bb415822c380234b16c08fccd0e62217f67f8d9f96d8b62ee9",
+    ("halves", "tc-increment", 8, 0.8, (1, 16, 80), 300, 2**128 - 1):
+        "189b77fd6745fa3886c15eed4f2446caac3c02e37bb2a55005a7b3e9f481acc4",
+    ("custom", "seat-sigma", 1, 0.25, (7, 1), 300, 3):
+        "02c0377c3b9d2d5b0f7c963b4c8f777002bdaa2975d433f6ec707b9c47d0f2f0",
+    ("custom", "seat-sigma", 6, 0.75, (5, 3), 300, 2**127 + 11):
+        "31e14cc0fff5cbfd1c94c1c1c3fc02744f4e1da156d8bff675a65d733a792851",
+    ("custom", "seat-sigma", 8, 0.5, (7, 7), 300, 0):
+        "ebf496a3dac1b488cf87d5319b18a4a3bba1fecf45cb13614f6a9476b5675013",
+    ("custom", "tc-increment", 1, 0.5, (1, 4, 25), 300, 5):
+        "472d9001a448a9c7aea399c779e1a52b0d51c36d8fe0b6b1d17a4ba1a31ae44e",
+    ("custom", "tc-increment", 8, 0.8, (1, 16, 80), 300, 2**128 - 1):
+        "411397dd8eea38ab9a2e837a8dbaaae4f372dbfee1c595c16ff3527471066a93",
+    ("custom", "seat-sigma", 8, 0.6, (7, 4), sim.CHUNK + 5, 42):
+        "9a0f9a25ec58d3437ec0045dbd7748bf93da38e00ee83d184293e3afb76cc98e",
+    ("halves", "tc-increment", 2, 0.5, (1, 2, 9), sim.CHUNK + 5, 7):
+        "b3e2efdd0eed3ce988fe45ed0ae4d0396e4c20ced02cfa50e9543eea932457a0",
+}
+
+
+class TestStreamPinned:
+    """Seeded reports stay byte-identical under stream version 2.
+
+    The contract holds per numpy version, and the digests were recorded
+    under numpy 2.4.6.
+    """
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6", reason="digests recorded under numpy 2.4.6")
+    @pytest.mark.parametrize("case", PINNED_REPORTS, ids=str)
+    def test_report_digest(self, case):
+        name, mode, decks, penetration, args, trials, seed = case
+        if name == "custom":
+            system = parse_system_file(THIRTEEN_CLASSES)
+            assert len(system.scaled_classes[0]) == 13
+        else:
+            system = get_system(name)
+        if mode == "seat-sigma":
+            report = simulate_seat_sigma(
+                system, decks, penetration, SeatCardModel(*args), trials, seed
+            )
+        else:
+            report = simulate_tc_increment(system, decks, penetration, args, trials, seed)
+        assert report.to_json_dict()["stream_version"] == sim.STREAM_VERSION == 2
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == PINNED_REPORTS[case]
+
+
+def per_card_tail_draw(rng, size, weights, counts, cut, tail_len):
+    """The tail draw as first written: the class of each card by a count of
+    the rows it lies at or above, then a subtract from every row from it on."""
+    census = rng.multivariate_hypergeometric(counts, cut, size=size)
+    r_cut = census @ weights
+    cum_left = np.cumsum(counts - census, axis=1).T.copy()
+    classes = np.arange(counts.size)[:, None]
+    n_left = int(counts.sum()) - cut
+    tail = np.empty((size, tail_len), dtype=np.int64)
+    for j in range(tail_len):
+        u = rng.integers(0, n_left - j, size=size)
+        cls = (u >= cum_left).sum(axis=0)
+        tail[:, j] = weights[cls]
+        cum_left -= classes >= cls
+    return r_cut, tail
+
+
+class TestTailDraw:
+    @pytest.mark.parametrize("size", [1, 2, 300])
+    @pytest.mark.parametrize("n_classes", range(1, 14))
+    def test_matches_per_card_draw(self, n_classes, size):
+        setup = np.random.default_rng(n_classes)
+        weights = np.sort(setup.choice(np.arange(-12, 13), n_classes, replace=False))
+        counts = setup.integers(1, 9, size=n_classes)
+        total = int(counts.sum())
+        for cut in {0, total // 3, total - 2}:
+            remaining = total - cut
+            for tail_len in {0, 1, remaining // 2, remaining - 1}:
+                seed = [n_classes, size, cut, tail_len]
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = per_card_tail_draw(want_rng, size, weights, counts, cut, tail_len)
+                got = sim._draw_cut_and_tail(got_rng, size, weights, counts, cut, tail_len)
+                assert got[1].shape == (size, tail_len) and got[1].dtype == np.int64
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got_rng.random() == want_rng.random()
 
 
 class TestKernels:
