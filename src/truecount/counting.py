@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -100,7 +101,18 @@ class CountSystem:
 
     def sigma0(self) -> float:
         """Standard deviation of the system's weights over a full deck."""
-        return math.sqrt(self._sigma0_squared)
+        return float_sqrt(self._sigma0_squared, f"sigma0 of {self.name}")
+
+
+#: The largest float, exactly: a Fraction compares with it faster than with a float.
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def float_sqrt(squared: Fraction, what: str) -> float:
+    """Square root of an exact square, which must lie within the float range."""
+    if squared > _FLOAT_MAX:
+        raise BadRangeError(f"the square of {what} is past the float range")
+    return math.sqrt(squared)
 
 
 def scaled_classes(

@@ -24,7 +24,9 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .counting import CountSystem, WeightComposition, as_weight, scaled_classes
+from .counting import (
+    CountSystem, WeightComposition, as_weight, float_sqrt, scaled_classes,
+)
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
 
 
@@ -215,7 +217,7 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
         raise BadRangeError(f"need N >= 2 and 1 <= n < N, got n={n}, N={N}")
     scale, _, spread = _closed_form_terms(comp, _scaled(comp))
     squared = Fraction(n * spread, (N - n) * scale**2 * N**2 * (N - 1))
-    return SigmaResult(math.sqrt(squared), squared)
+    return SigmaResult(float_sqrt(squared, f"sigma_{n}"), squared)
 
 
 def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:

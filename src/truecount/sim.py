@@ -11,11 +11,13 @@ A shoe trial never shuffles the shoe: it needs only the running count at
 the cut and the next few cards.  The census of the cards dealt before the
 cut is drawn multivariate hypergeometric for the whole chunk, then the tail
 card by card, each uniform among the cards left, which is the law of a
-uniformly shuffled shoe.  Each tail card costs two array passes over the
-chunk, a compare and a subtract; its weight class is read off the stored
-compares once the whole tail is drawn.  A bankroll trial draws its win
-counts as binomials.  The running-count accounting runs through
-:mod:`truecount.kernels`.
+uniformly shuffled shoe.  Each tail card costs two int32 array passes
+over the chunk, a compare and a subtract; its weight class is read off the
+stored compares once the whole tail is drawn, and
+:func:`truecount.kernels.running_counts` turns the classes into one table
+per chunk of every trial's running count after each tail card.  Arrays of
+per-trial draws keep their trials on the last axis.  A bankroll trial draws
+its win counts as binomials.
 """
 from __future__ import annotations
 
@@ -59,10 +61,12 @@ def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
 
 
 def _by_chunk(seed: int, trials: int, draw) -> list[np.ndarray]:
-    """Concatenate the arrays of ``draw(stream, size)`` over a run's chunks.
+    """Join the arrays of ``draw(stream, size)`` over a run's chunks.
 
-    Every run draws through here, so here is its floor of 2 trials, the
-    fewest that give a standard deviation.
+    Each array holds its trials on its last axis, and the chunks are joined
+    along it; a run of one chunk returns its arrays as drawn.  Every run
+    draws through here, so here is its floor of 2 trials, the fewest that
+    give a standard deviation.
     """
     if trials < 2:
         raise BadRangeError(f"trials must be >= 2 for a std, got {trials}")
@@ -70,7 +74,9 @@ def _by_chunk(seed: int, trials: int, draw) -> list[np.ndarray]:
         draw(trial_rng(seed, c), min(CHUNK, trials - start))
         for c, start in enumerate(range(0, trials, CHUNK))
     ]
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+    if len(parts) == 1:
+        return list(parts[0])
+    return [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -116,15 +122,23 @@ class SimulationReport:
 
 
 def _stat_row(samples: np.ndarray, label: str) -> StatRow:
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise InvariantError(f"{label}: non-finite sample")
-    std = float(np.std(samples, ddof=1))
-    return StatRow(float(np.mean(samples)), std, std / math.sqrt(samples.size))
+    std = float(samples.std(ddof=1))
+    return StatRow(float(samples.mean()), std, std / math.sqrt(samples.size))
 
 
 def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integer-scaled weight and card count of each weight class of a shoe."""
+    """Integer-scaled weight and card count of each weight class of a shoe.
+
+    No running count of the shoe passes its largest scaled weight times its
+    cards, and that bound must lie below 2**63 for int64 arrays to hold it.
+    """
     weights, counts, scale = system.scaled_classes
+    if max(map(abs, weights)) * 52 * decks >= 2**63:
+        raise BadRangeError(
+            f"running counts of {system.name} in {decks} decks can pass the int64 range"
+        )
     return (
         np.array(weights, dtype=np.int64),
         np.array(counts, dtype=np.int64) * decks,
@@ -139,34 +153,37 @@ def _draw_cut_and_tail(
     counts: np.ndarray,
     cut: int,
     tail_len: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled running count at the cut and the next ``tail_len`` card weights.
+) -> np.ndarray:
+    """Scaled running count at the cut and after each of ``tail_len`` cards.
 
-    Each tail card is a uniform position ``u`` among the cards left, and its
-    class is the first whose running total of cards left exceeds ``u``.  The
-    rows that ``u`` lies below are then exactly the rows of that class and
+    Returns the :func:`truecount.kernels.running_counts` table of the chunk:
+    row j holds each trial's count after j cards past the cut.  Each tail
+    card is a uniform position ``u`` among the cards left, and its class is
+    the first whose running total of cards left exceeds ``u``.  The rows
+    that ``u`` lies below are then exactly the rows of that class and
     after, which are the rows that lose the card: one compare and one
     subtract per card, and the classes are read off the stored compares
     once the tail is drawn.  The last row, all the cards left, is always
     above ``u``, so it is not kept.
     """
     census = rng.multivariate_hypergeometric(counts, cut, size=size)
-    r_cut = census @ weights
     # Cards left in each class and the classes before it, one row per class
     # but the last, summed row by row: a cumsum over the short class axis
-    # takes several times as long.
-    cum_left = np.subtract(counts[:-1, None], census.T[:-1], order="C")
+    # takes several times as long.  A shoe holds fewer than MAX_SHOE_CARDS
+    # < 2**31 cards, so the rows and the draws fit int32, and an int32 draw
+    # below 2**31 takes the same value and generator state as an int64 one.
+    cum_left = np.subtract(counts[:-1, None], census.T[:-1], dtype=np.int32, order="C")
     for k in range(1, counts.size - 1):
         cum_left[k] += cum_left[k - 1]
     n_left = int(counts.sum()) - cut
     below = np.empty((tail_len, counts.size - 1, size), dtype=bool)
     for j in range(tail_len):
-        u = rng.integers(0, n_left - j, size=size)
+        u = rng.integers(0, n_left - j, size=size, dtype=np.int32)
         np.less(u, cum_left, out=below[j])
         cum_left -= below[j]
     # An int8 count holds up to 127 rows; a system has at most 13 classes.
-    cls = counts.size - 1 - below.sum(axis=1, dtype=np.int8)
-    return r_cut, weights.take(cls).T
+    classes = counts.size - 1 - below.sum(axis=1, dtype=np.int8)
+    return kernels.running_counts(census @ weights, weights, classes)
 
 
 def _cut_index(decks: int, penetration: float) -> int:
@@ -281,14 +298,18 @@ def _shoe_run(
         )
 
     def draw(rng, size):
-        r_cut, tail = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
-        return (r_cut, tail) + ((extra(rng, size),) if extra else ())
+        table = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
+        return (table,) + ((extra(rng, size),) if extra else ())
 
-    r_cut, tail, *drawn = _by_chunk(seed, trials, draw)
+    table, *drawn = _by_chunk(seed, trials, draw)
+    rows = np.arange(trials)
 
     def true_counts(*ns):
-        r_after = kernels.running_counts(r_cut, tail, *ns)
-        return [52.0 * r / (scale * (remaining - n)) for n, r in zip(ns, r_after)]
+        return [
+            52.0 * (table[n] if isinstance(n, int) else table[n, rows])
+            / (scale * (remaining - n))
+            for n in ns
+        ]
 
     shoe = {"system": system.name, "decks": decks, "penetration": penetration}
     return SimulationReport(kind, seed, trials, {**shoe, **config}), true_counts, *drawn
@@ -325,11 +346,12 @@ def simulate_tc_increment(
 def _sample_extras(
     rng: np.random.Generator, model: SeatCardModel, size: int
 ) -> np.ndarray:
-    """Extra cards of every seat in ``size`` trials, from the hand-length law."""
+    """Extra cards of every seat in ``size`` trials, one row per seat."""
     values = np.array([h for h, _ in model.extra_cards_law], dtype=np.int64)
     cum = np.cumsum([p for _, p in model.extra_cards_law])
     u = rng.random((size, model.seats))
-    return values[np.searchsorted(cum, u, side="right").clip(max=values.size - 1)]
+    index = np.searchsorted(cum, u, side="right")
+    return values[np.minimum(index, values.size - 1, out=index)].T
 
 
 def simulate_seat_sigma(
@@ -349,13 +371,13 @@ def simulate_seat_sigma(
          "hand_mean": model.mean_cards_per_hand},
         lambda rng, size: _sample_extras(rng, model, size),
     )
-    n_bet = base_deal + extras[:, : model.position - 1].sum(axis=1)
-    n_play = extras[:, model.position - 1 :].sum(axis=1)
+    n_bet = base_deal + extras[: model.position - 1].sum(axis=0)
+    n_play = extras[model.position - 1 :].sum(axis=0)
     tc_bet, tc_play, tc_dealer = true_counts(0, n_bet, n_bet + n_play)
     report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, "sigma_bet")
     report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, "sigma_play")
     report.stats["cards_per_hand"] = _stat_row(
-        2.0 + extras.sum(axis=1) / model.seats, "cards_per_hand"
+        2.0 + extras.sum(axis=0) / model.seats, "cards_per_hand"
     )
     return report
 

@@ -5,19 +5,22 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from truecount import (
+    BadRangeError,
     SeatCardModel,
     SigmaResult,
     cli,
     get_system,
     growth_stats_binomial,
+    parse_system_file,
     predicted_increment_std,
     predicted_seat_sigma,
 )
-from truecount.cli import main, parse_config, run_simulation
+from truecount.cli import main, parse_composition, parse_config, run_simulation
 from truecount.errors import ConfigError
 
 
@@ -226,6 +229,55 @@ class TestExact:
         assert_typed_error(capsys, "exact", "-c", "+1:2,-1:2", "-n", "2")
 
 
+def ace_deuce_file(tmp_path, w):
+    """A system file weighting aces w, deuces -w and every other rank 0."""
+    path = tmp_path / f"ace-deuce-{len(str(w))}.txt"
+    path.write_text(f"A {w}\n2 {-w}\n" + "".join(f"{r} 0\n" for r in "3456789T"))
+    return str(path)
+
+
+class TestFloatRange:
+    """A standard deviation whose square passes the float range is a typed
+    error; the largest square within it still prints a finite answer."""
+
+    MAX = int(sys.float_info.max)
+
+    def test_exact_sigma_squared(self, capsys):
+        # sigma_1^2 of {w: 2, -1: 2} is (w + 1)^2 / 36 in card units.
+        for w in (1, 5, 10**20):
+            comp = parse_composition(f"{w}:2,-1:2")
+            assert cli.sigma_n_exact(comp, 1).squared == Fraction((w + 1) ** 2, 36)
+        largest = math.isqrt(36 * self.MAX) - 1
+        assert_typed_error(capsys, "exact", "--composition=1e200:2,-1:2", "-n", "1")
+        assert_typed_error(capsys, "exact", f"--composition={largest + 1}:2,-1:2", "-n", "1")
+        with pytest.raises(BadRangeError, match="float range"):
+            cli.sigma_n_exact(parse_composition(f"{largest + 1}:2,-1:2"), 1)
+        code, out, err = run_cli(capsys, "exact", f"--composition={largest}:2,-1:2", "-n", "1")
+        assert (code, err) == (0, "")
+        closed = out.splitlines()[-1].split()[-1]
+        assert math.isfinite(float(closed)) and float(closed) > 1e155
+
+    def test_sigma_table_sigma0_squared(self, capsys, tmp_path):
+        # sigma0^2 of the ace-deuce system is 8 w^2 / 52.
+        system = parse_system_file(Path(ace_deuce_file(tmp_path, 3)).read_text())
+        assert system.sigma0_squared() == Fraction(8 * 9, 52)
+        largest = math.isqrt(13 * self.MAX // 2)
+        for w in (10**300, largest + 1):
+            assert_typed_error(
+                capsys, "sigma-table", "--penetration", "0.5",
+                "--system-file", ace_deuce_file(tmp_path, w),
+            )
+            system = parse_system_file(Path(ace_deuce_file(tmp_path, w)).read_text())
+            with pytest.raises(BadRangeError, match="float range"):
+                system.sigma0()
+        code, out, err = run_cli(
+            capsys, "sigma-table", "--penetration", "0.5",
+            "--system-file", ace_deuce_file(tmp_path, largest),
+        )
+        assert (code, err) == (0, "") and out.startswith("custom: sigma by position")
+        assert "inf" not in out and "nan" not in out
+
+
 class TestVerify:
     def test_kelly_scope_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "kelly")
@@ -321,6 +373,20 @@ class TestConfigParsing:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("mode", ["seat-sigma", "tc-increment"])
+    def test_running_counts_past_int64_exit_2(self, capsys, tmp_path, mode):
+        # The 8-deck shoe holds 416 cards: a weight of 4e18 could take a
+        # running count past int64, and one of 2**63 is no int64 at all.
+        n_cards = ("--n-cards", "4") if mode == "tc-increment" else ()
+        for w in (4 * 10**18, 2**63):
+            code, out, err = run_cli(
+                capsys, "simulate", "--mode", mode, "--decks", "8", *n_cards,
+                "--penetration", "0.5", "--trials", "50", "--seed", "1",
+                "--system-file", ace_deuce_file(tmp_path, w),
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: running counts of custom in 8 decks can pass the int64 range\n"
+
     def test_config_file_run(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(

@@ -126,6 +126,28 @@ PINNED_REPORTS = {
         "b3e2efdd0eed3ce988fe45ed0ae4d0396e4c20ced02cfa50e9543eea932457a0",
 }
 
+BANKROLL_MODELS = {
+    "fixed": FixedAdvantageModel(0.52),
+    "two-point": TwoPointAdvantageModel(0.54, 4e-4),
+}
+
+#: sha256 of seeded bankroll ``to_json()`` reports, recorded before the
+#: trial-axis join of the chunks: (model, hands, trials, seed) -> digest.
+PINNED_BANKROLL = {
+    ("fixed", 1, 300, 3):
+        "be9633a732d0320f8188483c616c6cb4f3603440ba73a5d7a7f5e5da2a06b2e0",
+    ("fixed", 40_000, 300, 2**128 - 1):
+        "9e35737a015e2ee901278cae3861779f10cce69198cd96cf60004bd59177c9d4",
+    ("fixed", 100, sim.CHUNK + 5, 42):
+        "f06c24821912b86093124f6bf264d948ed1f7a208ab2f8ec561c1614ede326b6",
+    ("two-point", 1, 300, 0):
+        "56550bb7026b571bcda818424df42c2dfb1cf9eacfc0a900600cfd7d70e3c4a6",
+    ("two-point", 40_000, 300, 2**127 + 11):
+        "c0a850612063b12b672f422e058b0dbc0c548c754d1aea7690761888a6765cf0",
+    ("two-point", 100, sim.CHUNK + 5, 7):
+        "1953a4d3b5afe1fab1b1fa87c739f5a577ea95ddfe633c54461a882846d830e4",
+}
+
 
 class TestStreamPinned:
     """Seeded reports stay byte-identical under stream version 2.
@@ -152,6 +174,15 @@ class TestStreamPinned:
         assert report.to_json_dict()["stream_version"] == sim.STREAM_VERSION == 2
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == PINNED_REPORTS[case]
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6", reason="digests recorded under numpy 2.4.6")
+    @pytest.mark.parametrize("case", PINNED_BANKROLL, ids=str)
+    def test_bankroll_digest(self, case):
+        model, n_hands, trials, seed = case
+        report = simulate_bankroll(BANKROLL_MODELS[model], n_hands, trials, seed)
+        assert report.to_json_dict()["stream_version"] == sim.STREAM_VERSION == 2
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == PINNED_BANKROLL[case]
 
 
 def per_card_tail_draw(rng, size, weights, counts, cut, tail_len):
@@ -186,8 +217,10 @@ class TestTailDraw:
                 want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 want = per_card_tail_draw(want_rng, size, weights, counts, cut, tail_len)
                 got = sim._draw_cut_and_tail(got_rng, size, weights, counts, cut, tail_len)
-                assert got[1].shape == (size, tail_len) and got[1].dtype == np.int64
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                r_cut, tail = want
+                cums = np.cumsum(np.column_stack([np.zeros(size, np.int64), tail]), axis=1)
+                assert got.shape == (tail_len + 1, size) and got.dtype == np.int64
+                assert np.array_equal(got, r_cut + cums.T)
                 assert got_rng.random() == want_rng.random()
 
 
@@ -195,22 +228,26 @@ class TestKernels:
     def test_match_per_trial_loops(self):
         rng = np.random.default_rng(3)
         r_cut = rng.integers(-50, 50, size=64).astype(np.int64)
-        tail = rng.integers(-2, 3, size=(64, 25)).astype(np.int64)
+        weights = np.array([-2, -1, 0, 1, 2, 3 * 10**15], dtype=np.int64)
+        classes = rng.integers(0, weights.size, size=(25, 64)).astype(np.int8)
         n_bet = rng.integers(0, 20, size=64).astype(np.int64)
         n_play = rng.integers(0, 5, size=64).astype(np.int64)
-        r_play, r_dealer, r_all, r_none = kernels.running_counts(
-            r_cut, tail, n_bet, n_bet + n_play, 25, 0
-        )
+        table = kernels.running_counts(r_cut, weights, classes)
+        assert table.shape == (26, 64) and table.dtype == np.int64
+        rows = np.arange(64)
+        r_play, r_dealer = table[n_bet, rows], table[n_bet + n_play, rows]
+        r_all, r_none = table[25], table[0]
         assert np.array_equal(r_none, r_cut)
         for t in range(64):
+            tail = [int(weights[c]) for c in classes[:, t]]
             r = int(r_cut[t])
             for i in range(n_bet[t]):
-                r += int(tail[t, i])
+                r += tail[i]
             assert r_play[t] == r
             for i in range(n_bet[t], n_bet[t] + n_play[t]):
-                r += int(tail[t, i])
+                r += tail[i]
             assert r_dealer[t] == r
-            assert r_all[t] == r_cut[t] + tail[t].sum()
+            assert r_all[t] == r_cut[t] + sum(tail)
 
 
 class TestExactLaw:
@@ -220,10 +257,11 @@ class TestExactLaw:
         weights, counts, scale = sim._shoe_classes(hi_lo, 1)
         assert (weights.tolist(), counts.tolist(), scale) == ([-1, 0, 1], [20, 12, 20], 1)
         cut, trials = 26, 200_000
-        r_cut, tail = sim._by_chunk(
+        (table,) = sim._by_chunk(
             4, trials,
-            lambda rng, size: sim._draw_cut_and_tail(rng, size, weights, counts, cut, 1),
+            lambda rng, size: (sim._draw_cut_and_tail(rng, size, weights, counts, cut, 1),),
         )
+        r_cut, first_card = table[0], table[1] - table[0]
         prob: dict[tuple[int, int], float] = {}
         for lo in range(21):
             for hi in range(21):
@@ -239,7 +277,7 @@ class TestExactLaw:
                     prob[key] = prob.get(key, 0.0) + p_census * left / (52 - cut)
         assert sum(prob.values()) == pytest.approx(1.0)
         seen: dict[tuple[int, int], int] = {}
-        for key in zip(r_cut.tolist(), tail[:, 0].tolist()):
+        for key in zip(r_cut.tolist(), first_card.tolist()):
             seen[key] = seen.get(key, 0) + 1
         assert set(seen) <= set(prob)
         cells = [key for key, p in prob.items() if p * trials >= 5]
@@ -426,6 +464,47 @@ class TestShoeChecks:
             with pytest.raises(BadRangeError, match="need a shoe of fewer than"):
                 run(decks)
         run(largest)
+
+
+def ace_deuce_system(w):
+    """A system weighting aces w, deuces -w and every other rank 0."""
+    return parse_system_file(f"A {w}\n2 {-w}\n" + "".join(f"{r} 0\n" for r in "3456789T"))
+
+
+@pytest.mark.parametrize("mode", ["seat-sigma", "tc-increment"])
+class TestRunningCountRange:
+    """A shoe whose running counts could pass int64 is refused, not wrapped.
+
+    Its bound is the largest scaled weight times the cards of the shoe.
+    """
+
+    @staticmethod
+    def run(mode, system):
+        if mode == "seat-sigma":
+            return simulate_seat_sigma(system, 8, 0.5, SeatCardModel(7, 7), 2000, 3)
+        return simulate_tc_increment(system, 8, 0.5, [1, 4, 40], 2000, 3)
+
+    @pytest.mark.parametrize("w", [4 * 10**18, 2**63, 10**300], ids=["4e18", "2**63", "1e300"])
+    def test_past_int64(self, mode, w):
+        with pytest.raises(BadRangeError, match="int64"):
+            self.run(mode, ace_deuce_system(w))
+
+    def test_at_and_inside_the_bound(self, mode):
+        largest = (2**63 - 1) // (52 * 8)
+        with pytest.raises(BadRangeError, match="int64"):
+            self.run(mode, ace_deuce_system(largest + 1))
+        system = ace_deuce_system(largest)
+        report = self.run(mode, system)
+        if mode == "seat-sigma":
+            bet, play = predicted_seat_sigma(system, 8, 0.5, SeatCardModel(7, 7))
+            predicted = {"sigma_bet": bet, "sigma_play": play}
+        else:
+            predicted = {
+                f"tc_increment_n{n}": predicted_increment_std(system, 8, 0.5, n)
+                for n in (1, 4, 40)
+            }
+        for label, std in predicted.items():
+            assert report.stats[label].std == pytest.approx(std, rel=0.1)
 
 
 class TestPredictedIncrementStd:
