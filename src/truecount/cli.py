@@ -333,8 +333,7 @@ def run_simulation(config: dict, fmt: str = "table") -> str:
             p0 = _take(config, "p0")
             var_p0 = _take(config, "var_p0")
             model = TwoPointAdvantageModel(p0, var_p0)
-            fuzzy = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0)) if p0 > 0.5 else None
-            basis, stats = "first order", fuzzy
+            basis, stats = "first order", growth_var_fuzzy(model) if p0 > 0.5 else None
     else:
         system = _config_system(config)
         decks = _take(config, "decks")

@@ -76,15 +76,10 @@ class TrueCountDistribution:
         _, s1, _, c, d = self.sums
         return Fraction(s1, c * d)
 
-    def variance_numerator(self) -> int:
-        """The variance times c^3 d^2, with c, d the two denominators of ``sums``."""
-        s0, s1, s2, c, _ = self.sums
-        return _variance_numerator(s0, s1, s2, c)
-
     def variance(self) -> Fraction:
         """Sum of p * (v - mean)**2, exact even if the p do not sum to 1."""
-        *_, c, d = self.sums
-        return Fraction(self.variance_numerator(), c**3 * d * d)
+        s0, s1, s2, c, d = self.sums
+        return Fraction(_variance_numerator(s0, s1, s2, c), c**3 * d * d)
 
 
 def _power_sums(ways: dict[int, int]) -> tuple[int, int, int]:

@@ -16,8 +16,8 @@ over the chunk, a compare and a subtract; its weight class is read off the
 stored compares once the whole tail is drawn, and
 :func:`truecount.kernels.running_counts` turns the classes into one table
 per chunk of every trial's running count after each tail card.  Arrays of
-per-trial draws keep their trials on the last axis.  A bankroll trial draws
-its win counts as binomials.
+per-trial draws keep their trials on the last axis.  A bankroll trial
+draws its hands per state of its model's (weight, p) law, then its wins.
 """
 from __future__ import annotations
 
@@ -26,16 +26,16 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import kernels
 from .counting import CountSystem, check_decks
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
-from .kelly import kelly_fraction
+from .kelly import FuzzyAdvantage, kelly_fraction
 from .seats import SeatCardModel
 
 
@@ -233,6 +233,7 @@ def predicted_increment_std(
     """
     if not (float(n).is_integer() and n >= 0):
         raise BadRangeError(f"n must be a whole number of cards, got {n}")
+    system.sigma0()  # in the float range; no increment variance exceeds its square
     s0_sq = system.sigma0_squared()
     cut = _cut_index(decks, penetration)
     return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
@@ -264,6 +265,7 @@ def predicted_seat_sigma(
     """
     n0 = 52 * decks
     cut = _cut_index(decks, penetration)
+    system.sigma0()  # in the float range; no increment variance exceeds its square
     s0_sq = system.sigma0_squared()
     base_deal = 2 * (model.seats + 1)
     ahead = _convolve(model.extra_cards_law, model.position - 1)
@@ -386,37 +388,45 @@ def simulate_seat_sigma(
 class FixedAdvantageModel:
     """Same win probability every hand; bet at the Kelly fraction for p."""
 
+    name: ClassVar[str] = "fixed"
     p: float
 
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise BadRangeError(f"need 0 < p < 1, got {self.p}")
 
+    @property
+    def states(self) -> tuple[tuple[float, float], ...]:
+        """The law of a hand's win probability: (weight, p) states."""
+        return ((1.0, self.p),)
+
 
 @dataclass(frozen=True)
-class TwoPointAdvantageModel:
+class TwoPointAdvantageModel(FuzzyAdvantage):
     """Advantage p0 +/- sqrt(var_p0), equally likely, re-drawn every hand.
 
     The bet tracks the observed advantage of the hand, so the growth-rate
-    noise includes the advantage-dispersion term.
+    noise includes the advantage-dispersion term.  Both levels must lie in
+    (0, 1), which is stricter than the bound :class:`FuzzyAdvantage` checks.
     """
 
-    p0: float
-    var_p0: float
+    name: ClassVar[str] = "two-point"
 
     def __post_init__(self):
-        if not 0 < self.p0 < 1:
-            raise BadRangeError(f"need 0 < p0 < 1, got {self.p0}")
-        if self.var_p0 < 0:
-            raise BadRangeError(f"need var_p0 >= 0, got {self.var_p0}")
-        spread = math.sqrt(self.var_p0)
-        if not (0 < self.p0 - spread and self.p0 + spread < 1):
+        super().__post_init__()
+        if not all(0 < p < 1 for p in self.levels):
             raise BadRangeError("two-point advantage leaves (0, 1)")
 
     @property
     def levels(self) -> tuple[float, float]:
         spread = math.sqrt(self.var_p0)
         return self.p0 - spread, self.p0 + spread
+
+    @property
+    def states(self) -> tuple[tuple[float, float], ...]:
+        """The law of a hand's win probability, the high level first."""
+        p_lo, p_hi = self.levels
+        return ((0.5, p_hi), (0.5, p_lo))
 
 
 def simulate_bankroll(
@@ -425,48 +435,42 @@ def simulate_bankroll(
     trials: int,
     seed: int,
 ) -> SimulationReport:
-    """Per-trial exponential growth rate G_n under Kelly betting."""
+    """Per-trial exponential growth rate G_n under Kelly betting.
+
+    A hand is at state (weight, p) of ``adv_model.states`` with probability
+    weight and bets the Kelly fraction f of its p.  Each chunk draws the
+    hands of every state but the last by sequential binomials, the last
+    taking the rest, then the wins of each state, in state order; G_n sums
+    wins * log1p(f) + losses * log1p(-f) over the states, over ``n_hands``.
+    """
     # A whole number of hands: numpy's binomial sampler would truncate
     # 10.5 hands to 10, and it takes a count below 2**63.
     if not isinstance(n_hands, numbers.Integral):
         raise BadRangeError(f"n_hands must be a whole number, got {n_hands!r}")
     if not 1 <= n_hands < 2**63:
         raise BadRangeError(f"need 1 <= n_hands < 2**63, got {n_hands}")
-    if isinstance(adv_model, FixedAdvantageModel):
-        f = kelly_fraction(adv_model.p)
-        up, down = math.log1p(f), math.log1p(-f)
-        (wins,) = _by_chunk(
-            seed, trials, lambda rng, size: (rng.binomial(n_hands, adv_model.p, size),)
-        )
-        growth = (wins * up + (n_hands - wins) * down) / n_hands
-        config = {"model": "fixed", "p": adv_model.p}
-    elif isinstance(adv_model, TwoPointAdvantageModel):
-        p_lo, p_hi = adv_model.levels
-        f_lo, f_hi = kelly_fraction(p_lo), kelly_fraction(p_hi)
-        up_lo, down_lo = math.log1p(f_lo), math.log1p(-f_lo)
-        up_hi, down_hi = math.log1p(f_hi), math.log1p(-f_hi)
-
-        def draw(rng, size):
-            # Each hand is high with probability 1/2, then won at its level.
-            n_hi = rng.binomial(n_hands, 0.5, size)
-            return n_hi, rng.binomial(n_hi, p_hi), rng.binomial(n_hands - n_hi, p_lo)
-
-        n_hi, w_hi, w_lo = _by_chunk(seed, trials, draw)
-        n_lo = n_hands - n_hi
-        growth = (
-            w_hi * up_hi
-            + (n_hi - w_hi) * down_hi
-            + w_lo * up_lo
-            + (n_lo - w_lo) * down_lo
-        ) / n_hands
-        config = {"model": "two-point", "p0": adv_model.p0, "var_p0": adv_model.var_p0}
-    else:
+    if not isinstance(adv_model, (FixedAdvantageModel, TwoPointAdvantageModel)):
         raise BadRangeError(f"unsupported advantage model {adv_model!r}")
+    states = adv_model.states
+    logs = [(math.log1p(f), math.log1p(-f)) for f in (kelly_fraction(p) for _, p in states)]
+
+    def draw(rng, size):
+        hands, left, mass = [], n_hands, 1.0
+        for weight, _ in states[:-1]:
+            hands.append(rng.binomial(left, weight / mass, size))
+            left, mass = left - hands[-1], mass - weight
+        growth = 0.0
+        for h, (_, p), (up, down) in zip([*hands, left], states, logs):
+            wins = rng.binomial(h, p, size)
+            growth = growth + wins * up + (h - wins) * down
+        return (growth / n_hands,)
+
+    (growth,) = _by_chunk(seed, trials, draw)
     report = SimulationReport(
         kind="bankroll",
         seed=seed,
         trials=trials,
-        config={**config, "n_hands": n_hands},
+        config={"model": adv_model.name, **asdict(adv_model), "n_hands": n_hands},
     )
     report.stats["growth_rate"] = _stat_row(growth, "growth_rate")
     return report

@@ -48,6 +48,9 @@ from .exact import (
 )
 from .kelly import optimality_grid
 
+#: Most cards in a random composition of the lemma sweep (the least is 3).
+RANDOM_N_MAX = 20
+
 #: Weight sets used by the exhaustive sweeps.
 WEIGHT_SETS: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(-1), Fraction(1)),
@@ -168,7 +171,6 @@ def verify_lemmas(
     seed: int = 0,
     exhaustive_n: int = 8,
     random_instances: int = 100,
-    random_n_max: int = 20,
 ) -> VerificationResult:
     """Exhaustive small-deck plus seeded random checks of the four identities.
 
@@ -180,15 +182,14 @@ def verify_lemmas(
     for every (composition, prefix) that leaves it; each check evaluates
     its own identity.  Lemma 6 takes the weights scaled to integers once
     per weight set and R from the class counts.  The random block uses the
-    weight-level checkers.  An ``exhaustive_n`` below 2, which would leave
-    the exhaustive block empty, raises ``BadRangeError``.
+    weight-level checkers on compositions of 3 to ``RANDOM_N_MAX`` cards.
+    An ``exhaustive_n`` below 2, which would leave the exhaustive block
+    empty, raises ``BadRangeError``.
     """
     if exhaustive_n < 2:
         raise BadRangeError(f"need exhaustive_n >= 2, got {exhaustive_n}")
     if random_instances < 0:
         raise BadRangeError(f"need random_instances >= 0, got {random_instances}")
-    if random_n_max < 3:
-        raise BadRangeError(f"need random_n_max >= 3, got {random_n_max}")
     result = VerificationResult("lemmas")
 
     def describe(report, comp, **context) -> str:
@@ -237,7 +238,7 @@ def verify_lemmas(
 
     rng = random.Random(seed)
     for _ in range(random_instances):
-        comp = _random_composition(rng, rng.choice(WEIGHT_SETS), rng.randint(3, random_n_max))
+        comp = _random_composition(rng, rng.choice(WEIGHT_SETS), rng.randint(3, RANDOM_N_MAX))
         total = comp.total
         weights = comp.weights()
         prefix = _random_feasible_sequence(rng, comp, rng.randint(0, min(3, total - 2)))

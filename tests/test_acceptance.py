@@ -167,7 +167,7 @@ def test_criterion_3_moment_sweep():
 
 def test_criterion_4_lemma_suite():
     t0 = time.time()
-    result = verify_lemmas(seed=0, exhaustive_n=8, random_instances=100, random_n_max=20)
+    result = verify_lemmas(seed=0, exhaustive_n=8, random_instances=100)
     elapsed = time.time() - t0
     record(
         "4 (lemma suite)",

@@ -437,7 +437,7 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "sweep, kwargs",
         [
-            (verify_lemmas, {"random_n_max": 2}),
+            (verify_theorem, {"exhaustive_limits": (2, 2, 2, 2, 30), "sampled_totals": ()}),
             (verify_lemmas, {"random_instances": -1}),
             (verify_theorem, {"sampled_totals": (1,), "exhaustive_limits": ()}),
             (verify_theorem, {"samples_per_total": -1, "exhaustive_limits": ()}),
@@ -446,7 +446,6 @@ class TestSweeps:
             (verify_theorem, {"exhaustive_limits": (1,), "sampled_totals": ()}),
             (verify_theorem, {"exhaustive_limits": (), "sampled_totals": ()}),
             (verify_theorem, {"exhaustive_limits": (), "samples_per_total": 0}),
-            (verify_theorem, {"exhaustive_limits": (2, 2, 2, 2, 30), "sampled_totals": ()}),
         ],
     )
     def test_bad_sweep_arguments(self, sweep, kwargs):

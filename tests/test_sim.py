@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from truecount import (
     builtin_systems,
     get_system,
     growth_stats_binomial,
+    kelly_fraction,
     growth_var_fuzzy,
     FuzzyAdvantage,
     InvariantError,
@@ -224,6 +226,66 @@ class TestTailDraw:
                 assert got_rng.random() == want_rng.random()
 
 
+def per_model_bankroll_growth(model, n_hands, trials, seed):
+    """Each trial's growth rate as first drawn: one branch per model, the
+    fixed one a binomial of wins, the two-point one a binomial of high hands
+    and then the wins at the high level and at the low."""
+    chunks = [
+        (trial_rng(seed, c), min(sim.CHUNK, trials - start))
+        for c, start in enumerate(range(0, trials, sim.CHUNK))
+    ]
+    if isinstance(model, FixedAdvantageModel):
+        f = kelly_fraction(model.p)
+        wins = np.concatenate([rng.binomial(n_hands, model.p, size) for rng, size in chunks])
+        return (wins * math.log1p(f) + (n_hands - wins) * math.log1p(-f)) / n_hands
+    p_lo, p_hi = model.levels
+    f_lo, f_hi = kelly_fraction(p_lo), kelly_fraction(p_hi)
+    parts = []
+    for rng, size in chunks:
+        n_hi = rng.binomial(n_hands, 0.5, size)
+        parts.append((n_hi, rng.binomial(n_hi, p_hi), rng.binomial(n_hands - n_hi, p_lo)))
+    n_hi, w_hi, w_lo = (np.concatenate(arrays) for arrays in zip(*parts))
+    n_lo = n_hands - n_hi
+    return (
+        w_hi * math.log1p(f_hi)
+        + (n_hi - w_hi) * math.log1p(-f_hi)
+        + w_lo * math.log1p(f_lo)
+        + (n_lo - w_lo) * math.log1p(-f_lo)
+    ) / n_hands
+
+
+class TestBankrollDraw:
+    """One draw over the model's states gives each trial's growth rate bit
+    for bit as the per-model draws did, on the same stream."""
+
+    @pytest.mark.parametrize("trials", [2, sim.CHUNK + 5])
+    @pytest.mark.parametrize("n_hands", [1, 100, 40_000])
+    @pytest.mark.parametrize("model", [
+        FixedAdvantageModel(0.52),
+        FixedAdvantageModel(0.5),
+        FixedAdvantageModel(0.3),
+        TwoPointAdvantageModel(0.54, 4e-4),
+        TwoPointAdvantageModel(0.52, 0.0),
+        TwoPointAdvantageModel(0.5, 1e-4),
+        TwoPointAdvantageModel(0.4, 1e-4),
+    ], ids=repr)
+    def test_matches_per_model_draw(self, monkeypatch, model, n_hands, trials):
+        kept = []
+        stat_row = sim._stat_row
+
+        def keep(values, label):
+            kept.append(values)
+            return stat_row(values, label)
+
+        monkeypatch.setattr(sim, "_stat_row", keep)
+        seed = 2**127 + n_hands
+        simulate_bankroll(model, n_hands, trials, seed)
+        (got,) = kept
+        want = per_model_bankroll_growth(model, n_hands, trials, seed)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 class TestKernels:
     def test_match_per_trial_loops(self):
         rng = np.random.default_rng(3)
@@ -426,6 +488,39 @@ class TestBankroll:
         model = TwoPointAdvantageModel(0.54, 4e-4)
         assert model.levels == (pytest.approx(0.52), pytest.approx(0.56))
 
+    def test_states(self):
+        assert FixedAdvantageModel(0.52).states == ((1.0, 0.52),)
+        model = TwoPointAdvantageModel(0.54, 4e-4)
+        p_lo, p_hi = model.levels
+        assert model.states == ((0.5, p_hi), (0.5, p_lo))
+
+    def test_report_config(self):
+        fixed = simulate_bankroll(FixedAdvantageModel(0.52), 10, 2, 0)
+        assert fixed.config == {"model": "fixed", "p": 0.52, "n_hands": 10}
+        two_point = simulate_bankroll(TwoPointAdvantageModel(0.54, 4e-4), 10, 2, 0)
+        assert two_point.config == {
+            "model": "two-point", "p0": 0.54, "var_p0": 4e-4, "n_hands": 10,
+        }
+
+    def test_two_point_is_a_fuzzy_advantage(self):
+        model = TwoPointAdvantageModel(0.54, 4e-4)
+        assert isinstance(model, FuzzyAdvantage)
+        assert growth_var_fuzzy(model) == growth_var_fuzzy(FuzzyAdvantage(0.54, 4e-4))
+
+    @pytest.mark.parametrize("p0, var_p0, message", [
+        (0.0, 0.0, "need 0 < p0 < 1"),
+        (0.54, math.nan, "need a finite var_p0 >= 0"),
+        (0.54, math.inf, "need a finite var_p0 >= 0"),
+        (0.54, -1e-4, "need a finite var_p0 >= 0"),
+        (0.54, 0.25, "exceeds the probability bound"),
+        (0.9, 0.02, "two-point advantage leaves"),
+        (0.1, 0.02, "two-point advantage leaves"),
+    ])
+    def test_two_point_checks(self, p0, var_p0, message):
+        """The (p0, var_p0) checks of FuzzyAdvantage, then both levels in (0, 1)."""
+        with pytest.raises(BadRangeError, match=message):
+            TwoPointAdvantageModel(p0, var_p0)
+
     def test_model_validation(self):
         with pytest.raises(BadRangeError):
             FixedAdvantageModel(1.5)
@@ -505,6 +600,33 @@ class TestRunningCountRange:
             }
         for label, std in predicted.items():
             assert report.stats[label].std == pytest.approx(std, rel=0.1)
+
+
+#: The largest w whose ace-deuce system has sigma0 squared, 2 w**2 / 13, in the float range.
+LARGEST_FLOAT_WEIGHT = math.isqrt(int(sys.float_info.max) * 13 // 2)
+
+PREDICTORS = {
+    "predicted_increment_std": lambda system: [predicted_increment_std(system, 8, 0.5, 3)],
+    "predicted_seat_sigma": lambda system: predicted_seat_sigma(
+        system, 8, 0.5, SeatCardModel()),
+}
+
+
+@pytest.mark.parametrize("predict", PREDICTORS.values(), ids=PREDICTORS.keys())
+class TestPredictorFloatRange:
+    """The exact predictors refuse a system whose sigma0 is past the float
+    range, as ``sigma0`` does; no increment variance exceeds its square."""
+
+    def test_past_the_float_range(self, predict):
+        for w in (10**300, LARGEST_FLOAT_WEIGHT + 1):
+            with pytest.raises(BadRangeError, match="past the float range"):
+                predict(ace_deuce_system(w))
+
+    def test_just_inside_the_float_range(self, predict):
+        inside = ace_deuce_system(LARGEST_FLOAT_WEIGHT)
+        outside = ace_deuce_system(LARGEST_FLOAT_WEIGHT + 1)
+        assert inside.sigma0_squared() <= Fraction(sys.float_info.max) < outside.sigma0_squared()
+        assert all(math.isfinite(sigma) and sigma > 0 for sigma in predict(inside))
 
 
 class TestPredictedIncrementStd:
