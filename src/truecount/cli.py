@@ -200,13 +200,9 @@ def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, int]:
 
 def cmd_kelly(p0: float, var_p0: float = 0.0, hands: int = 1) -> ReportTable:
     """Kelly fraction and growth statistics for a (possibly noisy) advantage."""
-    if not (math.isfinite(var_p0) and var_p0 >= 0):
-        raise BadRangeError(f"need a finite var_p0 >= 0, got {var_p0}")
+    advantage = FuzzyAdvantage(p0, var_p0)
     fraction = kelly_fraction(p0)
-    if p0 <= 0.5:
-        stats = GrowthStats(0.0, 0.0)
-    else:
-        stats = growth_var_fuzzy(FuzzyAdvantage(p0, var_p0))
+    stats = growth_var_fuzzy(advantage) if p0 > 0.5 else GrowthStats(0.0, 0.0)
     return ReportTable(
         title=f"Kelly betting at p0={p0}, var_p0={var_p0}",
         row_labels=[

@@ -2,7 +2,9 @@
 
 The kernel is integer arithmetic (a gather and running sums) over arrays
 drawn by :mod:`truecount.sim`, one column per trial, so its result does not
-depend on how the trials are batched.
+depend on how the trials are batched.  It returns each trial's running-count
+change past the cut, not the count itself, in the smallest integer type
+that holds every change the tail can make; the caller adds the cut count.
 """
 from __future__ import annotations
 
@@ -13,20 +15,24 @@ def backend_name() -> str:
     return "numpy"
 
 
-def running_counts(r_cut, weights, classes):
-    """Scaled running count of every trial at the cut and after each next card.
+def running_counts(weights, classes):
+    """Scaled running-count change of every trial after each next card.
 
-    ``r_cut`` is each trial's running count at the cut, ``classes`` the
-    weight class of each of its next cards (one row per card) and
-    ``weights`` each class's weight, scaled to integers.  Row 0 of the
-    (cards + 1, trials) int64 table is ``r_cut``, and row j the count after
-    j cards.
+    ``classes`` is the weight class of each trial's next cards (one row per
+    card) and ``weights`` each class's weight, scaled to integers.  Row 0 of
+    the (cards + 1, trials) table is zero, and row j the change after j
+    cards.  No change passes ``bound`` = max |weight| × cards in size, so the
+    table takes the smallest integer type that holds -bound - 1: it then
+    holds +bound too (-bound alone gives int8 at bound 128, which +128
+    overflows).  ``bound`` must lie below 2**63.
     """
-    table = np.empty((len(classes) + 1, r_cut.size), dtype=np.int64)
-    table[0] = r_cut
+    bound = int(np.abs(weights).max()) * len(classes)
+    dtype = np.min_scalar_type(-bound - 1)
+    table = np.empty((len(classes) + 1, classes.shape[-1]), dtype=dtype)
+    table[0] = 0
     # The classes index ``weights`` in range, so "clip" clips nothing; it
     # spares the buffered copy of ``out`` that the default mode makes.
-    weights.take(classes, out=table[1:], mode="clip")
+    weights.astype(dtype).take(classes, out=table[1:], mode="clip")
     # Row by row: a cumsum along the card axis takes longer.
     for j in range(1, len(table)):
         table[j] += table[j - 1]

@@ -15,9 +15,12 @@ uniformly shuffled shoe.  Each tail card costs two int32 array passes
 over the chunk, a compare and a subtract; its weight class is read off the
 stored compares once the whole tail is drawn, and
 :func:`truecount.kernels.running_counts` turns the classes into one table
-per chunk of every trial's running count after each tail card.  Arrays of
-per-trial draws keep their trials on the last axis.  A bankroll trial
-draws its hands per state of its model's (weight, p) law, then its wins.
+per chunk of every trial's running-count change after each tail card, in
+the smallest integer type that holds it (int8 while the largest scaled
+weight times the tail length is at most 127, as for hi-lo seats), kept
+apart from each trial's int64 count at the cut.  Arrays of per-trial
+draws keep their trials on the last axis.  A bankroll trial draws its hands
+per state of its model's (weight, p) law, then its wins.
 """
 from __future__ import annotations
 
@@ -131,8 +134,9 @@ def _stat_row(samples: np.ndarray, label: str) -> StatRow:
 def _shoe_classes(system: CountSystem, decks: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer-scaled weight and card count of each weight class of a shoe.
 
-    No running count of the shoe passes its largest scaled weight times its
-    cards, and that bound must lie below 2**63 for int64 arrays to hold it.
+    No running count of the shoe, at the cut or the cut count plus a tail's
+    change, passes its largest scaled weight times its cards, and that bound
+    must lie below 2**63 for int64 arrays to hold it.
     """
     weights, counts, scale = system.scaled_classes
     if max(map(abs, weights)) * 52 * decks >= 2**63:
@@ -153,18 +157,18 @@ def _draw_cut_and_tail(
     counts: np.ndarray,
     cut: int,
     tail_len: int,
-) -> np.ndarray:
-    """Scaled running count at the cut and after each of ``tail_len`` cards.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled running count at the cut and its change over ``tail_len`` cards.
 
-    Returns the :func:`truecount.kernels.running_counts` table of the chunk:
-    row j holds each trial's count after j cards past the cut.  Each tail
-    card is a uniform position ``u`` among the cards left, and its class is
-    the first whose running total of cards left exceeds ``u``.  The rows
-    that ``u`` lies below are then exactly the rows of that class and
-    after, which are the rows that lose the card: one compare and one
-    subtract per card, and the classes are read off the stored compares
-    once the tail is drawn.  The last row, all the cards left, is always
-    above ``u``, so it is not kept.
+    Returns each trial's int64 count at the cut and the chunk's
+    :func:`truecount.kernels.running_counts` table, whose row j holds each
+    trial's change after j cards past the cut.  Each tail card is a uniform
+    position ``u`` among the cards left, and its class is the first whose
+    running total of cards left exceeds ``u``.  The rows that ``u`` lies
+    below are then exactly the rows of that class and after, which are the
+    rows that lose the card: one compare and one subtract per card, and the
+    classes are read off the stored compares once the tail is drawn.  The
+    last row, all the cards left, is always above ``u``, so it is not kept.
     """
     census = rng.multivariate_hypergeometric(counts, cut, size=size)
     # Cards left in each class and the classes before it, one row per class
@@ -183,7 +187,7 @@ def _draw_cut_and_tail(
         cum_left -= below[j]
     # An int8 count holds up to 127 rows; a system has at most 13 classes.
     classes = counts.size - 1 - below.sum(axis=1, dtype=np.int8)
-    return kernels.running_counts(census @ weights, weights, classes)
+    return census @ weights, kernels.running_counts(weights, classes)
 
 
 def _cut_index(decks: int, penetration: float) -> int:
@@ -300,15 +304,15 @@ def _shoe_run(
         )
 
     def draw(rng, size):
-        table = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
-        return (table,) + ((extra(rng, size),) if extra else ())
+        shoe = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
+        return shoe + ((extra(rng, size),) if extra else ())
 
-    table, *drawn = _by_chunk(seed, trials, draw)
+    r_cut, change, *drawn = _by_chunk(seed, trials, draw)
     rows = np.arange(trials)
 
     def true_counts(*ns):
         return [
-            52.0 * (table[n] if isinstance(n, int) else table[n, rows])
+            52.0 * (r_cut + (change[n] if isinstance(n, int) else change[n, rows]))
             / (scale * (remaining - n))
             for n in ns
         ]

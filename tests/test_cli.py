@@ -316,6 +316,18 @@ class TestKelly:
             capsys, "kelly", "--p0", "0.52", f"--var-p0={var_p0}", "--hands", "10"
         )
 
+    def test_var_p0_past_the_bound_exit_2_at_any_p0(self, capsys):
+        # The bound p0(1 - p0) holds below an even game too, where the
+        # growth row is zero.
+        errors = []
+        for p0 in ("0.3", "0.52"):
+            code, out, err = run_cli(
+                capsys, "kelly", "--p0", p0, "--var-p0", "0.5", "--hands", "10"
+            )
+            assert (code, out) == (2, "")
+            errors.append(err.split(" p0(1-p0)")[0])
+        assert errors == ["error: var_p0 0.5 exceeds the probability bound"] * 2
+
 
 class TestLongrun:
     def test_reference_case(self, capsys):

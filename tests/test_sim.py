@@ -221,8 +221,10 @@ class TestTailDraw:
                 got = sim._draw_cut_and_tail(got_rng, size, weights, counts, cut, tail_len)
                 r_cut, tail = want
                 cums = np.cumsum(np.column_stack([np.zeros(size, np.int64), tail]), axis=1)
-                assert got.shape == (tail_len + 1, size) and got.dtype == np.int64
-                assert np.array_equal(got, r_cut + cums.T)
+                got_cut, change = got
+                assert got_cut.dtype == np.int64 and change.shape == (tail_len + 1, size)
+                assert np.array_equal(got_cut, r_cut)
+                assert np.array_equal(got_cut + change, r_cut + cums.T)
                 assert got_rng.random() == want_rng.random()
 
 
@@ -289,27 +291,49 @@ class TestBankrollDraw:
 class TestKernels:
     def test_match_per_trial_loops(self):
         rng = np.random.default_rng(3)
-        r_cut = rng.integers(-50, 50, size=64).astype(np.int64)
         weights = np.array([-2, -1, 0, 1, 2, 3 * 10**15], dtype=np.int64)
         classes = rng.integers(0, weights.size, size=(25, 64)).astype(np.int8)
         n_bet = rng.integers(0, 20, size=64).astype(np.int64)
         n_play = rng.integers(0, 5, size=64).astype(np.int64)
-        table = kernels.running_counts(r_cut, weights, classes)
+        table = kernels.running_counts(weights, classes)
         assert table.shape == (26, 64) and table.dtype == np.int64
         rows = np.arange(64)
         r_play, r_dealer = table[n_bet, rows], table[n_bet + n_play, rows]
         r_all, r_none = table[25], table[0]
-        assert np.array_equal(r_none, r_cut)
+        assert not r_none.any()
         for t in range(64):
             tail = [int(weights[c]) for c in classes[:, t]]
-            r = int(r_cut[t])
+            r = 0
             for i in range(n_bet[t]):
                 r += tail[i]
             assert r_play[t] == r
             for i in range(n_bet[t], n_bet[t] + n_play[t]):
                 r += tail[i]
             assert r_dealer[t] == r
-            assert r_all[t] == r_cut[t] + sum(tail)
+            assert r_all[t] == sum(tail)
+
+    # Largest weight and tail length for each bound, and the type that must
+    # hold every change: the type boundaries and one past each.
+    @pytest.mark.parametrize("w_max, cards, dtype", [
+        (127, 1, np.int8),
+        (32, 4, np.int16),
+        (151, 217, np.int16),
+        (2**12, 8, np.int32),
+        (2**31 - 1, 1, np.int32),
+        (2**28, 8, np.int64),
+        (3 * 10**15, 25, np.int64),
+    ])
+    def test_smallest_type_that_holds_the_bound(self, w_max, cards, dtype):
+        # The largest |weight| is positive, so the all-largest trial reaches
+        # +bound, one past what the type of -bound alone holds at each edge.
+        weights = np.array([-(w_max // 2), -1, 0, 1, w_max], dtype=np.int64)
+        rng = np.random.default_rng(w_max)
+        classes = rng.integers(0, weights.size, size=(cards, 40)).astype(np.int8)
+        classes[:, 0], classes[:, 1] = weights.size - 1, 0
+        table = kernels.running_counts(weights, classes)
+        want = np.cumsum(np.vstack([np.zeros((1, 40), np.int64), weights[classes]]), axis=0)
+        assert table.dtype == dtype and want[-1, 0] == w_max * cards
+        assert np.array_equal(table.astype(np.int64), want)
 
 
 class TestExactLaw:
@@ -319,11 +343,12 @@ class TestExactLaw:
         weights, counts, scale = sim._shoe_classes(hi_lo, 1)
         assert (weights.tolist(), counts.tolist(), scale) == ([-1, 0, 1], [20, 12, 20], 1)
         cut, trials = 26, 200_000
-        (table,) = sim._by_chunk(
+        r_cut, change = sim._by_chunk(
             4, trials,
-            lambda rng, size: (sim._draw_cut_and_tail(rng, size, weights, counts, cut, 1),),
+            lambda rng, size: sim._draw_cut_and_tail(rng, size, weights, counts, cut, 1),
         )
-        r_cut, first_card = table[0], table[1] - table[0]
+        assert not change[0].any()
+        first_card = change[1]
         prob: dict[tuple[int, int], float] = {}
         for lo in range(21):
             for hi in range(21):
