@@ -32,6 +32,8 @@ from .errors import (
 from .exact import (
     SigmaResult,
     TrueCountDistribution,
+    predicted_increment_std,
+    predicted_seat_sigma,
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
@@ -45,13 +47,11 @@ from .kelly import (
     kelly_fraction,
     long_run,
 )
-from .seats import DEFAULT_EXTRA_LAW, SeatCardModel, n_cards_between, sigma_ratio
+from .seats import DEFAULT_EXTRA_LAW, SeatCardModel, n_cards_between
 from .sim import (
     FixedAdvantageModel,
     SimulationReport,
     TwoPointAdvantageModel,
-    predicted_increment_std,
-    predicted_seat_sigma,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,
@@ -101,7 +101,6 @@ __all__ = [
     "predicted_seat_sigma",
     "sigma_n_approx",
     "sigma_n_exact",
-    "sigma_ratio",
     "simulate_bankroll",
     "simulate_seat_sigma",
     "simulate_tc_increment",

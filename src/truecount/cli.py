@@ -28,7 +28,10 @@ from .errors import (
     ParseError,
     TrueCountError,
 )
-from .exact import sigma_n_approx, sigma_n_exact, tc_distribution
+from .exact import (
+    predicted_increment_std, predicted_seat_sigma, sigma_n_approx, sigma_n_exact,
+    tc_distribution,
+)
 from .kelly import (
     FuzzyAdvantage,
     GrowthStats,
@@ -42,8 +45,6 @@ from .seats import SeatCardModel, n_cards_between
 from .sim import (
     FixedAdvantageModel,
     TwoPointAdvantageModel,
-    predicted_increment_std,
-    predicted_seat_sigma,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,

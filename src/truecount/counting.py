@@ -299,6 +299,29 @@ def check_decks(decks: int) -> None:
         raise BadRangeError(f"decks must be >= 1, got {decks}")
 
 
+#: A shoe must hold fewer cards than this: numpy's multivariate
+#: hypergeometric sampler takes no more, and the exact predictors refuse
+#: the shoes the simulators refuse.
+MAX_SHOE_CARDS = 10**9
+
+
+def _cut_index(decks: int, penetration: float) -> int:
+    """Cards dealt before the cut, once the shoe and the penetration are checked.
+
+    The simulators and the exact predictors all take their cut here, so
+    they refuse the same shoes: a whole number of decks, at least one, of
+    fewer than ``MAX_SHOE_CARDS`` cards.
+    """
+    check_decks(decks)
+    if 52 * decks >= MAX_SHOE_CARDS:
+        raise BadRangeError(
+            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
+        )
+    if not 0 < penetration < 1:
+        raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
+    return round(52 * decks * penetration)
+
+
 def parse_composition(spec: str) -> WeightComposition:
     """Parse ``"+1:5,-1:5,0:3"`` style weight:count lists."""
     counts: dict[Fraction, int] = {}

@@ -13,6 +13,10 @@ maps power sums by arithmetic alone (``_mirrored``), so the moment sweep
 reads each row once and builds no law past N/2.  Rationals appear only in
 the results; square roots only when a standard deviation is presented as a
 float.
+
+The finite-shoe predictors average that law's variance over a uniform cut
+in closed form: the std of the true-count change past the cut, and a
+seat's sigma_bet and sigma_play, the targets of :mod:`truecount.sim`.
 """
 from __future__ import annotations
 
@@ -25,9 +29,10 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .counting import (
-    CountSystem, WeightComposition, as_weight, float_sqrt, scaled_classes,
+    CountSystem, WeightComposition, _cut_index, as_weight, float_sqrt, scaled_classes,
 )
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
+from .seats import SeatCardModel
 
 
 class SigmaResult(NamedTuple):
@@ -220,6 +225,81 @@ def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
     if n < 0 or (n and n >= N):
         raise BadRangeError(f"need 0 <= n < N, got n={n}, N={N}")
     return math.sqrt(n) * system.sigma0() / N
+
+
+def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction:
+    """Exact variance (card units) of the true-count change over n cards.
+
+    The composition left after ``seen`` of the ``n0`` cards is a uniform
+    subset of the shoe, so the per-composition dispersion averages in
+    closed form, with no large-deck approximations.
+    """
+    remaining = n0 - seen
+    if n >= remaining:
+        raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
+    if n == 0:
+        return Fraction(0)
+    # With M = remaining, var_tc_cut = seen * s0_sq / ((n0 - 1) M) and
+    # mean_sigma1_sq = (s0_sq - var_tc_cut) / (M - 1)^2, the variance
+    # (M - 1) / (M - n) * n * mean_sigma1_sq over one integer denominator.
+    return Fraction(
+        n * s0_sq.numerator * ((n0 - 1) * remaining - seen),
+        s0_sq.denominator * (n0 - 1) * remaining * (remaining - 1) * (remaining - n),
+    )
+
+
+def predicted_increment_std(
+    system: CountSystem, decks: int, penetration: float, n: int
+) -> float:
+    """Exact std (deck units) of the true-count change over n cards past the cut.
+
+    It is the target the tc-increment simulator converges to.
+    """
+    if not (float(n).is_integer() and n >= 0):
+        raise BadRangeError(f"n must be a whole number of cards, got {n}")
+    system.sigma0()  # in the float range; no increment variance exceeds its square
+    s0_sq = system.sigma0_squared()
+    cut = _cut_index(decks, penetration)
+    return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
+
+
+def _convolve(law: Sequence[tuple[int, float]], k: int) -> dict[int, float]:
+    """Law of the sum of ``k`` independent draws from ``law``."""
+    out = {0: 1.0}
+    for _ in range(k):
+        nxt: dict[int, float] = {}
+        for total, p in out.items():
+            for h, q in law:
+                nxt[total + h] = nxt.get(total + h, 0.0) + p * q
+        out = nxt
+    return out
+
+
+def predicted_seat_sigma(
+    system: CountSystem, decks: int, penetration: float, model: SeatCardModel
+) -> tuple[float, float]:
+    """Exact std (deck units) of sigma_bet and sigma_play for one seat.
+
+    The true-count change over n unseen cards does not depend on which
+    cards they are, and the card counts between the moments do not depend
+    on the card order, so each variance is the increment variance averaged
+    over the law of the counts: n_bet = ``model.base_deal`` plus the extra
+    cards of the seats ahead, n_play = the extra cards of this seat and
+    those behind it.  It is the target the seat-sigma simulator converges to.
+    """
+    n0 = 52 * decks
+    cut = _cut_index(decks, penetration)
+    system.sigma0()  # in the float range; no increment variance exceeds its square
+    s0_sq = system.sigma0_squared()
+    ahead = _convolve(model.extra_cards_law, model.position - 1)
+    behind = _convolve(model.extra_cards_law, model.seats - model.position + 1)
+    var_bet = var_play = 0.0
+    for h, p in ahead.items():
+        n_bet = model.base_deal + h
+        var_bet += p * _increment_variance(s0_sq, n0, cut, n_bet)
+        for n_play, q in behind.items():
+            var_play += p * q * _increment_variance(s0_sq, n0, cut + n_bet, n_play)
+    return 52 * math.sqrt(var_bet), 52 * math.sqrt(var_play)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ closed-form card counts, the full law matters to the simulator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import BadRangeError
@@ -38,6 +39,10 @@ class SeatCardModel:
     extra_cards_law: tuple[tuple[int, float], ...] = field(default=DEFAULT_EXTRA_LAW)
 
     def __post_init__(self):
+        if not isinstance(self.seats, numbers.Integral):
+            raise BadRangeError(f"seats must be a whole number, got {self.seats!r}")
+        if not isinstance(self.position, numbers.Integral):
+            raise BadRangeError(f"position must be a whole number, got {self.position!r}")
         if not 1 <= self.seats <= 7:
             raise BadRangeError(f"seats must be in 1..7, got {self.seats}")
         if not 1 <= self.position <= self.seats:
@@ -45,9 +50,11 @@ class SeatCardModel:
                 f"position must be in 1..{self.seats}, got {self.position}"
             )
         probs = [p for _, p in self.extra_cards_law]
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        # A NaN probability fails 0 <= p, as it fails every comparison.
+        if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise BadRangeError(f"bad extra-cards law {self.extra_cards_law}")
-        if any(h < 0 or h != int(h) for h, _ in self.extra_cards_law):
+        cards = [h for h, _ in self.extra_cards_law]
+        if not all(isinstance(h, numbers.Integral) and h >= 0 for h in cards):
             raise BadRangeError("extra card counts must be non-negative integers")
 
     @classmethod
@@ -70,6 +77,10 @@ class SeatCardModel:
     def max_extra(self) -> int:
         return max(h for h, _ in self.extra_cards_law)
 
+    @property
+    def base_deal(self) -> int:
+        return 2 * (self.seats + 1)
+
 
 def n_cards_between(model: SeatCardModel, moment_pair: str) -> float:
     """Expected cards consumed between two decision moments at this seat.
@@ -80,16 +91,7 @@ def n_cards_between(model: SeatCardModel, moment_pair: str) -> float:
     """
     h = model.extra_mean
     if moment_pair == "bet_play":
-        return 2 * (model.seats + 1) + (model.position - 1) * h
+        return model.base_deal + (model.position - 1) * h
     if moment_pair == "play_dealer":
         return (model.seats - model.position + 1) * h
     raise BadRangeError(f"moment_pair must be one of {MOMENT_PAIRS}, got {moment_pair!r}")
-
-
-def sigma_ratio(model_a: SeatCardModel, model_b: SeatCardModel, moment_pair: str) -> float:
-    """Ratio of true-count stds between two seat models, in the N >> n regime."""
-    n_a = n_cards_between(model_a, moment_pair)
-    n_b = n_cards_between(model_b, moment_pair)
-    if n_b == 0:
-        raise BadRangeError("reference model consumes no cards for this moment pair")
-    return math.sqrt(n_a / n_b)

@@ -30,13 +30,12 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from . import kernels
-from .counting import CountSystem, check_decks
+from . import counting, kernels
+from .counting import CountSystem
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import FuzzyAdvantage, kelly_fraction
 from .seats import SeatCardModel
@@ -47,11 +46,6 @@ CHUNK = 4096
 
 #: Version of the stream contract, written into JSON reports.
 STREAM_VERSION = 2
-
-#: A shoe must hold fewer cards than this: numpy's multivariate
-#: hypergeometric sampler takes no more, and the exact predictors refuse
-#: the shoes the simulators refuse.
-MAX_SHOE_CARDS = 10**9
 
 
 def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
@@ -190,99 +184,6 @@ def _draw_cut_and_tail(
     return census @ weights, kernels.running_counts(weights, classes)
 
 
-def _cut_index(decks: int, penetration: float) -> int:
-    """Cards dealt before the cut, once the shoe and the penetration are checked.
-
-    The simulators and the exact predictors all take their cut here, so
-    they refuse the same shoes: a whole number of decks, at least one, of
-    fewer than ``MAX_SHOE_CARDS`` cards.
-    """
-    check_decks(decks)
-    if 52 * decks >= MAX_SHOE_CARDS:
-        raise BadRangeError(
-            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
-        )
-    if not 0 < penetration < 1:
-        raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
-    return round(52 * decks * penetration)
-
-
-def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction:
-    """Exact variance (card units) of the true-count change over n cards.
-
-    The composition left after ``seen`` of the ``n0`` cards is a uniform
-    subset of the shoe, so the per-composition dispersion averages in
-    closed form, with no large-deck approximations.
-    """
-    remaining = n0 - seen
-    if n >= remaining:
-        raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
-    if n == 0:
-        return Fraction(0)
-    # With M = remaining, var_tc_cut = seen * s0_sq / ((n0 - 1) M) and
-    # mean_sigma1_sq = (s0_sq - var_tc_cut) / (M - 1)^2, the variance
-    # (M - 1) / (M - n) * n * mean_sigma1_sq over one integer denominator.
-    return Fraction(
-        n * s0_sq.numerator * ((n0 - 1) * remaining - seen),
-        s0_sq.denominator * (n0 - 1) * remaining * (remaining - 1) * (remaining - n),
-    )
-
-
-def predicted_increment_std(
-    system: CountSystem, decks: int, penetration: float, n: int
-) -> float:
-    """Exact std (deck units) of the true-count change over n cards past the cut.
-
-    It is the target the tc-increment simulator converges to.
-    """
-    if not (float(n).is_integer() and n >= 0):
-        raise BadRangeError(f"n must be a whole number of cards, got {n}")
-    system.sigma0()  # in the float range; no increment variance exceeds its square
-    s0_sq = system.sigma0_squared()
-    cut = _cut_index(decks, penetration)
-    return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
-
-
-def _convolve(law: Sequence[tuple[int, float]], k: int) -> dict[int, float]:
-    """Law of the sum of ``k`` independent draws from ``law``."""
-    out = {0: 1.0}
-    for _ in range(k):
-        nxt: dict[int, float] = {}
-        for total, p in out.items():
-            for h, q in law:
-                nxt[total + h] = nxt.get(total + h, 0.0) + p * q
-        out = nxt
-    return out
-
-
-def predicted_seat_sigma(
-    system: CountSystem, decks: int, penetration: float, model: SeatCardModel
-) -> tuple[float, float]:
-    """Exact std (deck units) of sigma_bet and sigma_play for one seat.
-
-    The true-count change over n unseen cards does not depend on which
-    cards they are, and the card counts between the moments do not depend
-    on the card order, so each variance is the increment variance averaged
-    over the law of the counts: n_bet = 2 (seats + 1) plus the extra cards
-    of the seats ahead, n_play = the extra cards of this seat and those
-    behind it.  It is the target the seat-sigma simulator converges to.
-    """
-    n0 = 52 * decks
-    cut = _cut_index(decks, penetration)
-    system.sigma0()  # in the float range; no increment variance exceeds its square
-    s0_sq = system.sigma0_squared()
-    base_deal = 2 * (model.seats + 1)
-    ahead = _convolve(model.extra_cards_law, model.position - 1)
-    behind = _convolve(model.extra_cards_law, model.seats - model.position + 1)
-    var_bet = var_play = 0.0
-    for h, p in ahead.items():
-        n_bet = base_deal + h
-        var_bet += p * _increment_variance(s0_sq, n0, cut, n_bet)
-        for n_play, q in behind.items():
-            var_play += p * q * _increment_variance(s0_sq, n0, cut + n_bet, n_play)
-    return 52 * math.sqrt(var_bet), 52 * math.sqrt(var_play)
-
-
 def _shoe_run(
     kind: str, system: CountSystem, decks: int, penetration: float,
     tail_len: int, trials: int, seed: int, config: dict, extra=None,
@@ -294,7 +195,7 @@ def _shoe_run(
     ``config``; ``true_counts(*ns)``, each trial's true count (deck units)
     after each n of ``ns`` tail cards; and the draws of ``extra``, if any.
     """
-    cut = _cut_index(decks, penetration)
+    cut = counting._cut_index(decks, penetration)
     weights, counts, scale = _shoe_classes(system, decks)
     remaining = int(counts.sum()) - cut
     # The true count after the last tail card needs one card unseen.
@@ -369,15 +270,14 @@ def simulate_seat_sigma(
     seed: int,
 ) -> SimulationReport:
     """Empirical bet->play and play->dealer true-count dispersion for a seat."""
-    base_deal = 2 * (model.seats + 1)
     report, true_counts, extras = _shoe_run(
         "seat-sigma", system, decks, penetration,
-        base_deal + model.seats * model.max_extra, trials, seed,
+        model.base_deal + model.seats * model.max_extra, trials, seed,
         {"seats": model.seats, "position": model.position,
          "hand_mean": model.mean_cards_per_hand},
         lambda rng, size: _sample_extras(rng, model, size),
     )
-    n_bet = base_deal + extras[: model.position - 1].sum(axis=0)
+    n_bet = model.base_deal + extras[: model.position - 1].sum(axis=0)
     n_play = extras[model.position - 1 :].sum(axis=0)
     tc_bet, tc_play, tc_dealer = true_counts(0, n_bet, n_bet + n_play)
     report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, "sigma_bet")

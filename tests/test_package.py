@@ -1,6 +1,6 @@
 """The package's public surface."""
 import truecount
-from truecount import cli, counting, exact, kelly, verify
+from truecount import cli, counting, exact, kelly, seats, sim, verify
 
 #: Helpers that restated another function, by the module that held them.
 REMOVED = {
@@ -12,7 +12,15 @@ REMOVED = {
     ),
     verify: ("verify_all",),
     cli: ("DEFAULT_HAND_MEAN",),
+    seats: ("sigma_ratio",),
 }
+
+#: What moved out of the sampler: the exact predictors to ``exact``, the
+#: shoe rule to ``counting``.
+MOVED_FROM_SIM = (
+    "predicted_increment_std", "predicted_seat_sigma", "_increment_variance",
+    "_convolve", "_cut_index", "MAX_SHOE_CARDS",
+)
 
 
 def test_public_surface():
@@ -23,3 +31,11 @@ def test_public_surface():
         for name in names:
             assert not hasattr(truecount, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_sim_samples_and_exact_predicts():
+    for name in MOVED_FROM_SIM:
+        assert not hasattr(sim, name), name
+    assert truecount.predicted_seat_sigma is exact.predicted_seat_sigma
+    assert truecount.predicted_increment_std is exact.predicted_increment_std
+    assert exact._cut_index is counting._cut_index

@@ -8,7 +8,6 @@ from truecount import (
     DEFAULT_EXTRA_LAW,
     SeatCardModel,
     n_cards_between,
-    sigma_ratio,
 )
 
 
@@ -37,6 +36,17 @@ class TestSeatCardModel:
             SeatCardModel(extra_cards_law=((0, 0.5), (1, 0.6)))
         with pytest.raises(BadRangeError):
             SeatCardModel.with_hand_mean(7, 1, 1.5)
+
+    @pytest.mark.parametrize("seats, position, law", [
+        (7.0, 1, DEFAULT_EXTRA_LAW),
+        (7, 1.0, DEFAULT_EXTRA_LAW),
+        (7, 1, ((0, 0.5), (1.0, 0.5))),
+        (7, 1, ((0, math.nan), (1, 1.0))),
+        (7, 1, ((0, math.inf),)),
+    ], ids=["float-seats", "float-position", "float-extra", "nan", "infinite"])
+    def test_malformed_law_rejected(self, seats, position, law):
+        with pytest.raises(BadRangeError):
+            SeatCardModel(seats, position, law)
 
 
 class TestCardCounts:
@@ -71,27 +81,3 @@ class TestCardCounts:
         with pytest.raises(BadRangeError):
             n_cards_between(SeatCardModel(), "bet_dealer")
 
-
-class TestSigmaRatios:
-    def test_third_base_vs_first_base_bet(self):
-        first = SeatCardModel(seats=7, position=1)
-        third = SeatCardModel(seats=7, position=7)
-        ratio = sigma_ratio(third, first, "bet_play")
-        assert ratio == pytest.approx(math.sqrt(19.6 / 16))
-        # Matches the published table ratio 0.971 / 0.877.
-        assert ratio == pytest.approx(0.971 / 0.877, abs=0.002)
-
-    def test_full_table_vs_head_on_bet(self):
-        table = SeatCardModel(seats=7, position=1)
-        alone = SeatCardModel(seats=1, position=1)
-        assert sigma_ratio(table, alone, "bet_play") == pytest.approx(2.0)
-
-    def test_play_ratio_first_vs_third(self):
-        first = SeatCardModel(seats=7, position=1)
-        third = SeatCardModel(seats=7, position=7)
-        assert sigma_ratio(first, third, "play_dealer") == pytest.approx(math.sqrt(7))
-
-    def test_zero_reference_rejected(self):
-        a = SeatCardModel(seats=7, position=1, extra_cards_law=((0, 1.0),))
-        with pytest.raises(BadRangeError):
-            sigma_ratio(a, a, "play_dealer")

@@ -15,6 +15,7 @@ from truecount import (
     ShoeExhaustedError,
     TwoPointAdvantageModel,
     builtin_systems,
+    composition,
     get_system,
     growth_stats_binomial,
     kelly_fraction,
@@ -24,12 +25,13 @@ from truecount import (
     parse_system_file,
     predicted_increment_std,
     predicted_seat_sigma,
+    sigma_n_exact,
     simulate_bankroll,
     simulate_seat_sigma,
     simulate_tc_increment,
     trial_rng,
 )
-from truecount import kernels, sim
+from truecount import counting, exact, kernels, sim
 
 
 class TestTrialRng:
@@ -578,8 +580,8 @@ class TestShoeChecks:
             run(decks)
 
     def test_at_and_below_the_card_limit(self, run):
-        largest = (sim.MAX_SHOE_CARDS - 1) // 52
-        assert 52 * (largest + 1) >= sim.MAX_SHOE_CARDS
+        largest = (counting.MAX_SHOE_CARDS - 1) // 52
+        assert 52 * (largest + 1) >= counting.MAX_SHOE_CARDS
         for decks in (largest + 1, 10**400):
             with pytest.raises(BadRangeError, match="need a shoe of fewer than"):
                 run(decks)
@@ -704,7 +706,7 @@ class TestIncrementVariance:
                     for n in {0, 1, 2, 7, 16, 19, left // 2, left - 2, left - 1}:
                         if not 0 <= n < left:
                             continue
-                        got = sim._increment_variance(s0_sq, n0, seen, n)
+                        got = exact._increment_variance(s0_sq, n0, seen, n)
                         want = self.three_step_chain(s0_sq, n0, seen, n)
                         assert got == want, (system.name, decks, seen, n)
                         assert math.sqrt(got) == math.sqrt(want)
@@ -713,7 +715,33 @@ class TestIncrementVariance:
 
     def test_n_past_the_cards_left(self, hi_lo):
         with pytest.raises(BadRangeError):
-            sim._increment_variance(hi_lo.sigma0_squared(), 52, 40, 12)
+            exact._increment_variance(hi_lo.sigma0_squared(), 52, 40, 12)
+
+    @staticmethod
+    def cut_census_average(system, decks, seen, n):
+        """sigma_n squared of each composition a cut of ``seen`` cards
+        leaves, averaged over the cut censuses by their subsets."""
+        weights, counts = zip(*sorted(system.weight_multiplicities().items()))
+        counts = [l * decks for l in counts]
+        total = sum(
+            ways * sigma_n_exact(
+                composition({w: l - r for w, l, r in zip(weights, counts, removed)}), n
+            ).squared
+            for removed, ways in exact._censuses(counts, seen)
+        )
+        return total / math.comb(52 * decks, seen)
+
+    @pytest.mark.parametrize("decks, seen, n", [
+        *[(1, seen, n) for seen in (0, 1, 4) for n in (1, 2, 3, 47)],
+        (1, 26, 1), (1, 26, 25), (1, 50, 1),
+        (2, 52, 1), (2, 52, 51), (2, 78, 3), (2, 100, 3),
+    ])
+    def test_equals_the_cut_census_average(self, decks, seen, n):
+        systems = builtin_systems() if decks == 1 and seen <= 4 else [get_system("hi-lo")]
+        for system in systems:
+            want = self.cut_census_average(system, decks, seen, n)
+            got = exact._increment_variance(system.sigma0_squared(), 52 * decks, seen, n)
+            assert got == want, (system.name, decks, seen, n)
 
 
 class TestPredictedSeatSigma:
