@@ -16,10 +16,10 @@ from typing import Callable
 
 from .counting import (
     builtin_systems,
-    check_decks,
     get_system,
     parse_composition,
     parse_system_file,
+    whole_number,
 )
 from .errors import (
     BadRangeError,
@@ -106,7 +106,7 @@ def cmd_sigma_table(
     hand_mean: float | None = None,
 ) -> ReportTable:
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
-    check_decks(decks)
+    decks = whole_number(decks, "decks", 1)
     if 52 * decks > sys.float_info.max:
         raise BadRangeError(f"need a shoe within the float range, got {decks} decks")
     if not 0 < penetration < 1:

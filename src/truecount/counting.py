@@ -44,6 +44,8 @@ def as_weight(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"bad weight {value!r}")
         # Halves are exact in binary, so this is lossless for valid systems.
         return Fraction(value)
     if isinstance(value, str):
@@ -237,8 +239,8 @@ def get_system(name: str) -> CountSystem:
 class WeightComposition:
     """Census of a remaining deck by weight class.
 
-    ``counts`` maps each weight to the number of remaining cards of that
-    class.  The running count follows the reveal convention: revealing a
+    ``counts`` maps each weight to the whole number of remaining cards of
+    that class.  The running count follows the reveal convention: revealing a
     card of weight ``w`` adds ``w`` to the running count, i.e.
     ``R = -sum(w * l_w)``.
     """
@@ -246,9 +248,12 @@ class WeightComposition:
     counts: Mapping[Fraction, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        counts = {}
         for w, l in self.counts.items():
             if l < 0:
                 raise EmptyClassError(f"negative count {l} for weight {w}")
+            counts[w] = whole_number(l, "count", 0)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -288,15 +293,23 @@ class WeightComposition:
 
 def composition(counts: Mapping[object, int]) -> WeightComposition:
     """Build a composition from a plain weight -> count mapping."""
-    return WeightComposition({as_weight(w): int(l) for w, l in counts.items()})
+    return WeightComposition({as_weight(w): l for w, l in counts.items()})
 
 
-def check_decks(decks: int) -> None:
-    """Raise :class:`BadRangeError` unless a shoe has a whole number of decks, at least one."""
-    if not isinstance(decks, numbers.Integral):
-        raise BadRangeError(f"decks must be a whole number, got {decks!r}")
-    if decks < 1:
-        raise BadRangeError(f"decks must be >= 1, got {decks}")
+def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a plain int if it is a ``numbers.Integral`` in ``[lo, hi)``,
+    else :class:`BadRangeError`: the one rule for every count the package
+    takes, so ``10.0`` is refused and no numpy integer reaches a report."""
+    if type(value) is not int:  # the ABC check below costs ten times as much
+        if not isinstance(value, numbers.Integral):
+            raise BadRangeError(f"{name} must be a whole number, got {value!r}")
+        value = int(value)
+    if value < lo or (hi is not None and value >= hi):
+        # A power of two past 2**32, such as the seed range, reads as 2**k.
+        top = f"2**{hi.bit_length() - 1}" if hi and hi > 2**32 and not hi & (hi - 1) else hi
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {top})"
+        raise BadRangeError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 #: A shoe must hold fewer cards than this: numpy's multivariate
@@ -305,21 +318,21 @@ def check_decks(decks: int) -> None:
 MAX_SHOE_CARDS = 10**9
 
 
-def _cut_index(decks: int, penetration: float) -> int:
-    """Cards dealt before the cut, once the shoe and the penetration are checked.
+def _shoe_cut(decks: int, penetration: float) -> tuple[int, int]:
+    """The decks of a shoe as an int and the cards dealt before its cut.
 
     The simulators and the exact predictors all take their cut here, so
     they refuse the same shoes: a whole number of decks, at least one, of
     fewer than ``MAX_SHOE_CARDS`` cards.
     """
-    check_decks(decks)
+    decks = whole_number(decks, "decks", 1)
     if 52 * decks >= MAX_SHOE_CARDS:
         raise BadRangeError(
             f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
         )
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
-    return round(52 * decks * penetration)
+    return decks, round(52 * decks * penetration)
 
 
 def parse_composition(spec: str) -> WeightComposition:

@@ -29,7 +29,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .counting import (
-    CountSystem, WeightComposition, _cut_index, as_weight, float_sqrt, scaled_classes,
+    CountSystem, WeightComposition, _shoe_cut, as_weight, float_sqrt, scaled_classes,
+    whole_number,
 )
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
 from .seats import SeatCardModel
@@ -185,9 +186,7 @@ def _law_sums(comp: WeightComposition, scaled) -> list[tuple[int, int, int]]:
 
 def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     """Exact law of the true count after removing ``n`` unseen cards."""
-    N = comp.total
-    if not 1 <= n < N:
-        raise BadRangeError(f"need 1 <= n < N, got n={n}, N={N}")
+    n = whole_number(n, "n", 1, comp.total)
     return _laws(comp, _scaled(comp), n, n)[0]
 
 
@@ -213,8 +212,7 @@ def _closed_form_terms(comp: WeightComposition, scaled) -> tuple[int, int, int]:
 def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
     """Closed-form std of the true count after ``n`` removals."""
     N = comp.total
-    if N < 2 or not 1 <= n < N:
-        raise BadRangeError(f"need N >= 2 and 1 <= n < N, got n={n}, N={N}")
+    n = whole_number(n, "n", 1, N)
     scale, _, spread = _closed_form_terms(comp, _scaled(comp))
     squared = Fraction(n * spread, (N - n) * scale**2 * N**2 * (N - 1))
     return SigmaResult(float_sqrt(squared, f"sigma_{n}"), squared)
@@ -222,8 +220,9 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
 
 def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
     """Approximation sqrt(n) * Sigma0 / N; accepts non-integer average n."""
-    if n < 0 or (n and n >= N):
-        raise BadRangeError(f"need 0 <= n < N, got n={n}, N={N}")
+    # NaN fails every comparison, so it is refused with the rest.
+    if not 0 <= n < N < math.inf:
+        raise BadRangeError(f"need 0 <= n < N < inf, got n={n}, N={N}")
     return math.sqrt(n) * system.sigma0() / N
 
 
@@ -255,12 +254,11 @@ def predicted_increment_std(
 
     It is the target the tc-increment simulator converges to.
     """
-    if not (float(n).is_integer() and n >= 0):
-        raise BadRangeError(f"n must be a whole number of cards, got {n}")
+    n = whole_number(n, "n", 0)
     system.sigma0()  # in the float range; no increment variance exceeds its square
     s0_sq = system.sigma0_squared()
-    cut = _cut_index(decks, penetration)
-    return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, int(n)))
+    decks, cut = _shoe_cut(decks, penetration)
+    return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, n))
 
 
 def _convolve(law: Sequence[tuple[int, float]], k: int) -> dict[int, float]:
@@ -287,8 +285,8 @@ def predicted_seat_sigma(
     cards of the seats ahead, n_play = the extra cards of this seat and
     those behind it.  It is the target the seat-sigma simulator converges to.
     """
+    decks, cut = _shoe_cut(decks, penetration)
     n0 = 52 * decks
-    cut = _cut_index(decks, penetration)
     system.sigma0()  # in the float range; no increment variance exceeds its square
     s0_sq = system.sigma0_squared()
     ahead = _convolve(model.extra_cards_law, model.position - 1)
@@ -414,8 +412,7 @@ def _check_removal(
 ) -> IdentityReport:
     """Lemma 3-4's identity and range rule, of which lemmas 1 and 2 are the k = 1 cases."""
     N, p, q = comp.total, len(prefix), len(vs) - 1
-    if k < 1:
-        raise BadRangeError(f"need k >= 1, got {k}")
+    k = whole_number(k, "k", 1)
     if not vs or p + k + q > N - 1:
         raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
     counts, slots = _layout(comp, prefix, vs)
@@ -458,8 +455,10 @@ def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:
     """
     R = as_weight(R)
     ws = [as_weight(w) for w in ws]
-    if not 1 <= n < N or len(ws) != n:
-        raise BadRangeError(f"need 1 <= n < N and len(ws) == n, got n={n}, N={N}")
+    N = whole_number(N, "N", 2)
+    n = whole_number(n, "n", 1, N)
+    if len(ws) != n:
+        raise BadRangeError(f"need len(ws) == n, got {len(ws)} weights for n={n}")
     D = math.lcm(R.denominator, *(w.denominator for w in ws))
     r = R.numerator * (D // R.denominator)
     s = [w.numerator * (D // w.denominator) for w in ws]

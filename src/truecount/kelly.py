@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .counting import whole_number
 from .errors import BadRangeError, ConvergenceError
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -29,13 +30,14 @@ class GrowthStats:
     variance: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise BadRangeError(f"need finite moments, got {self.mean} and {self.variance}")
         if self.variance < 0:
             raise BadRangeError(f"negative variance {self.variance}")
 
     def std(self, n: int = 1) -> float:
         """Std of G_n; variance scales as 1/n for independent rounds."""
-        if n < 1:
-            raise BadRangeError(f"need n >= 1 rounds, got {n}")
+        n = whole_number(n, "n rounds", 1)
         if n > sys.float_info.max:
             raise BadRangeError(f"need n rounds within the float range, got {n}")
         return math.sqrt(self.variance / n)

@@ -8,9 +8,9 @@ closed-form card counts, the full law matters to the simulator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
+from .counting import whole_number
 from .errors import BadRangeError
 
 #: Default extra-cards law with mean 0.6, i.e. 2.6 cards per hand.
@@ -39,23 +39,17 @@ class SeatCardModel:
     extra_cards_law: tuple[tuple[int, float], ...] = field(default=DEFAULT_EXTRA_LAW)
 
     def __post_init__(self):
-        if not isinstance(self.seats, numbers.Integral):
-            raise BadRangeError(f"seats must be a whole number, got {self.seats!r}")
-        if not isinstance(self.position, numbers.Integral):
-            raise BadRangeError(f"position must be a whole number, got {self.position!r}")
-        if not 1 <= self.seats <= 7:
-            raise BadRangeError(f"seats must be in 1..7, got {self.seats}")
-        if not 1 <= self.position <= self.seats:
-            raise BadRangeError(
-                f"position must be in 1..{self.seats}, got {self.position}"
-            )
+        seats = whole_number(self.seats, "seats", 1, 8)
+        position = whole_number(self.position, "position", 1, seats + 1)
+        object.__setattr__(self, "seats", seats)
+        object.__setattr__(self, "position", position)
         probs = [p for _, p in self.extra_cards_law]
         # A NaN probability fails 0 <= p, as it fails every comparison.
         if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise BadRangeError(f"bad extra-cards law {self.extra_cards_law}")
-        cards = [h for h, _ in self.extra_cards_law]
-        if not all(isinstance(h, numbers.Integral) and h >= 0 for h in cards):
-            raise BadRangeError("extra card counts must be non-negative integers")
+        object.__setattr__(self, "extra_cards_law", tuple(
+            (whole_number(h, "extra card count", 0), p) for h, p in self.extra_cards_law
+        ))
 
     @classmethod
     def with_hand_mean(cls, seats: int, position: int, mean_cards_per_hand: float):

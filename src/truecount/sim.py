@@ -28,14 +28,13 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import counting, kernels
-from .counting import CountSystem
+from .counting import CountSystem, whole_number
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import FuzzyAdvantage, kelly_fraction
 from .seats import SeatCardModel
@@ -50,23 +49,17 @@ STREAM_VERSION = 2
 
 def trial_rng(master_seed: int, chunk: int) -> np.random.Generator:
     """Counter-split Philox stream for one chunk of :data:`CHUNK` trials."""
-    if not 0 <= master_seed < 2**128:
-        raise BadRangeError(f"seed must be in [0, 2**128), got {master_seed}")
-    return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=chunk * 2**128)
-    )
+    key = whole_number(master_seed, "seed", 0, 2**128)
+    counter = whole_number(chunk, "chunk", 0, 2**128) * 2**128
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _by_chunk(seed: int, trials: int, draw) -> list[np.ndarray]:
     """Join the arrays of ``draw(stream, size)`` over a run's chunks.
 
     Each array holds its trials on its last axis, and the chunks are joined
-    along it; a run of one chunk returns its arrays as drawn.  Every run
-    draws through here, so here is its floor of 2 trials, the fewest that
-    give a standard deviation.
+    along it; a run of one chunk returns its arrays as drawn.
     """
-    if trials < 2:
-        raise BadRangeError(f"trials must be >= 2 for a std, got {trials}")
     parts = [
         draw(trial_rng(seed, c), min(CHUNK, trials - start))
         for c, start in enumerate(range(0, trials, CHUNK))
@@ -85,13 +78,18 @@ class StatRow:
 
 @dataclass
 class SimulationReport:
-    """Empirical statistics of one simulation run."""
+    """Empirical statistics of one simulation run, of 2 trials (the fewest that
+    give a std) to 2**63 - 1 (numpy's longest array)."""
 
     kind: str
     seed: int
     trials: int
     config: dict
     stats: dict[str, StatRow] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.trials = whole_number(self.trials, "trials", 2, 2**63)
+        self.seed = whole_number(self.seed, "seed", 0, 2**128)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +193,7 @@ def _shoe_run(
     ``config``; ``true_counts(*ns)``, each trial's true count (deck units)
     after each n of ``ns`` tail cards; and the draws of ``extra``, if any.
     """
-    cut = counting._cut_index(decks, penetration)
+    decks, cut = counting._shoe_cut(decks, penetration)
     weights, counts, scale = _shoe_classes(system, decks)
     remaining = int(counts.sum()) - cut
     # The true count after the last tail card needs one card unseen.
@@ -204,12 +202,15 @@ def _shoe_run(
             f"{tail_len} cards past the cut must leave one unseen, but {remaining} remain"
         )
 
+    shoe = {"system": system.name, "decks": decks, "penetration": penetration}
+    report = SimulationReport(kind, seed, trials, {**shoe, **config})
+
     def draw(rng, size):
         shoe = _draw_cut_and_tail(rng, size, weights, counts, cut, tail_len)
         return shoe + ((extra(rng, size),) if extra else ())
 
-    r_cut, change, *drawn = _by_chunk(seed, trials, draw)
-    rows = np.arange(trials)
+    r_cut, change, *drawn = _by_chunk(report.seed, report.trials, draw)
+    rows = np.arange(report.trials)
 
     def true_counts(*ns):
         return [
@@ -218,8 +219,7 @@ def _shoe_run(
             for n in ns
         ]
 
-    shoe = {"system": system.name, "decks": decks, "penetration": penetration}
-    return SimulationReport(kind, seed, trials, {**shoe, **config}), true_counts, *drawn
+    return report, true_counts, *drawn
 
 
 def simulate_tc_increment(
@@ -236,9 +236,9 @@ def simulate_tc_increment(
     ``n`` more cards; the report carries one statistic per requested ``n``
     (deck units).
     """
-    n_cards = sorted(set(int(n) for n in n_cards))
-    if not n_cards or n_cards[0] < 1:
-        raise BadRangeError(f"n_cards must be positive integers, got {n_cards}")
+    n_cards = sorted({whole_number(n, "n_cards", 1) for n in n_cards})
+    if not n_cards:
+        raise BadRangeError("n_cards must list at least one count")
     report, true_counts = _shoe_run(
         "tc-increment", system, decks, penetration, n_cards[-1], trials, seed,
         {"n_cards": n_cards},
@@ -349,10 +349,7 @@ def simulate_bankroll(
     """
     # A whole number of hands: numpy's binomial sampler would truncate
     # 10.5 hands to 10, and it takes a count below 2**63.
-    if not isinstance(n_hands, numbers.Integral):
-        raise BadRangeError(f"n_hands must be a whole number, got {n_hands!r}")
-    if not 1 <= n_hands < 2**63:
-        raise BadRangeError(f"need 1 <= n_hands < 2**63, got {n_hands}")
+    n_hands = whole_number(n_hands, "n_hands", 1, 2**63)
     if not isinstance(adv_model, (FixedAdvantageModel, TwoPointAdvantageModel)):
         raise BadRangeError(f"unsupported advantage model {adv_model!r}")
     states = adv_model.states
@@ -369,12 +366,12 @@ def simulate_bankroll(
             growth = growth + wins * up + (h - wins) * down
         return (growth / n_hands,)
 
-    (growth,) = _by_chunk(seed, trials, draw)
     report = SimulationReport(
         kind="bankroll",
         seed=seed,
         trials=trials,
         config={"model": adv_model.name, **asdict(adv_model), "n_hands": n_hands},
     )
+    (growth,) = _by_chunk(report.seed, report.trials, draw)
     report.stats["growth_rate"] = _stat_row(growth, "growth_rate")
     return report

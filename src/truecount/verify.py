@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .counting import WeightComposition
+from .counting import WeightComposition, whole_number
 from .errors import BadRangeError
 from .exact import (
     _censuses,
@@ -186,10 +186,9 @@ def verify_lemmas(
     An ``exhaustive_n`` below 2, which would leave the exhaustive block
     empty, raises ``BadRangeError``.
     """
-    if exhaustive_n < 2:
-        raise BadRangeError(f"need exhaustive_n >= 2, got {exhaustive_n}")
-    if random_instances < 0:
-        raise BadRangeError(f"need random_instances >= 0, got {random_instances}")
+    seed = whole_number(seed, "seed", 0)
+    exhaustive_n = whole_number(exhaustive_n, "exhaustive_n", 2)
+    random_instances = whole_number(random_instances, "random_instances", 0)
     result = VerificationResult("lemmas")
 
     def describe(report, comp, **context) -> str:
@@ -318,12 +317,10 @@ def verify_theorem(
     weight sets, or a call with no exhaustive limit and no sampled
     composition raises ``BadRangeError``.
     """
-    if samples_per_total < 0:
-        raise BadRangeError(f"need samples_per_total >= 0, got {samples_per_total}")
-    if any(total < 2 for total in sampled_totals):
-        raise BadRangeError(f"need sampled totals >= 2, got {sampled_totals}")
-    if any(limit < 2 for limit in exhaustive_limits):
-        raise BadRangeError(f"need exhaustive limits >= 2, got {exhaustive_limits}")
+    seed = whole_number(seed, "seed", 0)
+    samples_per_total = whole_number(samples_per_total, "samples_per_total", 0)
+    sampled_totals = tuple(whole_number(t, "sampled total", 2) for t in sampled_totals)
+    exhaustive_limits = tuple(whole_number(m, "exhaustive limit", 2) for m in exhaustive_limits)
     if len(exhaustive_limits) > len(WEIGHT_SETS):
         raise BadRangeError(
             f"need at most {len(WEIGHT_SETS)} exhaustive limits, one per weight set, "

@@ -508,7 +508,7 @@ class TestSimulateCommand:
                 "--format", fmt,
             )
             assert (code, out) == (2, "")
-            assert err == f"error: trials must be >= 2 for a std, got {trials}\n"
+            assert err == f"error: trials must be in [2, 2**63), got {trials}\n"
 
     def test_system_file(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"

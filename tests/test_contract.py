@@ -1,0 +1,142 @@
+"""The input contract, for counts: every count argument takes a whole number only.
+
+Each case calls one function with valid, small arguments, but for one count
+argument, which is drawn from ``VALUES``.  The call must give a finite
+result, or a report whose JSON renders, or raise a ``TrueCountError``; a
+value that is not a ``numbers.Integral`` is never accepted, and a
+``numpy.int64`` gives exactly what the equal Python int gives.
+"""
+import math
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import truecount as tc
+from truecount import exact
+
+HI_LO = tc.get_system("hi-lo")
+SMALL = tc.composition({1: 3, -1: 2, 0: 1})
+FIXED = tc.FixedAdvantageModel(0.52)
+
+#: "valid" stands for the case's valid count and "int64" for it as numpy.int64.
+VALUES = ("valid", "int64", 1.5, 2.0, math.nan, math.inf, -math.inf, -1, 10**400)
+
+
+class Case(NamedTuple):
+    call: Callable
+    valid: int
+    #: A whole count sizes the work: 10**400 asks for a sweep without end.
+    sizes_work: bool = False
+
+
+CASES = {
+    "composition count": Case(lambda v: tc.composition({1: v, -1: 2}), 2),
+    "WeightComposition count": Case(
+        lambda v: tc.WeightComposition({Fraction(1): v, Fraction(-1): 2}), 2),
+    "tc_distribution n": Case(lambda v: tc.tc_distribution(SMALL, v), 2),
+    "sigma_n_exact n": Case(lambda v: tc.sigma_n_exact(SMALL, v), 2),
+    "predicted_increment_std decks": Case(
+        lambda v: tc.predicted_increment_std(HI_LO, v, 0.5, 3), 1),
+    "predicted_increment_std n": Case(
+        lambda v: tc.predicted_increment_std(HI_LO, 1, 0.5, v), 3),
+    "predicted_seat_sigma decks": Case(
+        lambda v: tc.predicted_seat_sigma(HI_LO, v, 0.5, tc.SeatCardModel(3, 2)), 1),
+    "SeatCardModel seats": Case(lambda v: tc.SeatCardModel(v, 1), 3),
+    "SeatCardModel position": Case(lambda v: tc.SeatCardModel(3, v), 2),
+    "SeatCardModel extra cards": Case(
+        lambda v: tc.SeatCardModel(3, 2, ((0, 0.5), (v, 0.5))), 1),
+    "with_hand_mean seats": Case(lambda v: tc.SeatCardModel.with_hand_mean(v, 1, 2.6), 3),
+    "with_hand_mean position": Case(
+        lambda v: tc.SeatCardModel.with_hand_mean(3, v, 2.6), 2),
+    "simulate_tc_increment decks": Case(
+        lambda v: tc.simulate_tc_increment(HI_LO, v, 0.5, [1, 3], 4, 5), 1),
+    "simulate_tc_increment n_cards": Case(
+        lambda v: tc.simulate_tc_increment(HI_LO, 1, 0.5, [1, v], 4, 5), 3),
+    "simulate_tc_increment trials": Case(
+        lambda v: tc.simulate_tc_increment(HI_LO, 1, 0.5, [1, 3], v, 5), 4),
+    "simulate_tc_increment seed": Case(
+        lambda v: tc.simulate_tc_increment(HI_LO, 1, 0.5, [1, 3], 4, v), 5),
+    "simulate_seat_sigma decks": Case(
+        lambda v: tc.simulate_seat_sigma(HI_LO, v, 0.5, tc.SeatCardModel(3, 2), 4, 5), 1),
+    "simulate_seat_sigma trials": Case(
+        lambda v: tc.simulate_seat_sigma(HI_LO, 1, 0.5, tc.SeatCardModel(3, 2), v, 5), 4),
+    "simulate_seat_sigma seed": Case(
+        lambda v: tc.simulate_seat_sigma(HI_LO, 1, 0.5, tc.SeatCardModel(3, 2), 4, v), 5),
+    "simulate_bankroll n_hands": Case(lambda v: tc.simulate_bankroll(FIXED, v, 4, 5), 10),
+    "simulate_bankroll trials": Case(lambda v: tc.simulate_bankroll(FIXED, 10, v, 5), 4),
+    "simulate_bankroll seed": Case(lambda v: tc.simulate_bankroll(FIXED, 10, 4, v), 5),
+    "trial_rng seed": Case(lambda v: tc.trial_rng(v, 1), 5),
+    "trial_rng chunk": Case(lambda v: tc.trial_rng(5, v), 1),
+    "GrowthStats.std n": Case(lambda v: tc.GrowthStats(0.01, 0.02).std(v), 100),
+    "verify_lemmas seed": Case(
+        lambda v: tc.verify_lemmas(seed=v, exhaustive_n=2, random_instances=1), 3),
+    "verify_lemmas exhaustive_n": Case(
+        lambda v: tc.verify_lemmas(exhaustive_n=v, random_instances=0), 2, True),
+    "verify_lemmas random_instances": Case(
+        lambda v: tc.verify_lemmas(exhaustive_n=2, random_instances=v), 1, True),
+    "verify_theorem seed": Case(
+        lambda v: tc.verify_theorem(seed=v, exhaustive_limits=(), sampled_totals=(4,),
+                                    samples_per_total=1), 3),
+    "verify_theorem exhaustive limit": Case(
+        lambda v: tc.verify_theorem(exhaustive_limits=(3, v), sampled_totals=()), 3, True),
+    "verify_theorem sampled total": Case(
+        lambda v: tc.verify_theorem(exhaustive_limits=(), sampled_totals=(4, v),
+                                    samples_per_total=1), 4, True),
+    "verify_theorem samples_per_total": Case(
+        lambda v: tc.verify_theorem(exhaustive_limits=(), sampled_totals=(4,),
+                                    samples_per_total=v), 1, True),
+    "check_lemma34 k": Case(lambda v: exact.check_lemma34(SMALL, [], v, [1]), 2),
+    "check_lemma6 N": Case(lambda v: exact.check_lemma6(0, v, 2, [1, -1]), 4),
+    "check_lemma6 n": Case(lambda v: exact.check_lemma6(0, 4, v, [1, -1]), 2),
+}
+
+
+def outcome(result) -> object:
+    """A comparable form of a result, checking on the way that it is finite."""
+    if isinstance(result, tc.SimulationReport):
+        assert type(result.seed) is int and type(result.trials) is int
+        stats = [(row.mean, row.std, row.stderr) for row in result.stats.values()]
+        assert all(math.isfinite(x) for row in stats for x in row)
+        return result.to_json()
+    if isinstance(result, exact.IdentityReport):
+        assert all(type(x) is int for x in result[1:])
+        return result
+    if isinstance(result, (float, tuple)):  # a float, a SigmaResult or a pair of floats
+        values = [result] if isinstance(result, float) else list(result)
+        assert all(math.isfinite(x) for x in values)
+        return tuple(float(x).hex() for x in values)
+    if isinstance(result, tc.WeightComposition):
+        assert all(type(l) is int for l in result.counts.values())
+        return repr(result)
+    if isinstance(result, tc.SeatCardModel):
+        counts = [result.seats, result.position, *(h for h, _ in result.extra_cards_law)]
+        assert all(type(c) is int for c in counts)
+        return repr(result)
+    if isinstance(result, tc.TrueCountDistribution):
+        return result.atoms
+    if isinstance(result, np.random.Generator):
+        return result.random(3).tolist()
+    assert isinstance(result, tc.verify.VerificationResult), type(result)
+    return result.summary()
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+@settings(max_examples=len(VALUES), derandomize=True, database=None, deadline=None)
+@given(value=st.sampled_from(VALUES))
+def test_counts_are_whole_numbers(case, value):
+    assume(not (case.sizes_work and value == 10**400))
+    if value == "valid":
+        outcome(case.call(case.valid))  # the valid core runs
+        return
+    if value == "int64":
+        assert outcome(case.call(np.int64(case.valid))) == outcome(case.call(case.valid))
+        return
+    try:
+        result = case.call(value)
+    except tc.TrueCountError:
+        return
+    assert isinstance(value, int), f"accepted {value!r}"
+    outcome(result)

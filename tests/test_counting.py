@@ -1,4 +1,5 @@
 """Count systems, compositions, parsing, and their error paths."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,14 @@ class TestParsing:
             as_weight("abc")
         with pytest.raises(ParseError):
             as_weight(object())
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, "nan", "inf"])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ParseError, match="bad weight"):
+            composition({w: 2})
+        weights = {"A": w, **{r: 0 for r in "23456789"}, "T": 0}
+        with pytest.raises(ParseError, match="bad weight"):
+            make_count_system("custom", weights)
 
     def test_parse_system_file(self):
         text = """

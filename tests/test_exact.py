@@ -5,6 +5,7 @@ The oracle enumerates every ``n``-subset of the physical cards with
 rationals — no shared code with the distribution under test.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,13 @@ class TestApproximations:
             sigma_n_approx(10, 10, hi_lo)
         with pytest.raises(BadRangeError):
             sigma_n_approx(1, 1, hi_lo)
+
+    @pytest.mark.parametrize("N, n", [
+        (math.nan, 3), (100, math.nan), (math.inf, 3), (math.inf, math.inf), (0, 0),
+    ])
+    def test_non_finite_or_empty_deck_rejected(self, hi_lo, N, n):
+        with pytest.raises(BadRangeError, match="need 0 <= n < N < inf"):
+            sigma_n_approx(N, n, hi_lo)
 
 
 SMALL_COUNTS = st.dictionaries(

@@ -90,6 +90,13 @@ class TestGrowthStats:
         with pytest.raises(BadRangeError):
             GrowthStats(0.0, -1.0)
 
+    @pytest.mark.parametrize("mean, variance", [
+        (0.0, math.nan), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+    ])
+    def test_non_finite_moments_rejected(self, mean, variance):
+        with pytest.raises(BadRangeError, match="need finite moments"):
+            GrowthStats(mean, variance)
+
 
 class TestOptimality:
     def test_argmax_matches_closed_form(self):

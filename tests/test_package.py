@@ -1,10 +1,12 @@
 """The package's public surface."""
+from pathlib import Path
+
 import truecount
 from truecount import cli, counting, exact, kelly, seats, sim, verify
 
 #: Helpers that restated another function, by the module that held them.
 REMOVED = {
-    counting: ("fresh_shoe", "format_composition", "format_weight"),
+    counting: ("fresh_shoe", "format_composition", "format_weight", "check_decks"),
     exact: ("sigma1_exact", "sigma1_approx"),
     kelly: (
         "advantage_variance", "OptimalityReport", "optimality_reports",
@@ -38,4 +40,11 @@ def test_sim_samples_and_exact_predicts():
         assert not hasattr(sim, name), name
     assert truecount.predicted_seat_sigma is exact.predicted_seat_sigma
     assert truecount.predicted_increment_std is exact.predicted_increment_std
-    assert exact._cut_index is counting._cut_index
+    assert exact._shoe_cut is counting._shoe_cut
+
+
+def test_one_whole_number_rule():
+    """Only ``counting``, which holds ``whole_number``, asks for ``numbers.Integral``."""
+    src = Path(truecount.__file__).parent
+    holders = sorted(p.name for p in src.glob("*.py") if "numbers.Integral" in p.read_text())
+    assert holders == ["counting.py"]

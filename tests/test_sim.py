@@ -481,7 +481,7 @@ class TestSeatSigma:
             lambda: simulate_tc_increment(hi_lo, 8, 0.5, [1], 1, 0),
             lambda: simulate_bankroll(FixedAdvantageModel(0.52), 100, 1, 3),
         ):
-            with pytest.raises(BadRangeError, match="trials must be >= 2 for a std"):
+            with pytest.raises(BadRangeError, match=r"trials must be in \[2, 2\*\*63\)"):
                 run()
 
 
@@ -680,7 +680,9 @@ class TestPredictedIncrementStd:
         for n in (10.9, -1, math.nan):
             with pytest.raises(BadRangeError):
                 predicted_increment_std(hi_lo, 8, 0.5, n)
-        assert predicted_increment_std(hi_lo, 8, 0.5, 10.0) == predicted_increment_std(
+        with pytest.raises(BadRangeError, match="n must be a whole number, got 10.0"):
+            predicted_increment_std(hi_lo, 8, 0.5, 10.0)
+        assert predicted_increment_std(hi_lo, 8, 0.5, np.int64(10)) == predicted_increment_std(
             hi_lo, 8, 0.5, 10
         )
 
