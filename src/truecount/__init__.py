@@ -37,7 +37,6 @@ from .exact import (
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
-    tc_distributions,
 )
 from .kelly import (
     FuzzyAdvantage,
@@ -105,7 +104,6 @@ __all__ = [
     "simulate_seat_sigma",
     "simulate_tc_increment",
     "tc_distribution",
-    "tc_distributions",
     "trial_rng",
     "verify_kelly",
     "verify_lemmas",

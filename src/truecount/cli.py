@@ -19,6 +19,7 @@ from .counting import (
     get_system,
     parse_composition,
     parse_system_file,
+    shown,
     whole_number,
 )
 from .errors import (
@@ -108,7 +109,7 @@ def cmd_sigma_table(
     """Bet- and play-moment true-count dispersion by seat (deck units)."""
     decks = whole_number(decks, "decks", 1)
     if 52 * decks > sys.float_info.max:
-        raise BadRangeError(f"need a shoe within the float range, got {decks} decks")
+        raise BadRangeError(f"need a shoe within the float range, got {shown(decks)} decks")
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
     remaining = 52 * decks * (1 - penetration)
@@ -122,7 +123,7 @@ def cmd_sigma_table(
             if n >= remaining:
                 raise BadRangeError(
                     f"position {pos} sees {n:g} cards between its {moments} moments, "
-                    f"but a {decks}-deck shoe at {penetration:.1%} penetration leaves "
+                    f"but a {shown(decks)}-deck shoe at {penetration:.1%} penetration leaves "
                     f"{remaining:.4g} (hand mean {model.mean_cards_per_hand})"
                 )
         cells_bet.append(52 * sigma_n_approx(remaining, n_bet, system))

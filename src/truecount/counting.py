@@ -148,8 +148,6 @@ def make_count_system(name: str, weights_by_rank: Mapping[str, object]) -> Count
         raise InvalidMultiplicityError(
             f"expected ranks {MERGED_RANKS} or {FULL_RANKS}, got {sorted(ranks)}"
         )
-    if sum(mult.values()) != 52:
-        raise InvalidMultiplicityError("rank multiplicities must sum to 52")
     for rank, w in weights.items():
         if (2 * w).denominator != 1:
             raise ParseError(f"weight for rank {rank} is not a half-integer: {w}")
@@ -251,9 +249,13 @@ class WeightComposition:
         counts = {}
         for w, l in self.counts.items():
             if l < 0:
-                raise EmptyClassError(f"negative count {l} for weight {w}")
+                raise EmptyClassError(f"negative count {shown(l)} for weight {w}")
             counts[w] = whole_number(l, "count", 0)
         object.__setattr__(self, "counts", counts)
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{w!r}: {shown(l)}" for w, l in self.counts.items())
+        return f"WeightComposition(counts={{{counts}}})"
 
     @property
     def total(self) -> int:
@@ -296,6 +298,20 @@ def composition(counts: Mapping[object, int]) -> WeightComposition:
     return WeightComposition({as_weight(w): l for w, l in counts.items()})
 
 
+def shown(count) -> str:
+    """``count`` as error texts and a composition's repr print it, the one
+    rule for every count: a power of two past 2**32, such as the seed range,
+    as 2**k, and an int past 10**100 (``str`` refuses one of more than 4,300
+    digits) by its nearest power of ten."""
+    if type(count) is not int:
+        return str(count)
+    if count > 2**32 and not count & (count - 1):
+        return f"2**{count.bit_length() - 1}"
+    if abs(count) < 10**100:
+        return str(count)
+    return f"about {'-' * (count < 0)}10**{round(math.log10(abs(count)))}"
+
+
 def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
     """``value`` as a plain int if it is a ``numbers.Integral`` in ``[lo, hi)``,
     else :class:`BadRangeError`: the one rule for every count the package
@@ -305,10 +321,8 @@ def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
             raise BadRangeError(f"{name} must be a whole number, got {value!r}")
         value = int(value)
     if value < lo or (hi is not None and value >= hi):
-        # A power of two past 2**32, such as the seed range, reads as 2**k.
-        top = f"2**{hi.bit_length() - 1}" if hi and hi > 2**32 and not hi & (hi - 1) else hi
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {top})"
-        raise BadRangeError(f"{name} must be {bound}, got {value}")
+        bound = f">= {shown(lo)}" if hi is None else f"in [{shown(lo)}, {shown(hi)})"
+        raise BadRangeError(f"{name} must be {bound}, got {shown(value)}")
     return value
 
 
@@ -328,7 +342,7 @@ def _shoe_cut(decks: int, penetration: float) -> tuple[int, int]:
     decks = whole_number(decks, "decks", 1)
     if 52 * decks >= MAX_SHOE_CARDS:
         raise BadRangeError(
-            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {decks} decks"
+            f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {shown(decks)} decks"
         )
     if not 0 < penetration < 1:
         raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")

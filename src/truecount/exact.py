@@ -1,18 +1,18 @@
 """Exact distribution of the true count after n removals.
 
 The distribution is materialized over removal censuses (how many cards of
-each weight class were removed) instead of ordered removal sequences.  One
-census DP per composition counts, for every n up to N/2, the n-card subsets
-by the running count their removal leaves; the law past N/2 is the mirror
-of the law at N - n, since removing the other N - n cards leaves
-scale * R - x where removing the n leaves x.  A law is held as those
-integer multiplicities over the common denominator C(N, n) * scale * (N - n),
-and its moments come from the integer power sums (S0, S1, S2) of x, which
-``_power_sums`` takes in one pass over a DP row.  The mirror x -> start - x
-maps power sums by arithmetic alone (``_mirrored``), so the moment sweep
-reads each row once and builds no law past N/2.  Rationals appear only in
-the results; square roots only when a standard deviation is presented as a
-float.
+each weight class were removed) instead of ordered removal sequences.  A
+census DP counts the n-card subsets by the running count their removal
+leaves, up to n = N/2; the law past N/2 is the mirror of the law at N - n,
+since removing the other N - n cards leaves scale * R - x where removing
+the n leaves x.  ``tc_distribution`` builds the one DP row a law reads.  A
+law is held as those integer multiplicities over the common denominator
+C(N, n) * scale * (N - n), and its moments come from the integer power
+sums (S0, S1, S2) of x, which ``_power_sums`` takes in one pass over a DP
+row.  The mirror x -> start - x maps power sums by arithmetic alone
+(``_mirrored``), so the moment sweep reads each row of one DP to N/2 once
+and builds no law.  Rationals appear only in the results; square roots
+only when a standard deviation is presented as a float.
 
 The finite-shoe predictors average that law's variance over a uniform cut
 in closed form: the std of the true-count change past the cut, and a
@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .counting import (
     CountSystem, WeightComposition, _shoe_cut, as_weight, float_sqrt, scaled_classes,
-    whole_number,
+    shown, whole_number,
 )
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
 from .seats import SeatCardModel
@@ -125,7 +125,7 @@ def _census_layers(
     remaining = sum(counts)
     for w, l in zip(weights, counts):
         remaining -= l
-        binom = [math.comb(l, c) for c in range(l + 1)]
+        binom = [math.comb(l, c) for c in range(min(l, hi) + 1)]
         new: list[dict[int, int]] = [{} for _ in range(hi + 1)]
         for r, sums in enumerate(layers):
             if not sums:
@@ -149,34 +149,12 @@ def _scaled(comp: WeightComposition) -> tuple[tuple[int, ...], tuple[int, ...], 
     return weights, counts, scale, -sum(w * l for w, l in zip(weights, counts))
 
 
-def _laws(comp: WeightComposition, scaled, lo: int, hi: int) -> list[TrueCountDistribution]:
-    """The laws for n = ``lo..hi``, each from the DP row min(n, N - n).
-
-    ``scaled`` is ``_scaled(comp)``.  Removing the other N - n cards of an
-    n-subset leaves the running count start - x if removing the subset
-    leaves x, with start = scale * R, so the law past N/2 is the mirror of
-    the law at N - n.
-    """
-    weights, counts, scale, start = scaled
-    N = comp.total
-    rows = [min(n, N - n) for n in range(lo, hi + 1)]
-    first = min(rows)
-    layers = _census_layers(weights, counts, start, first, max(rows))
-    laws = []
-    for n, m in enumerate(rows, start=lo):
-        ways = layers[m - first]
-        if m != n:
-            ways = {start - x: w for x, w in ways.items()}
-        laws.append(TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp))
-    return laws
-
-
 def _law_sums(comp: WeightComposition, scaled) -> list[tuple[int, int, int]]:
     """The power sums of the laws for n = 1 .. N - 1, from one DP to N/2.
 
     ``scaled`` is ``_scaled(comp)``, and N >= 2.  Each row n <= N/2 is read
     once by ``_power_sums``; the sums past N/2 are those of row N - n
-    mirrored (``_mirrored``), the sums of the laws ``_laws`` gives.
+    mirrored (``_mirrored``), the sums of the laws ``tc_distribution`` gives.
     """
     weights, counts, _, start = scaled
     N = comp.total
@@ -185,37 +163,41 @@ def _law_sums(comp: WeightComposition, scaled) -> list[tuple[int, int, int]]:
 
 
 def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
-    """Exact law of the true count after removing ``n`` unseen cards."""
-    n = whole_number(n, "n", 1, comp.total)
-    return _laws(comp, _scaled(comp), n, n)[0]
+    """Exact law of the true count after removing ``n`` unseen cards.
 
-
-def tc_distributions(comp: WeightComposition) -> list[TrueCountDistribution]:
-    """Exact laws of the true count for every n = 1 .. N-1, from one DP to N/2."""
+    It reads the one DP row m = min(n, N - n), mirrored x -> start - x past N/2.
+    """
     N = comp.total
-    return _laws(comp, _scaled(comp), 1, N - 1) if N >= 2 else []
+    n = whole_number(n, "n", 1, N)
+    weights, counts, scale, start = _scaled(comp)
+    m = min(n, N - n)
+    (ways,) = _census_layers(weights, counts, start, m, m)
+    if m != n:
+        ways = {start - x: w for x, w in ways.items()}
+    return TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
 
 
-def _closed_form_terms(comp: WeightComposition, scaled) -> tuple[int, int, int]:
-    """``(scale, r, spread)`` of the closed-form variance, all integers.
+def _closed_form_terms(comp: WeightComposition, scaled) -> tuple[int, int]:
+    """``(spread, den)`` of the closed-form variance, both integers.
 
     ``scaled`` is ``_scaled(comp)``: the weights scaled to integers over
-    ``scale``, and r = scale * R.  spread = N * sum (scale * w)^2 l_w - r^2,
-    so that the theorem's sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is
-    n * spread / ((N - n) * scale^2 * N^2 * (N - 1)).
+    ``scale``, and r = scale * R.  spread = N * sum (scale * w)^2 l_w - r^2
+    and den = scale^2 * N^2 * (N - 1), so that the theorem's
+    sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is n * spread / ((N - n) * den).
     """
     weights, counts, scale, r = scaled
-    spread = comp.total * sum(w * w * l for w, l in zip(weights, counts)) - r * r
-    return scale, r, spread
+    N = comp.total
+    spread = N * sum(w * w * l for w, l in zip(weights, counts)) - r * r
+    return spread, scale**2 * N**2 * (N - 1)
 
 
 def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
     """Closed-form std of the true count after ``n`` removals."""
     N = comp.total
     n = whole_number(n, "n", 1, N)
-    scale, _, spread = _closed_form_terms(comp, _scaled(comp))
-    squared = Fraction(n * spread, (N - n) * scale**2 * N**2 * (N - 1))
-    return SigmaResult(float_sqrt(squared, f"sigma_{n}"), squared)
+    spread, den = _closed_form_terms(comp, _scaled(comp))
+    squared = Fraction(n * spread, (N - n) * den)
+    return SigmaResult(float_sqrt(squared, f"sigma_{shown(n)}"), squared)
 
 
 def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
@@ -235,7 +217,7 @@ def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction
     """
     remaining = n0 - seen
     if n >= remaining:
-        raise BadRangeError(f"n={n} exceeds the {remaining} cards past the cut")
+        raise BadRangeError(f"n={shown(n)} exceeds the {shown(remaining)} cards past the cut")
     if n == 0:
         return Fraction(0)
     # With M = remaining, var_tc_cut = seen * s0_sq / ((n0 - 1) M) and
@@ -414,7 +396,9 @@ def _check_removal(
     N, p, q = comp.total, len(prefix), len(vs) - 1
     k = whole_number(k, "k", 1)
     if not vs or p + k + q > N - 1:
-        raise BadRangeError(f"need p + k + q <= N - 1, got p={p}, k={k}, q={q}, N={N}")
+        raise BadRangeError(
+            f"need p + k + q <= N - 1, got p={p}, k={shown(k)}, q={q}, N={shown(N)}"
+        )
     counts, slots = _layout(comp, prefix, vs)
     return _removal_identity(name, counts, slots, k, _censuses(counts, k))
 
@@ -458,7 +442,7 @@ def check_lemma6(R, N: int, n: int, ws: Sequence) -> IdentityReport:
     N = whole_number(N, "N", 2)
     n = whole_number(n, "n", 1, N)
     if len(ws) != n:
-        raise BadRangeError(f"need len(ws) == n, got {len(ws)} weights for n={n}")
+        raise BadRangeError(f"need len(ws) == n, got {len(ws)} weights for n={shown(n)}")
     D = math.lcm(R.denominator, *(w.denominator for w in ws))
     r = R.numerator * (D // R.denominator)
     s = [w.numerator * (D // w.denominator) for w in ws]

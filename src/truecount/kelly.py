@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import whole_number
+from .counting import shown, whole_number
 from .errors import BadRangeError, ConvergenceError
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -39,7 +39,7 @@ class GrowthStats:
         """Std of G_n; variance scales as 1/n for independent rounds."""
         n = whole_number(n, "n rounds", 1)
         if n > sys.float_info.max:
-            raise BadRangeError(f"need n rounds within the float range, got {n}")
+            raise BadRangeError(f"need n rounds within the float range, got {shown(n)}")
         return math.sqrt(self.variance / n)
 
 

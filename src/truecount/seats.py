@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .counting import whole_number
+from .counting import MAX_SHOE_CARDS, whole_number
 from .errors import BadRangeError
 
 #: Default extra-cards law with mean 0.6, i.e. 2.6 cards per hand.
@@ -43,13 +43,15 @@ class SeatCardModel:
         position = whole_number(self.position, "position", 1, seats + 1)
         object.__setattr__(self, "seats", seats)
         object.__setattr__(self, "position", position)
+        # A hand takes fewer cards than the largest shoe holds.
+        object.__setattr__(self, "extra_cards_law", tuple(
+            (whole_number(h, "extra card count", 0, MAX_SHOE_CARDS), p)
+            for h, p in self.extra_cards_law
+        ))
         probs = [p for _, p in self.extra_cards_law]
         # A NaN probability fails 0 <= p, as it fails every comparison.
         if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise BadRangeError(f"bad extra-cards law {self.extra_cards_law}")
-        object.__setattr__(self, "extra_cards_law", tuple(
-            (whole_number(h, "extra card count", 0), p) for h, p in self.extra_cards_law
-        ))
 
     @classmethod
     def with_hand_mean(cls, seats: int, position: int, mean_cards_per_hand: float):

@@ -34,7 +34,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import counting, kernels
-from .counting import CountSystem, whole_number
+from .counting import CountSystem, shown, whole_number
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import FuzzyAdvantage, kelly_fraction
 from .seats import SeatCardModel
@@ -199,7 +199,8 @@ def _shoe_run(
     # The true count after the last tail card needs one card unseen.
     if tail_len >= remaining:
         raise ShoeExhaustedError(
-            f"{tail_len} cards past the cut must leave one unseen, but {remaining} remain"
+            f"{shown(tail_len)} cards past the cut must leave one unseen, "
+            f"but {remaining} remain"
         )
 
     shoe = {"system": system.name, "decks": decks, "penetration": penetration}

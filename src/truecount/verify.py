@@ -265,19 +265,18 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     Each law's moments are its integer power sums (``_law_sums``: one pass
     per census row to N/2, the rows past it mirrored by arithmetic) over
     its denominators C(N, n) and scale * (N - n); the mean is
-    r / (scale * N) and the closed-form variance
-    n * spread / ((N - n) scale^2 N^2 (N - 1)), with the integers of
-    ``_closed_form_terms``, which ``sigma_n_exact`` also uses.  The laws
-    and the closed form read one scaling of ``comp`` (``_scaled``), the one
-    ``tc_distributions`` makes.  Sides are compared by cross-multiplication;
-    the failed checks are recorded in bulk with the power sums they
-    compared, and a failure's two sides are built as fractions from those
-    sums only for its detail.
+    r / (scale * N) and the closed-form variance n * spread / ((N - n) den),
+    with the integers of ``_closed_form_terms``, which ``sigma_n_exact``
+    also uses.  The laws and the closed form read one scaling of ``comp``
+    (``_scaled``), the one ``tc_distribution`` makes.  Sides are compared
+    by cross-multiplication; the failed checks are recorded in bulk with
+    the power sums they compared, and a failure's two sides are built as
+    fractions from those sums only for its detail.
     """
     N = comp.total
     scaled = _scaled(comp)
-    scale, r, spread = _closed_form_terms(comp, scaled)
-    closed_den = scale**2 * N**2 * (N - 1)
+    *_, scale, r = scaled
+    spread, den = _closed_form_terms(comp, scaled)
     failed = []
     for n, (s0, s1, s2) in enumerate(_law_sums(comp, scaled), start=1):
         c, d = math.comb(N, n), scale * (N - n)
@@ -285,7 +284,7 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
             failed.append(("probs", n, s0, s1, s2))
         if s1 * scale * N != r * c * d:
             failed.append(("mean", n, s0, s1, s2))
-        if _variance_numerator(s0, s1, s2, c) * (N - n) * closed_den != n * spread * c**3 * d**2:
+        if _variance_numerator(s0, s1, s2, c) * (N - n) * den != n * spread * c**3 * d**2:
             failed.append(("variance", n, s0, s1, s2))
 
     def detail(entry) -> str:
@@ -298,7 +297,7 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
             return f"mean {Fraction(s1, c * d)} != R/N {Fraction(r, scale * N)} {where}"
         return (
             f"variance {Fraction(_variance_numerator(s0, s1, s2, c), c**3 * d * d)} "
-            f"!= closed form {Fraction(n * spread, (N - n) * closed_den)} {where}"
+            f"!= closed form {Fraction(n * spread, (N - n) * den)} {where}"
         )
 
     result.record_all(3 * (N - 1), failed, detail)
@@ -324,7 +323,7 @@ def verify_theorem(
     if len(exhaustive_limits) > len(WEIGHT_SETS):
         raise BadRangeError(
             f"need at most {len(WEIGHT_SETS)} exhaustive limits, one per weight set, "
-            f"got {exhaustive_limits}"
+            f"got {len(exhaustive_limits)}"
         )
     if not exhaustive_limits and not (sampled_totals and samples_per_total):
         raise BadRangeError("need an exhaustive limit or a sampled composition to check")

@@ -19,7 +19,6 @@ from truecount import (
     sigma_n_approx,
     sigma_n_exact,
     tc_distribution,
-    tc_distributions,
 )
 from truecount.verify import WEIGHT_SETS
 
@@ -57,12 +56,6 @@ class TestDistributionAgainstBruteForce:
             dist = tc_distribution(comp, n)
             assert dict(dist.atoms) == brute_force_distribution(counts, n)
 
-    @pytest.mark.parametrize("counts", SMALL_DECKS)
-    def test_all_n_from_one_dp(self, counts):
-        laws = tc_distributions(composition(counts))
-        for n, law in enumerate(laws, start=1):
-            assert dict(law.atoms) == brute_force_distribution(counts, n)
-
     def test_probabilities_sum_to_one(self):
         comp = composition({1: 7, -1: 7, 0: 4})
         for n in (1, 5, 17):
@@ -84,6 +77,22 @@ class TestDistributionAgainstBruteForce:
         with pytest.raises(BadRangeError):
             tc_distribution(comp, 4)
 
+    def test_large_class_builds_only_the_binomials_read(self, monkeypatch):
+        # The DP removes at most min(l, n) cards of a class of l, so one law
+        # of a large class takes C(l, c) for c <= n only.
+        calls = []
+        real = math.comb
+
+        def counted(l, c):
+            calls.append((l, c))
+            return real(l, c)
+
+        monkeypatch.setattr(math, "comb", counted)
+        dist = tc_distribution(composition({1: 2000, -1: 1}), 1)
+        assert dist.probabilities_sum() == 1
+        # min(l, 1) + 1 binomials for each of the two classes, and C(N, 1).
+        assert len(calls) <= 2 + 2 + 1
+
 
 class TestMoments:
     @pytest.mark.parametrize("counts", SMALL_DECKS)
@@ -100,7 +109,8 @@ class TestMoments:
         # The power-sum moments equal the sums over atoms, also for a census
         # whose probabilities do not add up to 1.
         comp = composition({1: 3, -1: 2, Fraction(1, 2): 2})
-        for law in tc_distributions(comp):
+        for n in range(1, comp.total):
+            law = tc_distribution(comp, n)
             ways = dict(law.ways)
             ways[min(ways)] += 2
             bent = TrueCountDistribution(ways, law.scale, law.n, comp)
@@ -198,27 +208,9 @@ def _sweep_decks():
 
 @pytest.mark.parametrize("counts", list(_sweep_decks()))
 def test_every_law_matches_subset_enumeration(counts):
-    # Both sides of N/2, where the laws are mirrored, from one DP and one n at a time.
+    # Both sides of N/2, where the laws are mirrored.
     comp = composition(counts)
-    laws = tc_distributions(comp)
-    assert [law.n for law in laws] == list(range(1, comp.total))
-    for law in laws:
-        want = brute_force_distribution(counts, law.n)
-        assert dict(law.atoms) == want
-        assert dict(tc_distribution(comp, law.n).atoms) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(counts=SMALL_COUNTS)
-def test_all_n_laws_match_single_n(counts):
-    # One DP for every n gives the same laws as the DP restricted to one n.
-    # Both mirror the rows past N/2, so this is a consistency check only;
-    # test_every_law_matches_subset_enumeration holds them to the oracle.
-    comp = composition(counts)
-    laws = tc_distributions(comp)
-    assert [law.n for law in laws] == list(range(1, comp.total))
     for n in range(1, comp.total):
-        single = tc_distribution(comp, n)
-        assert laws[n - 1].atoms == single.atoms
-        assert laws[n - 1].mean() == single.mean()
-        assert laws[n - 1].variance() == single.variance()
+        law = tc_distribution(comp, n)
+        assert law.n == n
+        assert dict(law.atoms) == brute_force_distribution(counts, n)

@@ -4,10 +4,11 @@ from pathlib import Path
 import truecount
 from truecount import cli, counting, exact, kelly, seats, sim, verify
 
-#: Helpers that restated another function, by the module that held them.
+#: Helpers that restated another function or gave a second path to its
+#: result, by the module that held them.
 REMOVED = {
     counting: ("fresh_shoe", "format_composition", "format_weight", "check_decks"),
-    exact: ("sigma1_exact", "sigma1_approx"),
+    exact: ("sigma1_exact", "sigma1_approx", "tc_distributions", "_laws"),
     kelly: (
         "advantage_variance", "OptimalityReport", "optimality_reports",
         "verify_kelly_optimality", "optimality_passed",
@@ -33,6 +34,13 @@ def test_public_surface():
         for name in names:
             assert not hasattr(truecount, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_names_no_removed_helper():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for names in REMOVED.values():
+        for name in names:
+            assert f"`{name}`" not in readme, name
 
 
 def test_sim_samples_and_exact_predicts():
