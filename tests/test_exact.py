@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from truecount import (
     BadRangeError,
+    exact,
     TrueCountDistribution,
     composition,
     get_system,
@@ -55,6 +56,22 @@ class TestDistributionAgainstBruteForce:
         for n in range(1, comp.total):
             dist = tc_distribution(comp, n)
             assert dict(dist.atoms) == brute_force_distribution(counts, n)
+
+    @pytest.mark.parametrize("counts", SMALL_DECKS)
+    def test_all_n_from_one_dp(self, counts):
+        # The moment sweep's one DP gives, for every n, the power sums of the
+        # enumerated law: ways = p * C(N, n) and x = v * scale * (N - n).
+        comp = composition(counts)
+        scaled = exact._scaled(comp)
+        N, scale = comp.total, scaled[2]
+        rows = exact._law_sums(comp, scaled)
+        assert len(rows) == N - 1
+        for n, sums in enumerate(rows, start=1):
+            c, d = math.comb(N, n), scale * (N - n)
+            law = brute_force_distribution(counts, n)
+            assert sums == tuple(
+                sum(p * c * (v * d) ** k for v, p in law.items()) for k in range(3)
+            )
 
     def test_probabilities_sum_to_one(self):
         comp = composition({1: 7, -1: 7, 0: 4})
@@ -214,3 +231,20 @@ def test_every_law_matches_subset_enumeration(counts):
         law = tc_distribution(comp, n)
         assert law.n == n
         assert dict(law.atoms) == brute_force_distribution(counts, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=SMALL_COUNTS)
+def test_all_n_laws_match_single_n(counts):
+    # One DP for every n (the moment sweep's) gives the same moments as the
+    # DP restricted to one n.  Both mirror the rows past N/2, so this is a
+    # consistency check only; test_all_n_from_one_dp holds the sweep to the oracle.
+    comp = composition(counts)
+    rows = exact._law_sums(comp, exact._scaled(comp))
+    assert len(rows) == comp.total - 1
+    for n, (s0, s1, s2) in enumerate(rows, start=1):
+        single = tc_distribution(comp, n)
+        *_, c, d = single.sums
+        assert Fraction(s0, c) == single.probabilities_sum()
+        assert Fraction(s1, c * d) == single.mean()
+        assert Fraction(exact._variance_numerator(s0, s1, s2, c), c**3 * d * d) == single.variance()
