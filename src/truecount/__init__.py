@@ -46,7 +46,7 @@ from .kelly import (
     kelly_fraction,
     long_run,
 )
-from .seats import DEFAULT_EXTRA_LAW, SeatCardModel, n_cards_between
+from .seats import DEFAULT_EXTRA_LAW, SeatCardModel
 from .sim import (
     FixedAdvantageModel,
     SimulationReport,
@@ -93,7 +93,6 @@ __all__ = [
     "kelly_fraction",
     "long_run",
     "make_count_system",
-    "n_cards_between",
     "parse_composition",
     "parse_system_file",
     "predicted_increment_std",

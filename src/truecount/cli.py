@@ -42,7 +42,7 @@ from .kelly import (
     long_run,
 )
 from .reports import FORMATS, ReportTable
-from .seats import SeatCardModel, n_cards_between
+from .seats import SeatCardModel
 from .sim import (
     FixedAdvantageModel,
     TwoPointAdvantageModel,
@@ -56,11 +56,6 @@ POSITION7_NOTE = (
     "* last-seat play->dealer dispersion follows this card-consumption model; "
     "published figures for that seat are half the model value (convention unknown)."
 )
-
-# Seat-model defaults of ``sigma-table`` and ``simulate``; without a hand
-# mean a seat takes ``SeatCardModel``'s default hand-length law.
-DEFAULT_SEATS = 7
-DEFAULT_POSITION = 1
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -117,8 +112,7 @@ def cmd_sigma_table(
     markers = {}
     for idx, pos in enumerate(positions):
         model = _seat_model(seats, pos, hand_mean)
-        n_bet = n_cards_between(model, "bet_play")
-        n_play = n_cards_between(model, "play_dealer")
+        n_bet, n_play = model.mean_cards_between
         for n, moments in ((n_bet, "bet and play"), (n_play, "play and dealer")):
             if n >= remaining:
                 raise BadRangeError(
@@ -337,8 +331,8 @@ def run_simulation(config: dict, fmt: str = "table") -> str:
         decks = _take(config, "decks")
         penetration = _take(config, "penetration")
         if mode == "seat-sigma":
-            seats = _take(config, "seats", default=DEFAULT_SEATS)
-            position = _take(config, "position", default=DEFAULT_POSITION)
+            seats = _take(config, "seats", default=SeatCardModel.seats)
+            position = _take(config, "position", default=SeatCardModel.position)
             hand_mean = _take(config, "hand_mean") if "hand_mean" in config else None
             model = _seat_model(seats, position, hand_mean)
         else:
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system-file", default=None)
     p.add_argument("--decks", type=int, default=8)
     p.add_argument("--penetration", type=float, required=True)
-    p.add_argument("--seats", type=int, default=DEFAULT_SEATS)
+    p.add_argument("--seats", type=int, default=SeatCardModel.seats)
     p.add_argument("--positions", default="1,4,7", help="comma-separated seat list")
     p.add_argument("--hand-mean", type=float, default=None,
                    help="mean cards per hand, as a two-point extra-card law "

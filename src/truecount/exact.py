@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -202,9 +203,12 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
 
 def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
     """Approximation sqrt(n) * Sigma0 / N; accepts non-integer average n."""
-    # NaN fails every comparison, so it is refused with the rest.
-    if not 0 <= n < N < math.inf:
-        raise BadRangeError(f"need 0 <= n < N < inf, got n={n}, N={N}")
+    # NaN fails every comparison, so it is refused with the rest; an int N
+    # past the float range would overflow the division.
+    if not 0 <= n < N <= sys.float_info.max:
+        raise BadRangeError(
+            f"need 0 <= n < N < inf, N within the float range, got n={shown(n)}, N={shown(N)}"
+        )
     return math.sqrt(n) * system.sigma0() / N
 
 
@@ -263,16 +267,16 @@ def predicted_seat_sigma(
     The true-count change over n unseen cards does not depend on which
     cards they are, and the card counts between the moments do not depend
     on the card order, so each variance is the increment variance averaged
-    over the law of the counts: n_bet = ``model.base_deal`` plus the extra
-    cards of the seats ahead, n_play = the extra cards of this seat and
-    those behind it.  It is the target the seat-sigma simulator converges to.
+    over the law of the counts, the hands split by ``model.hands_between``:
+    n_bet = ``model.base_deal`` plus the extra cards of the hands ahead,
+    n_play = the extra cards of the hands behind.  It is the target the
+    seat-sigma simulator converges to.
     """
     decks, cut = _shoe_cut(decks, penetration)
     n0 = 52 * decks
     system.sigma0()  # in the float range; no increment variance exceeds its square
     s0_sq = system.sigma0_squared()
-    ahead = _convolve(model.extra_cards_law, model.position - 1)
-    behind = _convolve(model.extra_cards_law, model.seats - model.position + 1)
+    ahead, behind = (_convolve(model.extra_cards_law, k) for k in model.hands_between)
     var_bet = var_play = 0.0
     for h, p in ahead.items():
         n_bet = model.base_deal + h

@@ -2,8 +2,11 @@
 
 A table deals 2 cards to each of ``seats`` players plus the dealer before
 any play decision, then players complete hands in seat order.  Hand length
-is 2 plus a small random number of extra cards H; only E[H] enters the
-closed-form card counts, the full law matters to the simulator.
+is 2 plus a small random number of extra cards H.  ``SeatCardModel`` holds
+the seat rule: ``hands_between`` says which hands are completed between a
+seat's moments, and ``mean_cards_between`` gives the cards they take on
+average.  The large-deck ``sigma-table`` reads those means; the exact
+predictor and the simulator sum the full law of H over ``hands_between``.
 """
 from __future__ import annotations
 
@@ -15,8 +18,6 @@ from .errors import BadRangeError
 
 #: Default extra-cards law with mean 0.6, i.e. 2.6 cards per hand.
 DEFAULT_EXTRA_LAW: tuple[tuple[int, float], ...] = ((0, 0.55), (1, 0.30), (2, 0.15))
-
-MOMENT_PAIRS = ("bet_play", "play_dealer")
 
 
 def _law_for_mean(extra_mean: float) -> tuple[tuple[int, float], ...]:
@@ -77,17 +78,16 @@ class SeatCardModel:
     def base_deal(self) -> int:
         return 2 * (self.seats + 1)
 
+    @property
+    def hands_between(self) -> tuple[int, int]:
+        """Hands completed between this seat's bet and play (the seats ahead),
+        and between its play and the dealer (this seat and those behind)."""
+        return self.position - 1, self.seats - self.position + 1
 
-def n_cards_between(model: SeatCardModel, moment_pair: str) -> float:
-    """Expected cards consumed between two decision moments at this seat.
-
-    ``bet_play``: the initial deal to every hand plus the hands completed
-    by seats ahead of this position.  ``play_dealer``: hands completed by
-    this position through the last seat before the dealer acts.
-    """
-    h = model.extra_mean
-    if moment_pair == "bet_play":
-        return model.base_deal + (model.position - 1) * h
-    if moment_pair == "play_dealer":
-        return (model.seats - model.position + 1) * h
-    raise BadRangeError(f"moment_pair must be one of {MOMENT_PAIRS}, got {moment_pair!r}")
+    @property
+    def mean_cards_between(self) -> tuple[float, float]:
+        """Expected cards dealt over those two spans: ``base_deal`` plus the
+        extra cards of the hands ahead, then the extra cards of the rest."""
+        ahead, behind = self.hands_between
+        h = self.extra_mean
+        return self.base_deal + ahead * h, behind * h

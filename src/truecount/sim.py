@@ -278,8 +278,9 @@ def simulate_seat_sigma(
          "hand_mean": model.mean_cards_per_hand},
         lambda rng, size: _sample_extras(rng, model, size),
     )
-    n_bet = model.base_deal + extras[: model.position - 1].sum(axis=0)
-    n_play = extras[model.position - 1 :].sum(axis=0)
+    ahead = model.hands_between[0]
+    n_bet = model.base_deal + extras[:ahead].sum(axis=0)
+    n_play = extras[ahead:].sum(axis=0)
     tc_bet, tc_play, tc_dealer = true_counts(0, n_bet, n_bet + n_play)
     report.stats["sigma_bet"] = _stat_row(tc_play - tc_bet, "sigma_bet")
     report.stats["sigma_play"] = _stat_row(tc_dealer - tc_play, "sigma_play")

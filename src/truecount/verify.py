@@ -13,8 +13,9 @@ tuple of counts left once and records it for every (composition, prefix)
 that leaves those counts.  Lemma 6 takes weights scaled to integers once
 per weight set.  The moment sweep compares each law's integer power sums
 with the closed forms: it reads each census row to N/2 once, takes the
-sums past N/2 by the mirror identity, builds no law on the passing path
-and records the checks in bulk, building a law only for a failed one.
+sums past N/2 by the mirror identity, builds no law and records the
+checks in bulk; a failed check's detail gives both sides as fractions
+built from the power sums it compared.
 The Kelly sweep runs one golden-section search over the whole p0 grid,
 every point to the stated tolerance, judges the grid as arrays and
 records one check per point, formatting a detail only for a point that

@@ -20,7 +20,6 @@ from truecount import (
     get_system,
     growth_stats_binomial,
     long_run,
-    n_cards_between,
     predicted_increment_std,
     predicted_seat_sigma,
     sigma_n_approx,
@@ -118,7 +117,7 @@ def test_criterion_2b_sigma_play_monotone_in_position():
     stds = [
         52 * sigma_n_approx(
             208,
-            n_cards_between(SeatCardModel(seats=7, position=p), "play_dealer"),
+            SeatCardModel(seats=7, position=p).mean_cards_between[1],
             get_system("hi-lo"),
         )
         for p in range(1, 8)
@@ -220,9 +219,9 @@ def test_criterion_7_monte_carlo():
         model = SeatCardModel.with_hand_mean(7, position, 3.0)
         report = simulate_seat_sigma(hi_lo, 200, 0.5, model, 100_000, SEED)
         remaining = 52 * 200 * 0.5
-        for label, pair in (("sigma_bet", "bet_play"), ("sigma_play", "play_dealer")):
+        for i, label in enumerate(("sigma_bet", "sigma_play")):
             emp = report.stats[label].std
-            approx = 52 * sigma_n_approx(remaining, n_cards_between(model, pair), hi_lo)
+            approx = 52 * sigma_n_approx(remaining, model.mean_cards_between[i], hi_lo)
             se = emp / math.sqrt(2 * (report.trials - 1))
             worst_z = max(worst_z, abs(emp - approx) / se)
     # Depleted 8-deck shoe against the exact finite-population prediction.

@@ -3,6 +3,8 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,7 @@ from truecount import (
     BadRangeError,
     SeatCardModel,
     SigmaResult,
+    builtin_systems,
     cli,
     get_system,
     growth_stats_binomial,
@@ -659,3 +662,25 @@ def test_value_past_the_arithmetic_exit_2(capsys, case):
     assert (code, err) == (0, "")
     assert "nan" not in out and "inf" not in out
     assert_typed_error(capsys, *args, str(rejected))
+
+
+def test_module_route_from_the_source_tree():
+    """``python -m truecount.cli`` with ``src`` on ``PYTHONPATH``, the route
+    that needs no install, prints the builtins and maps errors to exit 2."""
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "truecount.cli", *args],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    systems = run("systems")
+    assert (systems.returncode, systems.stderr) == (0, "")
+    rows = systems.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == [s.name for s in builtin_systems()]
+    assert len(rows) == 11
+    refused = run("longrun", "--eps", "0")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("error:")

@@ -1,12 +1,20 @@
-"""The input contract, for counts: every count argument takes a whole number only.
+"""The input contract.
 
-Each case calls one function with valid, small arguments, but for one count
+For counts: every count argument takes a whole number only.  Each case
+calls one function with valid, small arguments, but for one count
 argument, which is drawn from ``VALUES``.  The call must give a finite
 result, or a report whose JSON renders, or raise a ``TrueCountError``; a
 value that is not a ``numbers.Integral`` is never accepted, and a
 ``numpy.int64`` gives exactly what the equal Python int gives.
+
+For the CLI: ``cli.main`` on a valid command line with one or two flag
+values replaced by a bad or extreme one exits 0 with only finite numbers
+printed, or exits 2 with an ``error:`` line and nothing on stdout.
 """
+import contextlib
+import io
 import math
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -15,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import truecount as tc
-from truecount import exact
+from truecount import cli, exact
 
 HI_LO = tc.get_system("hi-lo")
 SMALL = tc.composition({1: 3, -1: 2, 0: 1})
@@ -143,3 +151,56 @@ def test_counts_are_whole_numbers(case, value):
         return
     assert isinstance(value, int), f"accepted {value!r}"
     outcome(result)
+
+
+#: A valid, quick command line of each subcommand that takes numbers.
+ARGV_CORES = (
+    ["sigma-table", "--decks", "2", "--penetration", "0.5", "--seats", "3",
+     "--positions", "1,3", "--hand-mean", "2.7"],
+    ["exact", "-c", "+1:2,-1:2,0:1", "-n", "2"],
+    ["kelly", "--p0", "0.51", "--var-p0", "0.0001", "--hands", "100"],
+    ["longrun", "--eps", "0.01", "--sigma-bet-a", "0.9", "--sigma-bet-b", "1.0",
+     "--threshold", "2.0"],
+    ["simulate", "--mode", "seat-sigma", "--system", "hi-lo", "--decks", "1",
+     "--penetration", "0.5", "--seats", "3", "--position", "2", "--trials", "8",
+     "--seed", "5"],
+    ["simulate", "--mode", "tc-increment", "--system", "hi-lo", "--decks", "1",
+     "--penetration", "0.5", "--n-cards", "1,3", "--trials", "8", "--seed", "5"],
+    ["simulate", "--mode", "bankroll", "--p0", "0.52", "--var-p0", "0.0001",
+     "--hands", "10", "--trials", "8", "--seed", "5"],
+)
+
+#: Flag values that a command line may carry in place of a valid one.
+BAD_FLAG_VALUES = (
+    "0", "-1", "nan", "inf", "-inf", "1e300", "5e-324", str(2**63), "1e400", "1.5",
+    "x", "1,x", "",
+)
+
+NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
+
+
+@st.composite
+def bad_argvs(draw) -> list[str]:
+    """A core command line with one or two of its flag values replaced."""
+    argv = list(draw(st.sampled_from(ARGV_CORES)))
+    values_at = [i for i in range(1, len(argv)) if argv[i - 1].startswith("-")]
+    for i in draw(st.lists(st.sampled_from(values_at), min_size=1, max_size=2, unique=True)):
+        argv[i] = draw(st.sampled_from(BAD_FLAG_VALUES))
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=bad_argvs())
+def test_cli_exits_0_with_finite_output_or_2_with_an_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert any("error:" in line for line in err.getvalue().splitlines()), argv
+    else:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())

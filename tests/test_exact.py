@@ -189,6 +189,9 @@ class TestApproximations:
 
     @pytest.mark.parametrize("N, n", [
         (math.nan, 3), (100, math.nan), (math.inf, 3), (math.inf, math.inf), (0, 0),
+        # An int past the float range compares below inf but overflows the division.
+        pytest.param(10**400, 1, id="10**400-1"),
+        pytest.param(10**400, 10**399, id="10**400-10**399"),
     ])
     def test_non_finite_or_empty_deck_rejected(self, hi_lo, N, n):
         with pytest.raises(BadRangeError, match="need 0 <= n < N < inf"):

@@ -14,8 +14,8 @@ REMOVED = {
         "verify_kelly_optimality", "optimality_passed",
     ),
     verify: ("verify_all",),
-    cli: ("DEFAULT_HAND_MEAN",),
-    seats: ("sigma_ratio",),
+    cli: ("DEFAULT_HAND_MEAN", "DEFAULT_SEATS", "DEFAULT_POSITION"),
+    seats: ("sigma_ratio", "n_cards_between", "MOMENT_PAIRS"),
 }
 
 #: What moved out of the sampler: the exact predictors to ``exact``, the
@@ -56,3 +56,11 @@ def test_one_whole_number_rule():
     src = Path(truecount.__file__).parent
     holders = sorted(p.name for p in src.glob("*.py") if "numbers.Integral" in p.read_text())
     assert holders == ["counting.py"]
+
+
+def test_one_seat_rule():
+    """Only ``seats``, which holds ``SeatCardModel.hands_between``, splits the
+    hands at a seat's position."""
+    src = Path(truecount.__file__).parent
+    holders = sorted(p.name for p in src.glob("*.py") if "position - 1" in p.read_text())
+    assert holders == ["seats.py"]
