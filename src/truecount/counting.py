@@ -118,15 +118,18 @@ def float_sqrt(squared: Fraction, what: str) -> float:
 
 
 def scaled_classes(
-    counts: Mapping[Fraction, int],
+    counts: Mapping[Fraction, int] | Iterable[tuple[Fraction, int]],
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Nonempty weight classes in increasing weight order, as integers.
 
+    ``counts`` is a weight -> count mapping or its (weight, count) pairs.
     ``(weights, counts, scale)``: each class's weight times ``scale``, the
-    least common denominator of all the weights, and its count.
+    least common denominator of all the weights, and its count.  A weight
+    is scaled in integers, w.numerator * (scale // w.denominator).
     """
-    scale = math.lcm(*(w.denominator for w in counts))
-    classes = [(int(w * scale), l) for w, l in sorted(counts.items()) if l > 0]
+    pairs = tuple(counts.items() if isinstance(counts, Mapping) else counts)
+    scale = math.lcm(*(w.denominator for w, _ in pairs))
+    classes = sorted((w.numerator * (scale // w.denominator), l) for w, l in pairs if l > 0)
     weights, counts = tuple(zip(*classes)) or ((), ())
     return weights, counts, scale
 
@@ -302,7 +305,11 @@ def shown(count) -> str:
     """``count`` as error texts and a composition's repr print it, the one
     rule for every count: a power of two past 2**32, such as the seed range,
     as 2**k, and an int past 10**100 (``str`` refuses one of more than 4,300
-    digits) by its nearest power of ten."""
+    digits) by its nearest power of ten.  A Fraction, such as a real that
+    ``real_number`` refuses, shows its numerator and denominator so."""
+    if isinstance(count, Fraction):
+        den = count.denominator
+        return shown(count.numerator) + (f"/{shown(den)}" if den != 1 else "")
     if type(count) is not int:
         return str(count)
     if count > 2**32 and not count & (count - 1):
@@ -323,6 +330,21 @@ def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
     if value < lo or (hi is not None and value >= hi):
         bound = f">= {shown(lo)}" if hi is None else f"in [{shown(lo)}, {shown(hi)})"
         raise BadRangeError(f"{name} must be {bound}, got {shown(value)}")
+    return value
+
+
+def real_number(value, name: str, lo=None):
+    """``value`` unchanged if it is a ``numbers.Real`` within the float range
+    and, if ``lo`` is given, at least ``lo``; else :class:`BadRangeError`.
+    The one rule for every real the package takes: NaN, an infinity and an
+    int such as 10**400, which no float holds, are refused before any
+    arithmetic could overflow on them, and a report shows the value given."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise BadRangeError(f"need a real {name}, got {value!r}")
+    # NaN fails both comparisons; an int or a Fraction compares exactly.
+    if not (abs(value) <= sys.float_info.max and (lo is None or value >= lo)):
+        bound = "" if lo is None else f" >= {lo}"
+        raise BadRangeError(f"need a finite {name}{bound}, got {shown(value)}")
     return value
 
 

@@ -3,16 +3,19 @@
 The distribution is materialized over removal censuses (how many cards of
 each weight class were removed) instead of ordered removal sequences.  A
 census DP counts the n-card subsets by the running count their removal
-leaves, up to n = N/2; the law past N/2 is the mirror of the law at N - n,
-since removing the other N - n cards leaves scale * R - x where removing
-the n leaves x.  ``tc_distribution`` builds the one DP row a law reads.  A
-law is held as those integer multiplicities over the common denominator
-C(N, n) * scale * (N - n), and its moments come from the integer power
-sums (S0, S1, S2) of x, which ``_power_sums`` takes in one pass over a DP
-row.  The mirror x -> start - x maps power sums by arithmetic alone
-(``_mirrored``), so the moment sweep reads each row of one DP to N/2 once
-and builds no law.  Rationals appear only in the results; square roots
-only when a standard deviation is presented as a float.
+leaves, up to n = N/2.  It holds one row per n and adds each weight class
+to the rows in place, in descending order of n, so a row reads only rows
+the class has not yet touched; all of it is integer.  The law past N/2
+is the mirror of the law at N - n, since removing the other N - n cards
+leaves scale * R - x where removing the n leaves x.  ``tc_distribution``
+builds the one DP row a law reads.  A law is held as those integer
+multiplicities over the common denominator C(N, n) * scale * (N - n),
+and its moments come from the integer power sums (S0, S1, S2) of x,
+which ``_power_sums`` takes in one pass over a DP row.  The mirror
+x -> start - x maps power sums by arithmetic alone (``_mirrored``), so
+the moment sweep reads each row of one DP to N/2 once and builds no law.
+Rationals appear only in the results; square roots only when a standard
+deviation is presented as a float.
 
 The finite-shoe predictors average that law's variance over a uniform cut
 in closed form: the std of the true-count change past the cut, and a
@@ -118,47 +121,55 @@ def _census_layers(
 
     ``start`` is the scaled running count before any removal, scale * R.
     Dynamic programming over weight classes, one layer per number of cards
-    removed; branches that cannot end in ``lo..hi`` removals are pruned.
-    The multiplicities are products of binomial coefficients summed over
-    censuses, so layer n totals C(N, n) exactly.
+    removed, updated in place.  A class of l cards of weight w adds to
+    layer r, for each c >= 1, C(l, c) times layer r - c shifted by c * w;
+    the layers are updated in descending order, so each reads layers that
+    this class has not touched yet.  Layers that can no longer end in
+    ``lo..hi`` removals are emptied.  The multiplicities are products of
+    binomial coefficients summed over censuses, so layer n totals C(N, n)
+    exactly.
     """
     layers: list[dict[int, int]] = [{start: 1}] + [{} for _ in range(hi)]
-    remaining = sum(counts)
+    remaining, taken = sum(counts), 0  # cards in the classes after and before w
     for w, l in zip(weights, counts):
         remaining -= l
         binom = [math.comb(l, c) for c in range(min(l, hi) + 1)]
-        new: list[dict[int, int]] = [{} for _ in range(hi + 1)]
-        for r, sums in enumerate(layers):
-            if not sums:
-                continue
-            for c in range(max(0, lo - r - remaining), min(l, hi - r) + 1):
-                target, shift, b = new[r + c], c * w, binom[c]
-                for x, ways in sums.items():
+        # Layers below lo - remaining cannot reach lo with the classes left.
+        floor = max(0, lo - remaining)
+        for r in range(min(taken + l, hi), floor - 1, -1):
+            target = layers[r]
+            # Layer r - c is empty past the ``taken`` cards of the classes before w.
+            for c in range(max(1, r - taken), min(l, r) + 1):
+                shift, b = c * w, binom[c]
+                for x, ways in layers[r - c].items():
                     key = x + shift
                     target[key] = target.get(key, 0) + ways * b
-        layers = new
+        for r in range(floor):
+            layers[r] = {}
+        taken += l
     return layers[lo:]
 
 
-def _scaled(comp: WeightComposition) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """``(weights, counts, scale, r)``: ``scaled_classes`` of ``comp``, and
-    r = scale * R, its running count scaled to an integer.
+def _scaled(counts) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """``(weights, counts, scale, r)``: ``scaled_classes(counts)``, and
+    r = scale * R, the running count scaled to an integer.
 
+    ``counts`` is a weight -> count mapping or its (weight, count) pairs.
     The laws and the closed form both read this one scaling.
     """
-    weights, counts, scale = scaled_classes(comp.counts)
+    weights, counts, scale = scaled_classes(counts)
     return weights, counts, scale, -sum(w * l for w, l in zip(weights, counts))
 
 
-def _law_sums(comp: WeightComposition, scaled) -> list[tuple[int, int, int]]:
+def _law_sums(scaled) -> list[tuple[int, int, int]]:
     """The power sums of the laws for n = 1 .. N - 1, from one DP to N/2.
 
-    ``scaled`` is ``_scaled(comp)``, and N >= 2.  Each row n <= N/2 is read
+    ``scaled`` is ``_scaled`` of N >= 2 cards.  Each row n <= N/2 is read
     once by ``_power_sums``; the sums past N/2 are those of row N - n
     mirrored (``_mirrored``), the sums of the laws ``tc_distribution`` gives.
     """
     weights, counts, _, start = scaled
-    N = comp.total
+    N = sum(counts)
     rows = [_power_sums(ways) for ways in _census_layers(weights, counts, start, 1, N // 2)]
     return rows + [_mirrored(rows[N - n - 1], start) for n in range(N // 2 + 1, N)]
 
@@ -170,7 +181,7 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     """
     N = comp.total
     n = whole_number(n, "n", 1, N)
-    weights, counts, scale, start = _scaled(comp)
+    weights, counts, scale, start = _scaled(comp.counts)
     m = min(n, N - n)
     (ways,) = _census_layers(weights, counts, start, m, m)
     if m != n:
@@ -178,16 +189,16 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     return TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
 
 
-def _closed_form_terms(comp: WeightComposition, scaled) -> tuple[int, int]:
+def _closed_form_terms(scaled) -> tuple[int, int]:
     """``(spread, den)`` of the closed-form variance, both integers.
 
-    ``scaled`` is ``_scaled(comp)``: the weights scaled to integers over
+    ``scaled`` is ``_scaled`` of N cards: the weights scaled to integers over
     ``scale``, and r = scale * R.  spread = N * sum (scale * w)^2 l_w - r^2
     and den = scale^2 * N^2 * (N - 1), so that the theorem's
     sigma_n^2 = ((N - 1) / (N - n)) n sigma_1^2 is n * spread / ((N - n) * den).
     """
     weights, counts, scale, r = scaled
-    N = comp.total
+    N = sum(counts)
     spread = N * sum(w * w * l for w, l in zip(weights, counts)) - r * r
     return spread, scale**2 * N**2 * (N - 1)
 
@@ -196,7 +207,7 @@ def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
     """Closed-form std of the true count after ``n`` removals."""
     N = comp.total
     n = whole_number(n, "n", 1, N)
-    spread, den = _closed_form_terms(comp, _scaled(comp))
+    spread, den = _closed_form_terms(_scaled(comp.counts))
     squared = Fraction(n * spread, (N - n) * den)
     return SigmaResult(float_sqrt(squared, f"sigma_{shown(n)}"), squared)
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import shown, whole_number
+from .counting import real_number, shown, whole_number
 from .errors import BadRangeError, ConvergenceError
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -30,10 +30,8 @@ class GrowthStats:
     variance: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise BadRangeError(f"need finite moments, got {self.mean} and {self.variance}")
-        if self.variance < 0:
-            raise BadRangeError(f"negative variance {self.variance}")
+        real_number(self.mean, "mean")
+        real_number(self.variance, "variance", 0)
 
     def std(self, n: int = 1) -> float:
         """Std of G_n; variance scales as 1/n for independent rounds."""
@@ -53,8 +51,7 @@ class FuzzyAdvantage:
     def __post_init__(self):
         if not 0 < self.p0 < 1:
             raise BadRangeError(f"need 0 < p0 < 1, got {self.p0}")
-        if not (math.isfinite(self.var_p0) and self.var_p0 >= 0):
-            raise BadRangeError(f"need a finite var_p0 >= 0, got {self.var_p0}")
+        real_number(self.var_p0, "var_p0", 0)
         if self.var_p0 > self.p0 * (1 - self.p0):
             raise BadRangeError(
                 f"var_p0 {self.var_p0} exceeds the probability bound "
@@ -97,14 +94,18 @@ def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int = 500) -> np
     c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
     a, b = np.full_like(fc, lo), np.full_like(fc, hi)
+    width = b - a
     for _ in range(max_iter):
-        if np.max(b - a) < tol:
+        if np.max(width) < tol:
             return (a + b) / 2
         # Where fc > fd the maximum lies in [a, d]: d becomes the new b, c
         # the new d, and a probe goes in at the new c; otherwise mirrored.
+        # The new width serves this probe and the next step's stop test.
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        width = b - a
+        step = GOLDEN * width
+        probe = np.where(left, b - step, a + step)
         f_probe = fn(probe)
         c, fc, d, fd = (
             np.where(left, probe, d),
@@ -138,14 +139,18 @@ def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> Optimality
     half the distance to f = 1 where that is closer, so the probe stays
     inside the domain of the growth functional.
     """
-    p0 = np.asarray(p0s, dtype=float)
+    p0 = np.asarray(p0s)
+    if p0.dtype.kind != "f":  # ints, objects or strings, which a cast to float could overflow
+        for p in p0.flat:
+            real_number(p, "p0")
+    p0 = p0.astype(float, copy=False)
     if p0.ndim != 1 or not p0.size:
         raise BadRangeError(f"need a non-empty 1-D array of p0, got shape {p0.shape}")
     bad = ~((p0 > 0.5) & (p0 < 1))
     if bad.any():
         raise BadRangeError(f"need 1/2 < p0 < 1, got {p0[bad][0]}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise BadRangeError(f"need a finite tolerance > 0, got {tolerance}")
+    if not real_number(tolerance, "tolerance") > 0:
+        raise BadRangeError(f"need a tolerance > 0, got {tolerance}")
     fn = lambda f: log_growth(p0, f)
     argmax = _golden_max(fn, 0.0, 1.0 - 1e-9, tol=tolerance / 100)
     h = np.minimum(1e-4, (1 - argmax) / 2)
@@ -176,8 +181,7 @@ def long_run(eps: float, sigma_bet: float, threshold: float = 2.0) -> float:
     and raises ``BadRangeError`` where that is not a finite float > 0.
     """
     for name, value in (("eps", eps), ("sigma_bet", sigma_bet), ("threshold", threshold)):
-        if not math.isfinite(value):
-            raise BadRangeError(f"need a finite {name}, got {value}")
+        real_number(value, name)
     if eps <= 0:
         raise BadRangeError(f"need eps > 0, got {eps}")
     if sigma_bet < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .counting import MAX_SHOE_CARDS, whole_number
+from .counting import MAX_SHOE_CARDS, real_number, whole_number
 from .errors import BadRangeError
 
 #: Default extra-cards law with mean 0.6, i.e. 2.6 cards per hand.
@@ -56,10 +56,7 @@ class SeatCardModel:
 
     @classmethod
     def with_hand_mean(cls, seats: int, position: int, mean_cards_per_hand: float):
-        if mean_cards_per_hand < 2:
-            raise BadRangeError(
-                f"mean cards per hand must be >= 2, got {mean_cards_per_hand}"
-            )
+        real_number(mean_cards_per_hand, "mean cards per hand", 2)
         return cls(seats, position, _law_for_mean(mean_cards_per_hand - 2))
 
     @property

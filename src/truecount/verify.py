@@ -11,11 +11,15 @@ checks apply after a prefix, and what they evaluate to, depends only on
 the counts left, so each sweep call evaluates the block of checks for a
 tuple of counts left once and records it for every (composition, prefix)
 that leaves those counts.  Lemma 6 takes weights scaled to integers once
-per weight set.  The moment sweep compares each law's integer power sums
-with the closed forms: it reads each census row to N/2 once, takes the
-sums past N/2 by the mirror identity, builds no law and records the
-checks in bulk; a failed check's detail gives both sides as fractions
-built from the power sums it compared.
+per weight set.  The moment sweep works in class-index space too: its
+compositions are tuples of class counts, each scaled to integers from its
+(weight, count) pairs.  It compares each law's integer power sums with the
+closed forms: it reads each census row to N/2 once, takes the sums past
+N/2 by the mirror identity, builds no law and records the checks in bulk;
+a failed check's detail gives both sides as fractions built from the
+power sums it compared.  The exhaustive lemma block and the moment sweep
+build no ``WeightComposition``: a composition's weight -> count dict is
+made only for a failure's text.
 The Kelly sweep runs one golden-section search over the whole p0 grid,
 every point to the stated tolerance, judges the grid as arrays and
 records one check per point, formatting a detail only for a point that
@@ -32,7 +36,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .counting import WeightComposition, whole_number
+from .counting import WeightComposition, real_number, scaled_classes, whole_number
 from .errors import BadRangeError
 from .exact import (
     _censuses,
@@ -52,7 +56,7 @@ from .kelly import optimality_grid
 #: Most cards in a random composition of the lemma sweep (the least is 3).
 RANDOM_N_MAX = 20
 
-#: Weight sets used by the exhaustive sweeps.
+#: Weight sets used by the exhaustive sweeps, each in increasing order.
 WEIGHT_SETS: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(-1), Fraction(1)),
     (Fraction(-1), Fraction(0), Fraction(1)),
@@ -93,21 +97,25 @@ class VerificationResult:
         return line + ")"
 
 
+def _count_tuples(classes: int, total: int):
+    """Every tuple of ``classes`` class counts of ``total`` cards, in lexicographic order."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), classes - 1):
+        yield _between(cuts, total)
+
+
+def _between(cuts, total: int) -> tuple[int, ...]:
+    """The class counts of ``total`` cards between the sorted ``cuts``."""
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+def _random_counts(rng: random.Random, classes: int, total: int) -> tuple[int, ...]:
+    return _between(sorted(rng.randint(0, total) for _ in range(classes - 1)), total)
+
+
 def compositions_over(weights, total: int):
     """All censuses of ``total`` cards over ``weights``, in lexicographic order."""
-    for cuts in itertools.combinations_with_replacement(range(total + 1), len(weights) - 1):
-        yield _composition(weights, cuts, total)
-
-
-def _composition(weights, cuts, total: int) -> WeightComposition:
-    """``total`` cards over ``weights``, the class counts between the sorted ``cuts``."""
-    counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-    return WeightComposition(dict(zip(weights, counts)))
-
-
-def _random_composition(rng: random.Random, weights, total: int) -> WeightComposition:
-    cuts = sorted(rng.randint(0, total) for _ in range(len(weights) - 1))
-    return _composition(weights, cuts, total)
+    for counts in _count_tuples(len(weights), total):
+        yield WeightComposition(dict(zip(weights, counts)))
 
 
 def _random_feasible_sequence(rng: random.Random, comp: WeightComposition, length: int):
@@ -192,25 +200,26 @@ def verify_lemmas(
     random_instances = whole_number(random_instances, "random_instances", 0)
     result = VerificationResult("lemmas")
 
-    def describe(report, comp, **context) -> str:
+    def describe(report, counts, **context) -> str:
+        """A failure's text; ``counts`` is a weight -> count mapping or its pairs."""
         return (
-            f"{report.name} comp={dict(comp.counts)} "
+            f"{report.name} comp={dict(counts)} "
             + " ".join(f"{key}={value}" for key, value in context.items())
             + f": lhs={report.lhs} rhs={report.rhs}"
         )
 
     def note(report, comp, **context):
-        result.record(report.equal, lambda: describe(report, comp, **context))
+        result.record(report.equal, lambda: describe(report, comp.counts, **context))
 
     # Counts left -> (number of checks in their block, the failed entries).
     blocks: dict[tuple[int, ...], tuple[int, list]] = {}
     for weights in WEIGHT_SETS[:2]:
-        D = math.lcm(*(w.denominator for w in weights))
-        scaled = [w.numerator * (D // w.denominator) for w in weights]
+        # One card per class: the weights, in increasing order as in each weight set.
+        scaled, _, D = scaled_classes((w, 1) for w in weights)
         classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
-            for comp in compositions_over(weights, total):
-                for prefix, counts in _prefixes(tuple(comp.counts[w] for w in weights)):
+            for have in _count_tuples(len(weights), total):
+                for prefix, counts in _prefixes(have):
                     block = blocks.get(counts)
                     if block is None:
                         entries = _removal_block(counts)
@@ -221,26 +230,28 @@ def verify_lemmas(
                         *block,
                         lambda entry: describe(
                             entry[3],
-                            comp,
+                            zip(weights, have),
                             prefix=tuple(weights[i] for i in prefix),
                             k=entry[1],
                             vs=tuple(weights[i] for i in entry[2]),
                         ),
                     )
-                r = -sum(s * comp.counts[w] for s, w in zip(scaled, weights))
+                r = -sum(s * l for s, l in zip(scaled, have))
                 for n in range(1, min(3, total)):
                     for ws in itertools.product(classes, repeat=n):
                         report = _telescoping(r, [scaled[i] for i in ws], D, total, n)
                         result.record(
                             report.equal,
-                            lambda: describe(report, comp, ws=tuple(weights[i] for i in ws)),
+                            lambda: describe(
+                                report, zip(weights, have), ws=tuple(weights[i] for i in ws)
+                            ),
                         )
 
     rng = random.Random(seed)
     for _ in range(random_instances):
-        comp = _random_composition(rng, rng.choice(WEIGHT_SETS), rng.randint(3, RANDOM_N_MAX))
-        total = comp.total
-        weights = comp.weights()
+        weights = rng.choice(WEIGHT_SETS)
+        total = rng.randint(3, RANDOM_N_MAX)
+        comp = WeightComposition(dict(zip(weights, _random_counts(rng, len(weights), total))))
         prefix = _random_feasible_sequence(rng, comp, rng.randint(0, min(3, total - 2)))
         v0 = rng.choice(weights)
         note(check_lemma1(comp, prefix, v0), comp, prefix=prefix)
@@ -260,26 +271,28 @@ def verify_lemmas(
     return result
 
 
-def _check_moments(result: VerificationResult, comp: WeightComposition):
-    """Three checks per law of ``comp``: total mass, mean R/N, closed-form variance.
+def _check_moments(result: VerificationResult, pairs):
+    """Three checks per law of N cards: total mass, mean R/N, closed-form variance.
 
-    Each law's moments are its integer power sums (``_law_sums``: one pass
-    per census row to N/2, the rows past it mirrored by arithmetic) over
-    its denominators C(N, n) and scale * (N - n); the mean is
-    r / (scale * N) and the closed-form variance n * spread / ((N - n) den),
-    with the integers of ``_closed_form_terms``, which ``sigma_n_exact``
-    also uses.  The laws and the closed form read one scaling of ``comp``
-    (``_scaled``), the one ``tc_distribution`` makes.  Sides are compared
-    by cross-multiplication; the failed checks are recorded in bulk with
-    the power sums they compared, and a failure's two sides are built as
-    fractions from those sums only for its detail.
+    ``pairs`` are the (weight, count) pairs of a composition, in the order
+    a failure's text prints them.  Each law's moments are its integer power
+    sums (``_law_sums``: one pass per census row to N/2, the rows past it
+    mirrored by arithmetic) over its denominators C(N, n) and
+    scale * (N - n); the mean is r / (scale * N) and the closed-form
+    variance n * spread / ((N - n) den), with the integers of
+    ``_closed_form_terms``, which ``sigma_n_exact`` also uses.  The laws
+    and the closed form read one scaling of the pairs (``_scaled``), the
+    one ``tc_distribution`` makes.  Sides are compared by
+    cross-multiplication; the failed checks are recorded in bulk with the
+    power sums they compared, and a failure's two sides, and the
+    composition as a dict, are built only for its detail.
     """
-    N = comp.total
-    scaled = _scaled(comp)
-    *_, scale, r = scaled
-    spread, den = _closed_form_terms(comp, scaled)
+    scaled = _scaled(pairs)
+    _, counts, scale, r = scaled
+    N = sum(counts)
+    spread, den = _closed_form_terms(scaled)
     failed = []
-    for n, (s0, s1, s2) in enumerate(_law_sums(comp, scaled), start=1):
+    for n, (s0, s1, s2) in enumerate(_law_sums(scaled), start=1):
         c, d = math.comb(N, n), scale * (N - n)
         if s0 != c:
             failed.append(("probs", n, s0, s1, s2))
@@ -291,7 +304,7 @@ def _check_moments(result: VerificationResult, comp: WeightComposition):
     def detail(entry) -> str:
         check, n, s0, s1, s2 = entry
         c, d = math.comb(N, n), scale * (N - n)
-        where = f"for comp={dict(comp.counts)} n={n}"
+        where = f"for comp={dict(pairs)} n={n}"
         if check == "probs":
             return f"probs sum {Fraction(s0, c)} != 1 {where}"
         if check == "mean":
@@ -315,7 +328,8 @@ def verify_theorem(
     ``exhaustive_limits[i]`` is the largest deck swept exhaustively over
     ``WEIGHT_SETS[i]``.  An exhaustive limit below 2, more limits than
     weight sets, or a call with no exhaustive limit and no sampled
-    composition raises ``BadRangeError``.
+    composition raises ``BadRangeError``.  Compositions are tuples of class
+    counts, each checked as its (weight, count) pairs.
     """
     seed = whole_number(seed, "seed", 0)
     samples_per_total = whole_number(samples_per_total, "samples_per_total", 0)
@@ -331,13 +345,14 @@ def verify_theorem(
     result = VerificationResult("theorem")
     for weights, n_max in zip(WEIGHT_SETS, exhaustive_limits):
         for total in range(2, n_max + 1):
-            for comp in compositions_over(weights, total):
-                _check_moments(result, comp)
+            for counts in _count_tuples(len(weights), total):
+                _check_moments(result, tuple(zip(weights, counts)))
     rng = random.Random(seed)
     for total in sampled_totals:
         for weights in WEIGHT_SETS:
             for _ in range(samples_per_total):
-                _check_moments(result, _random_composition(rng, weights, total))
+                counts = _random_counts(rng, len(weights), total)
+                _check_moments(result, tuple(zip(weights, counts)))
     return result
 
 
@@ -349,8 +364,8 @@ def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The p0 grid lo, lo + step, ... up to hi, never past it."""
     if not 0.5 < lo <= hi < 1:
         raise BadRangeError(f"need 1/2 < lo <= hi < 1, got lo={lo}, hi={hi}")
-    if not (math.isfinite(step) and step > 0):
-        raise BadRangeError(f"need a finite step > 0, got {step}")
+    if not real_number(step, "step") > 0:
+        raise BadRangeError(f"need a step > 0, got {step}")
     # The 1e-9 absorbs rounding in (hi - lo) / step when hi is a whole
     # number of steps from lo.
     steps = (hi - lo) / step + 1e-9
@@ -358,7 +373,7 @@ def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise BadRangeError(
             f"a grid from {lo} to {hi} by {step} has more than {KELLY_MAX_POINTS} points"
         )
-    return lo + np.arange(math.floor(steps) + 1) * step
+    return lo + np.arange(math.floor(steps) + 1) * float(step)
 
 
 def verify_kelly(

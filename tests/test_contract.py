@@ -7,6 +7,12 @@ result, or a report whose JSON renders, or raise a ``TrueCountError``; a
 value that is not a ``numbers.Integral`` is never accepted, and a
 ``numpy.int64`` gives exactly what the equal Python int gives.
 
+For reals: every real argument takes a finite value within the float range
+only.  Each case calls one function with valid arguments but for one real
+argument, which is drawn from ``REAL_VALUES``: NaN, either infinity and an
+int past the float range each raise a ``TrueCountError``, never an
+``OverflowError`` from the arithmetic on them.
+
 For the CLI: ``cli.main`` on a valid command line with one or two flag
 values replaced by a bad or extreme one exits 0 with only finite numbers
 printed, or exits 2 with an ``error:`` line and nothing on stdout.
@@ -23,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import truecount as tc
-from truecount import cli, exact
+from truecount import cli, exact, kelly
 
 HI_LO = tc.get_system("hi-lo")
 SMALL = tc.composition({1: 3, -1: 2, 0: 1})
@@ -151,6 +157,43 @@ def test_counts_are_whole_numbers(case, value):
         return
     assert isinstance(value, int), f"accepted {value!r}"
     outcome(result)
+
+
+#: Real arguments; "valid" stands for the case's valid value.  A Fraction
+#: of more than 4,300 digits is one that ``str`` refuses to print.
+REAL_VALUES = (
+    "valid", math.nan, math.inf, -math.inf, 10**400, -10**400, 10**5000,
+    Fraction(-(10**5000), 3),
+)
+
+#: Each case's call, which takes the one real, and its valid value.
+REAL_CASES = {
+    "FuzzyAdvantage var_p0": (lambda v: tc.FuzzyAdvantage(0.52, v), 1e-4),
+    "TwoPointAdvantageModel var_p0": (lambda v: tc.TwoPointAdvantageModel(0.52, v), 1e-4),
+    "with_hand_mean mean cards": (lambda v: tc.SeatCardModel.with_hand_mean(3, 1, v), 2.6),
+    "GrowthStats mean": (lambda v: tc.GrowthStats(v, 0.02), 0.01),
+    "GrowthStats variance": (lambda v: tc.GrowthStats(0.01, v), 0.02),
+    "long_run eps": (lambda v: tc.long_run(v, 0.9), 0.01),
+    "long_run sigma_bet": (lambda v: tc.long_run(0.01, v), 0.9),
+    "long_run threshold": (lambda v: tc.long_run(0.01, 0.9, v), 2.0),
+    "verify_kelly step": (lambda v: tc.verify_kelly(lo=0.6, hi=0.61, step=v), 0.005),
+    "verify_kelly tolerance": (
+        lambda v: tc.verify_kelly(lo=0.6, hi=0.61, step=0.005, tolerance=v), 1e-6),
+    "optimality_grid p0": (lambda v: kelly.optimality_grid([0.6, v]), 0.7),
+}
+
+
+@pytest.mark.parametrize("call, valid", REAL_CASES.values(), ids=REAL_CASES.keys())
+def test_reals_are_finite_and_within_the_float_range(call, valid):
+    call(valid)  # the valid core runs
+    for value in REAL_VALUES[1:]:
+        with pytest.raises(tc.TrueCountError):
+            call(value)
+
+
+def test_a_whole_step_within_the_float_range_is_a_step():
+    """A step of 2**63 leaves one point, as a float step past the grid does."""
+    assert tc.verify_kelly(lo=0.6, hi=0.61, step=2**63).summary() == "kelly: PASS (1 checks)"
 
 
 #: A valid, quick command line of each subcommand that takes numbers.

@@ -1,5 +1,6 @@
 """Count systems, compositions, parsing, and their error paths."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from truecount.counting import (
     as_weight,
     scaled_classes,
 )
+from truecount.verify import WEIGHT_SETS
 
 
 def full_shoe(system, decks):
@@ -149,6 +151,32 @@ class TestBuiltinRegistry:
         for system in builtin_systems():
             deck = full_shoe(system, 1).counts
             assert scaled_classes(deck) == system.scaled_classes
+
+    def test_scaled_classes_from_pairs_mapping_and_fractions(self):
+        """Pairs, a mapping and the Fraction formula int(w * scale) give one scaling."""
+
+        def by_fractions(counts):
+            scale = math.lcm(*(w.denominator for w in counts))
+            classes = [(int(w * scale), l) for w, l in sorted(counts.items()) if l > 0]
+            weights, counts = tuple(zip(*classes)) or ((), ())
+            return weights, counts, scale
+
+        rng = random.Random(7)
+        decks = [system.weight_multiplicities() for system in builtin_systems()]
+        decks += [
+            {w: rng.randint(0, 4) for w in weights}
+            for weights in WEIGHT_SETS for _ in range(20)
+        ]
+        for unit in (2, 3, 6):  # half, third and mixed units
+            decks += [
+                {Fraction(rng.randint(-9, 9), unit): rng.randint(0, 3) for _ in range(5)}
+                for _ in range(40)
+            ]
+        for counts in decks:
+            expected = by_fractions(counts)
+            assert scaled_classes(counts) == expected, counts
+            assert scaled_classes(list(counts.items())) == expected, counts
+            assert scaled_classes(iter(counts.items())) == expected, counts
 
 
 class TestComposition:

@@ -6,6 +6,7 @@ rationals — no shared code with the distribution under test.
 """
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from truecount import (
     sigma_n_exact,
     tc_distribution,
 )
+from truecount.counting import scaled_classes
 from truecount.verify import WEIGHT_SETS
 
 
@@ -62,9 +64,9 @@ class TestDistributionAgainstBruteForce:
         # The moment sweep's one DP gives, for every n, the power sums of the
         # enumerated law: ways = p * C(N, n) and x = v * scale * (N - n).
         comp = composition(counts)
-        scaled = exact._scaled(comp)
+        scaled = exact._scaled(comp.counts)
         N, scale = comp.total, scaled[2]
-        rows = exact._law_sums(comp, scaled)
+        rows = exact._law_sums(scaled)
         assert len(rows) == N - 1
         for n, sums in enumerate(rows, start=1):
             c, d = math.comb(N, n), scale * (N - n)
@@ -243,7 +245,7 @@ def test_all_n_laws_match_single_n(counts):
     # DP restricted to one n.  Both mirror the rows past N/2, so this is a
     # consistency check only; test_all_n_from_one_dp holds the sweep to the oracle.
     comp = composition(counts)
-    rows = exact._law_sums(comp, exact._scaled(comp))
+    rows = exact._law_sums(exact._scaled(comp.counts))
     assert len(rows) == comp.total - 1
     for n, (s0, s1, s2) in enumerate(rows, start=1):
         single = tc_distribution(comp, n)
@@ -251,3 +253,24 @@ def test_all_n_laws_match_single_n(counts):
         assert Fraction(s0, c) == single.probabilities_sum()
         assert Fraction(s1, c * d) == single.mean()
         assert Fraction(exact._variance_numerator(s0, s1, s2, c), c**3 * d * d) == single.variance()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(weights=st.sampled_from(WEIGHT_SETS), data=st.data())
+def test_census_layers_match_subset_enumeration(weights, data):
+    """Every row lo..hi of the in-place DP, for every 1 <= lo <= hi <= N/2,
+    tallies the n-subsets of the cards by the running count they leave."""
+    counts = data.draw(st.lists(
+        st.integers(0, 3), min_size=len(weights), max_size=len(weights)
+    ).filter(lambda c: sum(c) >= 2))
+    ws, ls, _ = scaled_classes(zip(weights, counts))
+    cards = [w for w, l in zip(ws, ls) for _ in range(l)]
+    start = -sum(cards)
+    N = len(cards)
+    rows = [
+        Counter(start + sum(subset) for subset in itertools.combinations(cards, n))
+        for n in range(N // 2 + 1)
+    ]
+    for lo in range(1, N // 2 + 1):
+        for hi in range(lo, N // 2 + 1):
+            assert exact._census_layers(ws, ls, start, lo, hi) == rows[lo:hi + 1], (lo, hi)

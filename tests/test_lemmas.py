@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import composition, exact, verify
+from truecount import WeightComposition, composition, exact, verify
 from truecount.counting import scaled_classes
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
@@ -264,7 +264,7 @@ class TestFailuresAreDiagnosable:
         monkeypatch.setattr(exact, "_variance_numerator", bent)
         monkeypatch.setattr(verify, "_variance_numerator", bent)
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition({1: 3, -1: 2, 0: 2}))
+        verify._check_moments(result, composition({1: 3, -1: 2, 0: 2}).counts.items())
         assert len(result.failures) == 6
         assert all(f.startswith("variance ") for f in result.failures)
         var, closed = re.match(
@@ -528,13 +528,29 @@ def _bent_rows(move: bool):
     return layers
 
 
+def _layers_in_place(descending: bool):
+    """A plain in-place census DP, unpruned, with its layers updated in the given order."""
+
+    def layers(weights, counts, start, lo, hi):
+        rows = [{start: 1}] + [{} for _ in range(hi)]
+        order = range(hi, 0, -1) if descending else range(1, hi + 1)
+        for w, l in zip(weights, counts):
+            for r in order:
+                for c in range(1, min(l, r) + 1):
+                    for x, ways in rows[r - c].items():
+                        rows[r][x + c * w] = rows[r].get(x + c * w, 0) + ways * math.comb(l, c)
+        return rows[lo:]
+
+    return layers
+
+
 class TestMomentChecksCatchWrongCensus:
     COMP = {1: 3, -1: 2, 0: 2}
 
     def _check(self, monkeypatch, move):
         monkeypatch.setattr(exact, "_census_layers", _bent_rows(move))
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition(self.COMP))
+        verify._check_moments(result, composition(self.COMP).counts.items())
         assert result.checked == 3 * (sum(self.COMP.values()) - 1)
         return result.failures
 
@@ -550,6 +566,19 @@ class TestMomentChecksCatchWrongCensus:
         # the mirrored laws' too.
         assert sum(f.startswith("mean") for f in failures) == 6
 
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_layer_order(self, monkeypatch, descending):
+        """The in-place DP must update its layers in descending order: in
+        ascending order a layer reads layers the class has already updated."""
+        monkeypatch.setattr(exact, "_census_layers", _layers_in_place(descending))
+        result = VerificationResult("theorem")
+        verify._check_moments(result, composition(self.COMP).counts.items())
+        assert result.checked == 18
+        if descending:
+            assert result.passed
+        else:
+            assert any(f.startswith("probs sum") for f in result.failures)
+
     def test_mirror_sign_slip(self, monkeypatch):
         """A sign slip in the mirrored S1 fails the mean of every law past N/2."""
         real = exact._mirrored
@@ -560,7 +589,7 @@ class TestMomentChecksCatchWrongCensus:
 
         monkeypatch.setattr(exact, "_mirrored", slipped)
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition(self.COMP))
+        verify._check_moments(result, composition(self.COMP).counts.items())
         assert result.checked == 18
         assert [(f.split()[0], f.rsplit("n=", 1)[1]) for f in result.failures] == [
             ("mean", "4"), ("mean", "5"), ("mean", "6")
@@ -581,8 +610,9 @@ def test_sweep_sums_are_the_laws_sums(odd, weights, data):
     cuts = sorted(data.draw(st.lists(
         st.integers(0, total), min_size=len(weights) - 1, max_size=len(weights) - 1
     )))
-    comp = verify._composition(weights, cuts, total)
-    sums = exact._law_sums(comp, exact._scaled(comp))
+    pairs = tuple(zip(weights, verify._between(cuts, total)))
+    sums = exact._law_sums(exact._scaled(pairs))
+    comp = composition(dict(pairs))
     assert sums == [exact.tc_distribution(comp, n).sums[:3] for n in range(1, total)]
 
 
@@ -596,6 +626,25 @@ def test_moment_sweep_scales_each_composition_once(monkeypatch):
     monkeypatch.setattr(exact, "scaled_classes", counted)
     comp = composition({Fraction(-3, 2): 3, Fraction(1, 2): 4, 1: 2})
     result = VerificationResult("theorem")
-    verify._check_moments(result, comp)
+    verify._check_moments(result, comp.counts.items())
     assert result.passed and result.checked == 3 * (comp.total - 1)
     assert calls == [comp.counts]
+
+
+def test_passing_sweeps_build_no_composition(monkeypatch):
+    """The theorem sweep and the exhaustive lemma sweep run on count tuples;
+    a composition is built only for a failure's text."""
+    real = WeightComposition.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(WeightComposition, "__post_init__", counted)
+    theorem = verify_theorem(exhaustive_limits=(8, 6), sampled_totals=(10,), samples_per_total=2)
+    lemmas = verify_lemmas(exhaustive_n=4, random_instances=0)
+    assert theorem.passed and lemmas.passed and lemmas.checked == 3_283
+    assert built == []
+    composition({1: 1})
+    assert built == [1]  # the count sees a construction
