@@ -112,12 +112,6 @@ def _random_counts(rng: random.Random, classes: int, total: int) -> tuple[int, .
     return _between(sorted(rng.randint(0, total) for _ in range(classes - 1)), total)
 
 
-def compositions_over(weights, total: int):
-    """All censuses of ``total`` cards over ``weights``, in lexicographic order."""
-    for counts in _count_tuples(len(weights), total):
-        yield WeightComposition(dict(zip(weights, counts)))
-
-
 def _random_feasible_sequence(rng: random.Random, comp: WeightComposition, length: int):
     pool = [w for w, l in comp.counts.items() for _ in range(l)]
     rng.shuffle(pool)
@@ -214,8 +208,10 @@ def verify_lemmas(
     # Counts left -> (number of checks in their block, the failed entries).
     blocks: dict[tuple[int, ...], tuple[int, list]] = {}
     for weights in WEIGHT_SETS[:2]:
-        # One card per class: the weights, in increasing order as in each weight set.
-        scaled, _, D = scaled_classes((w, 1) for w in weights)
+        # One card per class; scaled_classes sorts its classes by weight.
+        sorted_scaled, _, D = scaled_classes((w, 1) for w in weights)
+        scaled_of = dict(zip(sorted(weights), sorted_scaled))
+        scaled = [scaled_of[w] for w in weights]
         classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
             for have in _count_tuples(len(weights), total):

@@ -39,7 +39,16 @@ def test_summary_skips_metrics_a_side_lacks():
     assert ab.summarize(pairs) == {}
 
 
-def test_directions_come_from_the_benchmark():
+def test_directions_and_run_length_come_from_the_benchmark():
     assert ab.BETTER["throughput"] == "higher"
     assert all(ab.BETTER[name] == "lower" for name in ab.BETTER if name != "throughput")
-    assert ab.WORKLOADS == ("mc", "exact-sweep", "cli-mix")
+    assert ab.WORKLOAD_NAMES == ("mc", "exact-sweep", "cli-mix")
+    assert ab.SECONDS == ab.BENCH["run_seconds"]
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "9"], ["--pairs", "0", "--null"]])
+def test_too_few_pairs_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--base", "HEAD", *argv])
+    assert exit_.value.code == 2
+    assert "need --pairs >= 10" in capsys.readouterr().err

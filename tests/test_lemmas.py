@@ -24,11 +24,16 @@ from truecount.exact import (
 from truecount.verify import (
     WEIGHT_SETS,
     VerificationResult,
-    compositions_over,
     verify_kelly,
     verify_lemmas,
     verify_theorem,
 )
+
+
+def compositions_over(weights, total: int):
+    """Every composition of ``total`` cards over ``weights``, in the sweeps' order."""
+    for counts in verify._count_tuples(len(weights), total):
+        yield WeightComposition(dict(zip(weights, counts)))
 
 
 @pytest.fixture
@@ -402,14 +407,37 @@ class TestIndexSpaceSweep:
             "vs=(Fraction(-1, 1), Fraction(-1, 1)): lhs=0 rhs=1/12"
         )
 
+    def test_lemma6_scales_each_weight_in_any_order(self, monkeypatch):
+        """A weight set out of increasing order still pairs each weight with its count.
+
+        Every lemma 6 check is made to fail; its text must name the
+        composition and weights whose scaled values the check received.
+        """
+        monkeypatch.setattr(verify, "WEIGHT_SETS", tuple(ws[::-1] for ws in WEIGHT_SETS))
+        calls = []
+
+        def bent(r, s, D, N, n):
+            calls.append((r, tuple(s), D))
+            return IdentityReport("lemma6", 0, 1, 1, 1)
+
+        monkeypatch.setattr(verify, "_telescoping", bent)
+        result = verify_lemmas(exhaustive_n=4, random_instances=0)
+        assert result.checked == 3_283
+        assert len(result.failures) == len(calls) > 0
+        for (r, s, D), failure in zip(calls, result.failures):
+            found = re.fullmatch(r"lemma6 comp=(\{.*\}) ws=(\(.*\)): lhs=0 rhs=1", failure)
+            comp, ws = (eval(g, {"Fraction": Fraction}) for g in found.groups())
+            assert r == -D * sum(w * l for w, l in comp.items()), failure
+            assert s == tuple(D * w for w in ws), failure
+
 
 class TestSweeps:
-    def test_compositions_over_counts(self):
-        comps = list(compositions_over((Fraction(-1), Fraction(1)), 4))
-        assert len(comps) == 5
-        assert all(c.total == 4 for c in comps)
+    def test_count_tuples_counts(self):
+        tuples = list(verify._count_tuples(2, 4))
+        assert len(tuples) == 5
+        assert all(sum(counts) == 4 for counts in tuples)
 
-    def test_compositions_over_matches_recursive_reference(self):
+    def test_count_tuples_match_recursive_reference(self):
         def reference(classes: int, total: int) -> list[tuple[int, ...]]:
             if classes == 1:
                 return [(total,)]
@@ -419,13 +447,9 @@ class TestSweeps:
                 for rest in reference(classes - 1, total - first)
             ]
 
-        weights = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
         for classes in range(1, 5):
             for total in range(11):
-                got = [
-                    tuple(c.counts.values())
-                    for c in compositions_over(weights[:classes], total)
-                ]
+                got = list(verify._count_tuples(classes, total))
                 assert got == reference(classes, total), (classes, total)
 
     def test_verify_lemmas_quick(self):

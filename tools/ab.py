@@ -2,16 +2,17 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/ab.py --base REV [--workload W] [--pairs K] [--seconds S] [--null] \
-        [--out AB_<n>.json]
+    python3 tools/ab.py --base REV [--workload W] [--pairs K] [--null] [--out AB_<n>.json]
 
 Exports REV with ``git archive`` into a temporary directory, which is
 removed afterwards.  Pair i runs ``perfbench/run.py --workload W --seed i
---seconds S --trace 0`` on both trees, one after the other; the side that
-runs first alternates from pair to pair, so a drift of the host's speed
-falls on both sides alike.  With ``--null`` the change side is a second
-export of REV, so the spread of the pairs sizes the noise of the layout
-alone.  ``--workload all`` runs the pairs of each workload in turn.
+--seconds S --trace 0`` on both trees, one after the other, where S is
+``BENCHMARK.json``'s ``run_seconds``; the side that runs first alternates
+from pair to pair, so a drift of the host's speed falls on both sides
+alike.  A record that backs a gain needs at least ten pairs, so fewer are
+refused except with ``--null``, whose change side is a second export of
+REV: the spread of its pairs sizes the noise of the layout alone.
+``--workload all`` runs the pairs of each workload in turn.
 
 Prints each pair's end-to-end metrics, then, per metric, the medians of
 both sides, their ratio and the pairs the change wins (by the direction
@@ -31,8 +32,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_record import WORKLOAD_NAMES, tree_clean  # noqa: E402
+
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-WORKLOADS = tuple(w["name"] for w in BENCH["workloads"])
+SECONDS = float(BENCH["run_seconds"])
+#: Fewest pairs of a record that can back a gain.
+MIN_PAIRS = 10
 #: Each end-to-end metric's better direction, "higher" or "lower".
 BETTER = {m["name"]: m["better"] for m in BENCH["end_to_end"]}
 
@@ -47,12 +53,12 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One measured run of ``perfbench/run.py`` in ``tree``: its printed result,
     with ``ok`` false if the run exited non-zero or reports a wrong output."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", "0"],
+         "--seconds", repr(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -103,11 +109,11 @@ def values(result: dict) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_pairs(trees: dict, workload: str, pairs: int, seconds: float) -> tuple[list, bool]:
+def run_pairs(trees: dict, workload: str, pairs: int) -> tuple[list, bool]:
     records, ok = [], True
     for i in range(1, pairs + 1):
         order = ("base", "change") if i % 2 else ("change", "base")
-        results = {side: run_once(trees[side], workload, i, seconds) for side in order}
+        results = {side: run_once(trees[side], workload, i) for side in order}
         ok = ok and all(r["ok"] for r in results.values())
         records.append({
             "seed": i, "first": order[0],
@@ -129,15 +135,14 @@ def run_pairs(trees: dict, workload: str, pairs: int, seconds: float) -> tuple[l
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
-    parser.add_argument("--workload", default="exact-sweep", choices=(*WORKLOADS, "all"))
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=9.0)
+    parser.add_argument("--workload", default="exact-sweep", choices=(*WORKLOAD_NAMES, "all"))
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--null", action="store_true",
                         help="run a second copy of the base as the change side")
     parser.add_argument("--out", default="AB.json", help="file to write, such as AB_<n>.json")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("need --pairs >= 1 and --seconds > 0")
+    if args.pairs < (1 if args.null else MIN_PAIRS):
+        parser.error(f"need --pairs >= {MIN_PAIRS}, or >= 1 with --null")
 
     sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -149,15 +154,12 @@ def main(argv=None) -> int:
     try:
         trees = {"base": export(sha, tmp / "base")}
         trees["change"] = export(sha, tmp / "null") if args.null else ROOT
-        clean = not subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT, check=True,
-            capture_output=True, text=True).stdout.strip()
         doc = {"base": sha, "change": sha if args.null else head, "null": args.null,
-               "change_tree_clean": args.null or clean, "seconds": args.seconds,
+               "change_tree_clean": args.null or tree_clean(), "seconds": SECONDS,
                "workloads": {}}
         all_ok = True
-        for workload in WORKLOADS if args.workload == "all" else (args.workload,):
-            records, ok = run_pairs(trees, workload, args.pairs, args.seconds)
+        for workload in WORKLOAD_NAMES if args.workload == "all" else (args.workload,):
+            records, ok = run_pairs(trees, workload, args.pairs)
             all_ok = all_ok and ok
             summary = summarize(records)
             doc["workloads"][workload] = {"pairs": records, "summary": summary}
