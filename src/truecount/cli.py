@@ -106,7 +106,7 @@ def cmd_sigma_table(
     if 52 * decks > sys.float_info.max:
         raise BadRangeError(f"need a shoe within the float range, got {shown(decks)} decks")
     if not 0 < penetration < 1:
-        raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
+        raise BadRangeError(f"penetration must be in (0, 1), got {shown(penetration)}")
     remaining = 52 * decks * (1 - penetration)
     cells_bet, cells_play = [], []
     markers = {}

@@ -367,7 +367,7 @@ def _shoe_cut(decks: int, penetration: float) -> tuple[int, int]:
             f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {shown(decks)} decks"
         )
     if not 0 < penetration < 1:
-        raise BadRangeError(f"penetration must be in (0, 1), got {penetration}")
+        raise BadRangeError(f"penetration must be in (0, 1), got {shown(penetration)}")
     return decks, round(52 * decks * penetration)
 
 

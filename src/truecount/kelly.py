@@ -49,27 +49,27 @@ class FuzzyAdvantage:
     var_p0: float
 
     def __post_init__(self):
-        if not 0 < self.p0 < 1:
-            raise BadRangeError(f"need 0 < p0 < 1, got {self.p0}")
+        if not 0 < real_number(self.p0, "p0") < 1:
+            raise BadRangeError(f"need 0 < p0 < 1, got {shown(self.p0)}")
         real_number(self.var_p0, "var_p0", 0)
         if self.var_p0 > self.p0 * (1 - self.p0):
             raise BadRangeError(
-                f"var_p0 {self.var_p0} exceeds the probability bound "
-                f"p0(1-p0) = {self.p0 * (1 - self.p0)}"
+                f"var_p0 {shown(self.var_p0)} exceeds the probability bound "
+                f"p0(1-p0) = {shown(self.p0 * (1 - self.p0))}"
             )
 
 
 def kelly_fraction(p: float) -> float:
     """Optimal bet fraction for win probability p: max(0, 2p - 1)."""
-    if not 0 <= p <= 1:
-        raise BadRangeError(f"need 0 <= p <= 1, got {p}")
+    if not 0 <= real_number(p, "p") <= 1:
+        raise BadRangeError(f"need 0 <= p <= 1, got {shown(p)}")
     return max(0.0, 2 * p - 1)
 
 
 def growth_stats_binomial(p: float) -> GrowthStats:
     """Growth mean/variance for a fixed-advantage game bet at the Kelly fraction."""
-    if not 0.5 < p < 1:
-        raise BadRangeError(f"need 1/2 < p < 1, got {p}")
+    if not 0.5 < real_number(p, "p") < 1:
+        raise BadRangeError(f"need 1/2 < p < 1, got {shown(p)}")
     mean = p * math.log(2 * p) + (1 - p) * math.log(2 - 2 * p)
     variance = p * (1 - p) * math.log(p / (1 - p)) ** 2
     return GrowthStats(mean, variance)
@@ -150,7 +150,7 @@ def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> Optimality
     if bad.any():
         raise BadRangeError(f"need 1/2 < p0 < 1, got {p0[bad][0]}")
     if not real_number(tolerance, "tolerance") > 0:
-        raise BadRangeError(f"need a tolerance > 0, got {tolerance}")
+        raise BadRangeError(f"need a tolerance > 0, got {shown(tolerance)}")
     fn = lambda f: log_growth(p0, f)
     argmax = _golden_max(fn, 0.0, 1.0 - 1e-9, tol=tolerance / 100)
     h = np.minimum(1e-4, (1 - argmax) / 2)
@@ -165,7 +165,7 @@ def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:
     """
     p0, var = adv.p0, adv.var_p0
     if not 0.5 < p0 < 1:
-        raise BadRangeError(f"need 1/2 < p0 < 1, got {p0}")
+        raise BadRangeError(f"need 1/2 < p0 < 1, got {shown(p0)}")
     base = growth_stats_binomial(p0)
     logit = math.log(p0 / (1 - p0))
     pq = p0 * (1 - p0)
@@ -183,18 +183,18 @@ def long_run(eps: float, sigma_bet: float, threshold: float = 2.0) -> float:
     for name, value in (("eps", eps), ("sigma_bet", sigma_bet), ("threshold", threshold)):
         real_number(value, name)
     if eps <= 0:
-        raise BadRangeError(f"need eps > 0, got {eps}")
+        raise BadRangeError(f"need eps > 0, got {shown(eps)}")
     if sigma_bet < 0:
-        raise BadRangeError(f"need sigma_bet >= 0, got {sigma_bet}")
+        raise BadRangeError(f"need sigma_bet >= 0, got {shown(sigma_bet)}")
     if threshold <= 0:
-        raise BadRangeError(f"need threshold > 0, got {threshold}")
+        raise BadRangeError(f"need threshold > 0, got {shown(threshold)}")
     try:
         n = threshold**2 * (1 + sigma_bet**2) / eps**2
     except (OverflowError, ZeroDivisionError):  # a square past the float range
         n = math.inf
     if not (math.isfinite(n) and n > 0):
         raise BadRangeError(
-            f"no finite long run > 0 at eps={eps}, sigma_bet={sigma_bet}, "
-            f"threshold={threshold}"
+            f"no finite long run > 0 at eps={shown(eps)}, sigma_bet={shown(sigma_bet)}, "
+            f"threshold={shown(threshold)}"
         )
     return n

@@ -34,7 +34,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import counting, kernels
-from .counting import CountSystem, shown, whole_number
+from .counting import CountSystem, real_number, shown, whole_number
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import FuzzyAdvantage, kelly_fraction
 from .seats import SeatCardModel
@@ -298,8 +298,8 @@ class FixedAdvantageModel:
     p: float
 
     def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise BadRangeError(f"need 0 < p < 1, got {self.p}")
+        if not 0 < real_number(self.p, "p") < 1:
+            raise BadRangeError(f"need 0 < p < 1, got {shown(self.p)}")
 
     @property
     def states(self) -> tuple[tuple[float, float], ...]:

@@ -5,13 +5,17 @@ Every identity is evaluated exactly, each side an integer numerator over an
 integer denominator, and the sides are compared by cross-multiplication.
 The exhaustive lemma sweep works in weight-class index space: prefixes,
 their feasibility and the drawn weights are tuples of class indices over a
-composition's counts, fed to the same integer cores as the weight-level
-checkers, so no weight is hashed per check.  Which lemma 1, 2 and 3-4
-checks apply after a prefix, and what they evaluate to, depends only on
-the counts left, so each sweep call evaluates the block of checks for a
-tuple of counts left once and records it for every (composition, prefix)
-that leaves those counts.  Lemma 6 takes weights scaled to integers once
-per weight set.  The moment sweep works in class-index space too: its
+composition's counts, so no weight is hashed per check.  Which lemma 1, 2
+and 3-4 checks apply after a prefix, and what they evaluate to, depends
+only on the counts left, so each sweep call evaluates the block of checks
+for a tuple of counts left once, in bulk: one integer pass per (k, q)
+over the census table of k removals, the identity that
+``_removal_identity`` evaluates for the weight-level checkers, with an
+``IdentityReport`` built only for a check that fails.  The block's count
+and failures are recorded with ``record_all`` for every (composition,
+prefix) that leaves those counts.  Lemma 6 takes weights scaled to
+integers once per weight set, and its checks of a composition are recorded
+with one ``record_all``.  The moment sweep works in class-index space too: its
 compositions are tuples of class counts, each scaled to integers from its
 (weight, count) pairs.  It compares each law's integer power sums with the
 closed forms: it reads each census row to N/2 once, takes the sums past
@@ -32,17 +36,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .counting import WeightComposition, real_number, scaled_classes, whole_number
+from .counting import WeightComposition, real_number, scaled_classes, shown, whole_number
 from .errors import BadRangeError
 from .exact import (
+    IdentityReport,
     _censuses,
     _closed_form_terms,
     _law_sums,
-    _removal_identity,
     _scaled,
     _telescoping,
     _variance_numerator,
@@ -147,27 +152,66 @@ _REMOVAL_CHECKS = (
 )
 
 
-def _removal_block(counts: tuple[int, ...]) -> list:
+def _removal_block(counts: tuple[int, ...]) -> tuple[int, list]:
     """Every lemma 1, 2 and 3-4 check of the exhaustive sweep on ``counts`` left.
 
-    Returns ``(name, k, vs, report)`` in sweep order, ``vs`` a tuple of
-    class indices.  Which checks apply depends only on M = sum(counts):
-    lemma 1 when M >= 2, lemma 2 when q <= M - 2, lemma 3-4 when
-    k + q <= M - 1, that is k + q <= M - 1 for all three (lemmas 1 and 2
-    remove k = 1).  The removal-census table is built once per k.
+    Returns ``(checks, failed)``, as ``record_all`` takes them: the number
+    of checks, and the failed ones as ``(k, vs, report)`` in sweep order,
+    ``vs`` a tuple of class indices.  Which checks apply depends only on
+    M = sum(counts): lemma 1 when M >= 2, lemma 2 when q <= M - 2, lemma
+    3-4 when k + q <= M - 1, that is k + q <= M - 1 for all three (lemmas
+    1 and 2 remove k = 1).
+
+    The checks are evaluated in bulk, each on its own, as
+    ``_removal_identity`` evaluates one: the census table of k removals is
+    built once per k, as the ways of each census and, per class, the cards
+    each census leaves in it.  For each tuple of draw classes the left side
+    is one integer sum over the censuses and the right side a product of
+    the counts left, over the denominators C(M, k) perm(M - k, q + 1) and
+    perm(M, q + 1) that the (k, q) group shares; the sides are compared by
+    cross-multiplication and an ``IdentityReport`` is built only for a
+    check that fails.  The block evaluates one or two draws, so an entry
+    of ``_REMOVAL_CHECKS`` with q >= 2 raises ``ValueError``.
     """
     M = sum(counts)
     classes = range(len(counts))
-    tables: dict[int, list] = {}
-    block = []
+    # k -> (the ways of each census, per class the cards each census leaves).
+    tables: dict[int, tuple[list[int], list[list[int]]]] = {}
+    checks, failed = 0, []
     for name, k, q in _REMOVAL_CHECKS:
+        if q > 1:
+            raise ValueError(f"{name} with q={q}: the block evaluates one or two draws")
         if k + q > M - 1:
             continue
         if k not in tables:
-            tables[k] = _censuses(counts, k)
-        for vs in itertools.product(classes, repeat=q + 1):
-            block.append((name, k, vs, _removal_identity(name, counts, vs, k, tables[k])))
-    return block
+            censuses = _censuses(counts, k)
+            tables[k] = (
+                [ways for _, ways in censuses],
+                [[l - removed[i] for removed, _ in censuses] for i, l in enumerate(counts)],
+            )
+        ways, left = tables[k]
+        lhs_den = math.comb(M, k) * math.perm(M - k, q + 1)
+        rhs_den = math.perm(M, q + 1)
+        checks += len(counts) ** (q + 1)
+        for v0 in classes:
+            if q == 0:
+                lhs, rhs = sum(map(mul, ways, left[v0])), counts[v0]
+                if lhs * rhs_den != rhs * lhs_den:
+                    failed.append((k, (v0,), IdentityReport(name, lhs, lhs_den, rhs, rhs_den)))
+                continue
+            # Each census's ways times the cards it leaves for the first draw;
+            # a second draw of the first draw's class finds one card fewer.
+            first = list(map(mul, ways, left[v0]))
+            first_total = sum(first)
+            for v1 in classes:
+                same = v0 == v1
+                lhs = sum(map(mul, first, left[v1])) - same * first_total
+                rhs = counts[v0] * (counts[v1] - same)
+                if lhs * rhs_den != rhs * lhs_den:
+                    failed.append(
+                        (k, (v0, v1), IdentityReport(name, lhs, lhs_den, rhs, rhs_den))
+                    )
+    return checks, failed
 
 
 def verify_lemmas(
@@ -181,11 +225,13 @@ def verify_lemmas(
     cards over each of the first two weight sets, in class-index space.
     For each drawable prefix (``_prefixes``) the lemma 1, 2 and 3-4 checks
     are the block of the counts it leaves (``_removal_block``), evaluated
-    once per tuple of counts left for the length of the call and recorded
-    for every (composition, prefix) that leaves it; each check evaluates
-    its own identity.  Lemma 6 takes the weights scaled to integers once
-    per weight set and R from the class counts.  The random block uses the
-    weight-level checkers on compositions of 3 to ``RANDOM_N_MAX`` cards.
+    in bulk once per tuple of counts left for the length of the call, and
+    its check count and failed entries are recorded in bulk for every
+    (composition, prefix) that leaves it; each check evaluates its own
+    identity.  Lemma 6 takes the weights scaled to integers once per weight
+    set and R from the class counts, and a composition's lemma 6 checks are
+    recorded together.  The random block uses the weight-level checkers on
+    compositions of 3 to ``RANDOM_N_MAX`` cards.
     An ``exhaustive_n`` below 2, which would leave the exhaustive block
     empty, raises ``BadRangeError``.
     """
@@ -214,34 +260,38 @@ def verify_lemmas(
         scaled = [scaled_of[w] for w in weights]
         classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
+            # The lemma 6 draws of n = 1 and 2 weights, as class indices.
+            drawn = [
+                ws for n in range(1, min(3, total)) for ws in itertools.product(classes, repeat=n)
+            ]
             for have in _count_tuples(len(weights), total):
                 for prefix, counts in _prefixes(have):
                     block = blocks.get(counts)
                     if block is None:
-                        entries = _removal_block(counts)
-                        block = blocks[counts] = (
-                            len(entries), [e for e in entries if not e[3].equal]
-                        )
+                        block = blocks[counts] = _removal_block(counts)
                     result.record_all(
                         *block,
                         lambda entry: describe(
-                            entry[3],
+                            entry[2],
                             zip(weights, have),
                             prefix=tuple(weights[i] for i in prefix),
-                            k=entry[1],
-                            vs=tuple(weights[i] for i in entry[2]),
+                            k=entry[0],
+                            vs=tuple(weights[i] for i in entry[1]),
                         ),
                     )
                 r = -sum(s * l for s, l in zip(scaled, have))
-                for n in range(1, min(3, total)):
-                    for ws in itertools.product(classes, repeat=n):
-                        report = _telescoping(r, [scaled[i] for i in ws], D, total, n)
-                        result.record(
-                            report.equal,
-                            lambda: describe(
-                                report, zip(weights, have), ws=tuple(weights[i] for i in ws)
-                            ),
-                        )
+                failed = []
+                for ws in drawn:
+                    report = _telescoping(r, [scaled[i] for i in ws], D, total, len(ws))
+                    if not report.equal:
+                        failed.append((ws, report))
+                result.record_all(
+                    len(drawn),
+                    failed,
+                    lambda entry: describe(
+                        entry[1], zip(weights, have), ws=tuple(weights[i] for i in entry[0])
+                    ),
+                )
 
     rng = random.Random(seed)
     for _ in range(random_instances):
@@ -358,16 +408,17 @@ KELLY_MAX_POINTS = 10**5
 
 def _kelly_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The p0 grid lo, lo + step, ... up to hi, never past it."""
-    if not 0.5 < lo <= hi < 1:
-        raise BadRangeError(f"need 1/2 < lo <= hi < 1, got lo={lo}, hi={hi}")
+    if not 0.5 < real_number(lo, "lo") <= real_number(hi, "hi") < 1:
+        raise BadRangeError(f"need 1/2 < lo <= hi < 1, got lo={shown(lo)}, hi={shown(hi)}")
     if not real_number(step, "step") > 0:
-        raise BadRangeError(f"need a step > 0, got {step}")
+        raise BadRangeError(f"need a step > 0, got {shown(step)}")
     # The 1e-9 absorbs rounding in (hi - lo) / step when hi is a whole
     # number of steps from lo.
     steps = (hi - lo) / step + 1e-9
     if not steps < KELLY_MAX_POINTS:
         raise BadRangeError(
-            f"a grid from {lo} to {hi} by {step} has more than {KELLY_MAX_POINTS} points"
+            f"a grid from {shown(lo)} to {shown(hi)} by {shown(step)} has more than "
+            f"{KELLY_MAX_POINTS} points"
         )
     return lo + np.arange(math.floor(steps) + 1) * float(step)
 

@@ -287,6 +287,21 @@ class TestVerify:
         assert code == 0
         assert "kelly: PASS" in out
 
+    @pytest.mark.parametrize(
+        "scope, expected",
+        [
+            ("lemmas", "lemmas: PASS (50693 checks)\n"),
+            (
+                "all",
+                "lemmas: PASS (50693 checks)\n"
+                "theorem: PASS (563550 checks)\n"
+                "kelly: PASS (90 checks)\n",
+            ),
+        ],
+    )
+    def test_default_sweeps_print_their_check_counts(self, capsys, scope, expected):
+        assert run_cli(capsys, "verify", scope) == (0, expected, "")
+
 
 class TestKelly:
     def test_output(self, capsys):

@@ -11,7 +11,9 @@ For reals: every real argument takes a finite value within the float range
 only.  Each case calls one function with valid arguments but for one real
 argument, which is drawn from ``REAL_VALUES``: NaN, either infinity and an
 int past the float range each raise a ``TrueCountError``, never an
-``OverflowError`` from the arithmetic on them.
+``OverflowError`` from the arithmetic on them.  A real within the float
+range that a range rule refuses is printed in the error by ``shown``, even
+one of more than 4,300 digits.
 
 For the CLI: ``cli.main`` on a valid command line with one or two flag
 values replaced by a bad or extreme one exits 0 with only finite numbers
@@ -180,6 +182,12 @@ REAL_CASES = {
     "verify_kelly tolerance": (
         lambda v: tc.verify_kelly(lo=0.6, hi=0.61, step=0.005, tolerance=v), 1e-6),
     "optimality_grid p0": (lambda v: kelly.optimality_grid([0.6, v]), 0.7),
+    "FixedAdvantageModel p": (lambda v: tc.FixedAdvantageModel(v), 0.52),
+    "FuzzyAdvantage p0": (lambda v: tc.FuzzyAdvantage(v, 0.0), 0.52),
+    "kelly_fraction p": (lambda v: tc.kelly_fraction(v), 0.52),
+    "growth_stats_binomial p": (lambda v: tc.growth_stats_binomial(v), 0.52),
+    "verify_kelly lo": (lambda v: tc.verify_kelly(lo=v, hi=0.61, step=0.005), 0.6),
+    "verify_kelly hi": (lambda v: tc.verify_kelly(lo=0.6, hi=v, step=0.005), 0.61),
 }
 
 
@@ -189,6 +197,27 @@ def test_reals_are_finite_and_within_the_float_range(call, valid):
     for value in REAL_VALUES[1:]:
         with pytest.raises(tc.TrueCountError):
             call(value)
+
+
+#: A real within the float range that ``str`` refuses to print: its
+#: denominator has more than 4,300 digits.
+MANY_DIGITS = Fraction(-1, 10**5000)
+
+#: Calls whose range rule refuses ``MANY_DIGITS`` after ``real_number`` takes it.
+RANGE_CASES = {
+    **{name: call for name, (call, _) in REAL_CASES.items()
+       if name.split()[0] in ("FixedAdvantageModel", "FuzzyAdvantage", "kelly_fraction",
+                              "growth_stats_binomial", "verify_kelly", "long_run")},
+    "predicted_seat_sigma penetration": lambda v: tc.predicted_seat_sigma(
+        HI_LO, 1, v, tc.SeatCardModel(3, 2)),
+    "cmd_sigma_table penetration": lambda v: cli.cmd_sigma_table(HI_LO, 1, v, 3, [1]),
+}
+
+
+@pytest.mark.parametrize("call", RANGE_CASES.values(), ids=RANGE_CASES.keys())
+def test_a_real_out_of_its_range_is_shown_in_the_error(call):
+    with pytest.raises(tc.TrueCountError, match=re.escape("-1/about 10**5000")):
+        call(MANY_DIGITS)
 
 
 def test_a_whole_step_within_the_float_range_is_a_step():

@@ -1,4 +1,5 @@
 """Combinatorial identity checkers and the verification sweeps."""
+import inspect
 import itertools
 import math
 import random
@@ -34,6 +35,25 @@ def compositions_over(weights, total: int):
     """Every composition of ``total`` cards over ``weights``, in the sweeps' order."""
     for counts in verify._count_tuples(len(weights), total):
         yield WeightComposition(dict(zip(weights, counts)))
+
+
+def _bend_block(monkeypatch, old: str, new: str):
+    """Put in a copy of ``verify._removal_block`` whose source reads ``new`` for ``old``.
+
+    ``old`` must occur in the source, so a fault planted this way cannot
+    miss the code it is meant to bend.
+    """
+    source = inspect.getsource(verify._removal_block)
+    assert old in source, old
+    namespace = {}
+    exec(source.replace(old, new), vars(verify), namespace)
+    monkeypatch.setattr(verify, "_removal_block", namespace["_removal_block"])
+
+
+#: The block's comparison of the two sides, and a bend of it that fails
+#: every check, so the block reports each check's sides.
+COMPARISON = "if lhs * rhs_den != rhs * lhs_den:"
+EVERY_CHECK_FAILS = "if True:"
 
 
 @pytest.fixture
@@ -204,21 +224,46 @@ class TestFailuresAreDiagnosable:
 
     def test_off_by_one_in_the_index_space_core(self, monkeypatch):
         """The exhaustive block's details give the prefix and drawn weights as weights."""
-        real = verify._removal_identity
-
-        def bent(*args):
-            report = real(*args)
-            return report._replace(rhs_num=report.rhs_num + 1)
-
-        monkeypatch.setattr(verify, "_removal_identity", bent)
+        _bend_block(monkeypatch, "rhs * lhs_den", "(rhs := rhs + 1) * lhs_den")
         result = verify_lemmas(exhaustive_n=3, random_instances=0)
         assert not result.passed
         first = result.failures[0]
-        assert first.startswith("lemma1 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} ")
-        assert " prefix=() k=1 vs=(Fraction(-1, 1),): " in first
+        assert first == (
+            "lemma1 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} prefix=() k=1 "
+            "vs=(Fraction(-1, 1),): lhs=0 rhs=1/2"
+        )
         lhs, rhs = re.search(r": lhs=(\S+) rhs=(\S+)$", first).groups()
         _assert_reduced(lhs, rhs)
         assert Fraction(lhs) != Fraction(rhs)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("- same * first_total", ""),
+            ("(counts[v1] - same)", "counts[v1]"),
+            ("same = v0 == v1", "same = 0"),
+        ],
+        ids=["left", "right", "both"],
+    )
+    def test_fault_in_the_same_class_correction(self, monkeypatch, old, new):
+        """A second draw of the first draw's class must find one card fewer.
+
+        Without that correction on either side, or on both, the sweep
+        fails, and only on checks that draw one weight twice.
+        """
+        _bend_block(monkeypatch, old, new)
+        result = verify_lemmas(exhaustive_n=4, random_instances=0)
+        assert result.checked == 3_283
+        assert not result.passed
+        assert all(
+            re.search(r" vs=\((Fraction\([^)]*\)), \1\): ", f) for f in result.failures
+        )
+
+    def test_draws_past_two_are_refused(self, monkeypatch):
+        """The block evaluates one or two draws; a check of three is refused, not mis-evaluated."""
+        monkeypatch.setattr(verify, "_REMOVAL_CHECKS", (*verify._REMOVAL_CHECKS, ("lemma34", 1, 2)))
+        with pytest.raises(ValueError, match="q=2"):
+            verify_lemmas(exhaustive_n=2, random_instances=0)
 
     @pytest.mark.parametrize("fault", ["drop", "ways"])
     def test_fault_in_the_census_table(self, monkeypatch, fault):
@@ -280,8 +325,14 @@ class TestFailuresAreDiagnosable:
 
 
 class TestIndexSpaceSweep:
-    def test_core_matches_weight_level_checkers(self):
-        """Every lemma 1, 2 and 3-4 check of the exhaustive sweep, both ways."""
+    def test_core_matches_weight_level_checkers(self, monkeypatch):
+        """Every lemma 1, 2 and 3-4 check of the exhaustive sweep, both sides.
+
+        With its comparison bent to fail every check, the block reports
+        each check's report, which must equal the weight-level checker's.
+        """
+        checked = verify_lemmas(exhaustive_n=5, random_instances=0).checked
+        _bend_block(monkeypatch, COMPARISON, EVERY_CHECK_FAILS)
         checkers = {
             "lemma1": lambda comp, prefix, k, vs: check_lemma1(comp, prefix, vs[0]),
             "lemma2": lambda comp, prefix, k, vs: check_lemma2(comp, prefix, vs),
@@ -294,16 +345,15 @@ class TestIndexSpaceSweep:
                     lemma6 += sum(len(weights) ** n for n in range(1, min(3, total)))
                     have = tuple(comp.counts[w] for w in weights)
                     for prefix, counts in verify._prefixes(have):
-                        for name, k, vs, core in verify._removal_block(counts):
-                            public = checkers[name](
+                        checks, entries = verify._removal_block(counts)
+                        assert len(entries) == checks
+                        for k, vs, core in entries:
+                            public = checkers[core.name](
                                 comp, [weights[i] for i in prefix], k, [weights[i] for i in vs]
                             )
-                            assert name == core.name == public.name
-                            assert (core.lhs, core.rhs, core.equal) == (
-                                public.lhs, public.rhs, public.equal
-                            )
+                            assert core == public and core.equal
                             compared += 1
-        assert compared + lemma6 == verify_lemmas(exhaustive_n=5, random_instances=0).checked
+        assert compared + lemma6 == checked
 
     def test_census_table_matches_subsets(self):
         """Census by census, the table counts the k-subsets of the cards."""
@@ -359,9 +409,8 @@ class TestIndexSpaceSweep:
                     for _, counts in verify._prefixes(have):
                         if counts not in blocks:
                             blocks[counts] = verify._removal_block(counts)
-                            for *_, report in blocks[counts]:
-                                assert report.equal, (counts, report)
-                        checked += len(blocks[counts])
+                            assert not blocks[counts][1], (counts, blocks[counts][1])
+                        checked += blocks[counts][0]
                     for n in range(1, min(3, total)):
                         for ws in itertools.product(weights, repeat=n):
                             report = check_lemma6(comp.running_count, total, n, ws)
@@ -370,31 +419,41 @@ class TestIndexSpaceSweep:
         assert checked == 193_912
 
     def test_each_identity_evaluated_once_per_counts_left(self, monkeypatch):
-        """One evaluation per distinct (counts left, name, k, vs), none shared by name."""
-        real = verify._removal_identity
-        calls = Counter()
+        """One evaluation per distinct (counts left, name, k, vs), none shared by name.
 
-        def counted(name, counts, slots, k, censuses):
-            calls[tuple(counts), name, k, tuple(slots)] += 1
-            return real(name, counts, slots, k, censuses)
+        With every check made to fail, each evaluation leaves its own report.
+        """
+        _bend_block(monkeypatch, COMPARISON, EVERY_CHECK_FAILS)
+        bent = verify._removal_block
+        calls, reports = Counter(), Counter()
 
-        monkeypatch.setattr(verify, "_removal_identity", counted)
+        def counted(counts):
+            calls[counts] += 1
+            checks, failed = bent(counts)
+            assert len(failed) == checks
+            for k, vs, report in failed:
+                reports[counts, report.name, k, vs] += 1
+            return checks, failed
+
+        monkeypatch.setattr(verify, "_removal_block", counted)
         result = verify_lemmas(exhaustive_n=4, random_instances=0)
-        assert result.passed and result.checked == 3_283
-        assert sum(calls.values()) == len(calls) == 1_121
-        assert {name for _, name, _, _ in calls} == {"lemma1", "lemma2", "lemma34"}
+        assert result.checked == 3_283
+        assert len(result.failures) == 3_283 - 378  # all but the 378 lemma 6 checks
+        assert sum(calls.values()) == len(calls) == 50
+        assert sum(reports.values()) == len(reports) == 1_121
+        assert {name for _, name, _, _ in reports} == {"lemma1", "lemma2", "lemma34"}
+        # Lemmas 1 and 2 at one draw are the same identity, evaluated apart.
+        assert {key[2:] for key in reports if key[1] == "lemma1"} <= {
+            key[2:] for key in reports if key[1] == "lemma2"
+        }
 
     def test_fault_in_one_kind_of_check(self, monkeypatch):
         """A fault in lemma 3-4 with k=2 and two drawn weights fails only those checks."""
-        real = verify._removal_identity
-
-        def bent(name, counts, slots, k, censuses):
-            report = real(name, counts, slots, k, censuses)
-            if name == "lemma34" and k == 2 and len(slots) == 2:
-                report = report._replace(rhs_num=report.rhs_num + 1)
-            return report
-
-        monkeypatch.setattr(verify, "_removal_identity", bent)
+        _bend_block(
+            monkeypatch,
+            "rhs = counts[v0] * (counts[v1] - same)",
+            "rhs = counts[v0] * (counts[v1] - same) + (name == 'lemma34' and k == 2)",
+        )
         result = verify_lemmas(exhaustive_n=4, random_instances=0)
         assert result.checked == 3_283
         assert len(result.failures) == 155
@@ -406,6 +465,12 @@ class TestIndexSpaceSweep:
             "lemma34 comp={Fraction(-1, 1): 0, Fraction(1, 1): 4} prefix=() k=2 "
             "vs=(Fraction(-1, 1), Fraction(-1, 1)): lhs=0 rhs=1/12"
         )
+
+    def test_a_passing_block_builds_no_report(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(verify, "IdentityReport", lambda *sides: built.append(sides))
+        assert verify_lemmas(exhaustive_n=4, random_instances=0).passed
+        assert built == []
 
     def test_lemma6_scales_each_weight_in_any_order(self, monkeypatch):
         """A weight set out of increasing order still pairs each weight with its count.
