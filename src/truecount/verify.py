@@ -8,20 +8,18 @@ their feasibility and the drawn weights are tuples of class indices over a
 composition's counts, so no weight is hashed per check.  Which lemma 1, 2
 and 3-4 checks apply after a prefix, and what they evaluate to, depends
 only on the counts left, so each sweep call evaluates the block of checks
-for a tuple of counts left once, in bulk: one integer pass per (k, q)
-over the census table of k removals, the identity that
-``_removal_identity`` evaluates for the weight-level checkers, with an
-``IdentityReport`` built only for a check that fails.  The block's count
-and failures are recorded with ``record_all`` for every (composition,
-prefix) that leaves those counts.  Lemma 6 takes weights scaled to
-integers once per weight set, and its checks of a composition are recorded
-with one ``record_all``.  The moment sweep works in class-index space too: its
-compositions are tuples of class counts, each scaled to integers from its
-(weight, count) pairs.  It compares each law's integer power sums with the
-closed forms: it reads each census row to N/2 once, takes the sums past
-N/2 by the mirror identity, builds no law and records the checks in bulk;
-a failed check's detail gives both sides as fractions built from the
-power sums it compared.  The exhaustive lemma block and the moment sweep
+for a tuple of counts left once, in bulk (one integer pass per (k, q),
+a report built only for a failure).  A composition's blocks, one per
+prefix, go to one ``record_all``.  Lemma 6 takes weights scaled to
+integers once per weight set, and a composition's lemma 6 checks go to one
+more ``record_all``.  The moment sweep
+works in class-index space too: its compositions are tuples of class
+counts, each scaled to integers from its (weight, count) pairs.  It
+compares each law's integer power sums with the closed forms: it reads
+each census row to N/2 once, takes the sums past N/2 by the mirror
+identity, builds no law and records the checks in bulk; a failed check's
+detail gives both sides as fractions built from the power sums it
+compared.  The exhaustive lemma block and the moment sweep
 build no ``WeightComposition``: a composition's weight -> count dict is
 made only for a failure's text.
 The Kelly sweep runs one golden-section search over the whole p0 grid,
@@ -129,14 +127,13 @@ def _prefixes(have: tuple[int, ...]):
     Yields ``(prefix, counts)``: ``prefix`` is a tuple of class indices and
     ``counts`` the tuple of cards left in each class after it.
     """
-    classes = range(len(have))
-    for p in (0, 1, 2):
-        for prefix in itertools.product(classes, repeat=p):
-            counts = list(have)
-            for i in prefix:
-                counts[i] -= 1
-            if min(counts) >= 0:
-                yield prefix, tuple(counts)
+    yield (), have
+    ones = [((i,), have[:i] + (l - 1,) + have[i + 1 :]) for i, l in enumerate(have) if l]
+    yield from ones
+    for (i,), after in ones:
+        for j, l in enumerate(after):
+            if l:
+                yield (i, j), after[:j] + (l - 1,) + after[j + 1 :]
 
 
 #: The removal checks of the exhaustive sweep, in sweep order, as
@@ -155,23 +152,20 @@ _REMOVAL_CHECKS = (
 def _removal_block(counts: tuple[int, ...]) -> tuple[int, list]:
     """Every lemma 1, 2 and 3-4 check of the exhaustive sweep on ``counts`` left.
 
-    Returns ``(checks, failed)``, as ``record_all`` takes them: the number
-    of checks, and the failed ones as ``(k, vs, report)`` in sweep order,
-    ``vs`` a tuple of class indices.  Which checks apply depends only on
-    M = sum(counts): lemma 1 when M >= 2, lemma 2 when q <= M - 2, lemma
-    3-4 when k + q <= M - 1, that is k + q <= M - 1 for all three (lemmas
-    1 and 2 remove k = 1).
-
-    The checks are evaluated in bulk, each on its own, as
-    ``_removal_identity`` evaluates one: the census table of k removals is
-    built once per k, as the ways of each census and, per class, the cards
-    each census leaves in it.  For each tuple of draw classes the left side
-    is one integer sum over the censuses and the right side a product of
-    the counts left, over the denominators C(M, k) perm(M - k, q + 1) and
-    perm(M, q + 1) that the (k, q) group shares; the sides are compared by
-    cross-multiplication and an ``IdentityReport`` is built only for a
-    check that fails.  The block evaluates one or two draws, so an entry
-    of ``_REMOVAL_CHECKS`` with q >= 2 raises ``ValueError``.
+    Returns ``(checks, failed)`` as ``record_all`` takes them: the number of
+    checks, and the failed ones as ``(k, vs, report)`` in sweep order, ``vs``
+    a tuple of class indices.  Which checks apply depends only on
+    M = sum(counts): k + q <= M - 1 for all three (lemmas 1 and 2 remove
+    k = 1).  Each check evaluates its own identity, the one of
+    ``_removal_identity``, in bulk: the census table of k removals is built
+    once per k, as each census's ways and, per class, the cards each census
+    leaves in it; the left side is one integer sum over the table and the
+    right side a product of the counts left, over the denominators
+    C(M, k) perm(M - k, q + 1) and perm(M, q + 1) that the (k, q) group
+    shares, compared by cross-multiplication.  An ``IdentityReport`` is
+    built only for a check that fails.  The block evaluates one or two
+    draws, so an entry of ``_REMOVAL_CHECKS`` with q >= 2 raises
+    ``ValueError``.
     """
     M = sum(counts)
     classes = range(len(counts))
@@ -225,13 +219,13 @@ def verify_lemmas(
     cards over each of the first two weight sets, in class-index space.
     For each drawable prefix (``_prefixes``) the lemma 1, 2 and 3-4 checks
     are the block of the counts it leaves (``_removal_block``), evaluated
-    in bulk once per tuple of counts left for the length of the call, and
-    its check count and failed entries are recorded in bulk for every
-    (composition, prefix) that leaves it; each check evaluates its own
-    identity.  Lemma 6 takes the weights scaled to integers once per weight
-    set and R from the class counts, and a composition's lemma 6 checks are
-    recorded together.  The random block uses the weight-level checkers on
-    compositions of 3 to ``RANDOM_N_MAX`` cards.
+    in bulk once per tuple of counts left for the length of the call; each
+    check evaluates its own identity.  A composition's blocks, one per
+    prefix, are recorded with one ``record_all``.  Lemma 6 takes the weights
+    scaled to integers once per weight set and R from the class counts, and
+    a composition's lemma 6 checks go to one more ``record_all``.  The
+    random block uses the weight-level checkers on compositions of 3 to
+    ``RANDOM_N_MAX`` cards.
     An ``exhaustive_n`` below 2, which would leave the exhaustive block
     empty, raises ``BadRangeError``.
     """
@@ -260,29 +254,35 @@ def verify_lemmas(
         scaled = [scaled_of[w] for w in weights]
         classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
-            # The lemma 6 draws of n = 1 and 2 weights, as class indices.
+            # The lemma 6 draws of n = 1 and 2 weights, as class indices and scaled.
             drawn = [
-                ws for n in range(1, min(3, total)) for ws in itertools.product(classes, repeat=n)
+                (ws, [scaled[i] for i in ws])
+                for n in range(1, min(3, total))
+                for ws in itertools.product(classes, repeat=n)
             ]
             for have in _count_tuples(len(weights), total):
+                checks, failed = 0, []
                 for prefix, counts in _prefixes(have):
                     block = blocks.get(counts)
                     if block is None:
                         block = blocks[counts] = _removal_block(counts)
-                    result.record_all(
-                        *block,
-                        lambda entry: describe(
-                            entry[2],
-                            zip(weights, have),
-                            prefix=tuple(weights[i] for i in prefix),
-                            k=entry[0],
-                            vs=tuple(weights[i] for i in entry[1]),
-                        ),
-                    )
+                    checks += block[0]
+                    failed += [(prefix, *entry) for entry in block[1]]
+                result.record_all(
+                    checks,
+                    failed,
+                    lambda entry: describe(
+                        entry[3],
+                        zip(weights, have),
+                        prefix=tuple(weights[i] for i in entry[0]),
+                        k=entry[1],
+                        vs=tuple(weights[i] for i in entry[2]),
+                    ),
+                )
                 r = -sum(s * l for s, l in zip(scaled, have))
                 failed = []
-                for ws in drawn:
-                    report = _telescoping(r, [scaled[i] for i in ws], D, total, len(ws))
+                for ws, s in drawn:
+                    report = _telescoping(r, s, D, total, len(ws))
                     if not report.equal:
                         failed.append((ws, report))
                 result.record_all(
