@@ -260,8 +260,9 @@ class TestFailuresAreDiagnosable:
         )
 
     def test_draws_past_two_are_refused(self, monkeypatch):
-        """The block evaluates one or two draws; a check of three is refused, not mis-evaluated."""
-        monkeypatch.setattr(verify, "_REMOVAL_CHECKS", (*verify._REMOVAL_CHECKS, ("lemma34", 1, 2)))
+        """The block evaluates one or two draws; three are refused, not mis-evaluated."""
+        three_draws = ("lemma34", 1, 2)
+        monkeypatch.setattr(verify, "_REMOVAL_CHECKS", (*verify._REMOVAL_CHECKS, three_draws))
         with pytest.raises(ValueError, match="q=2"):
             verify_lemmas(exhaustive_n=2, random_instances=0)
 
@@ -467,6 +468,7 @@ class TestIndexSpaceSweep:
         )
 
     def test_a_passing_block_builds_no_report(self, monkeypatch):
+        """An ``IdentityReport`` is built only for a check that fails."""
         built = []
         monkeypatch.setattr(verify, "IdentityReport", lambda *sides: built.append(sides))
         assert verify_lemmas(exhaustive_n=4, random_instances=0).passed
