@@ -281,8 +281,8 @@ def verify_lemmas(
                 )
                 r = -sum(s * l for s, l in zip(scaled, have))
                 failed = []
-                for ws, s in drawn:
-                    report = _telescoping(r, s, D, total, len(ws))
+                for ws, scaled_ws in drawn:
+                    report = _telescoping(r, scaled_ws, D, total, len(ws))
                     if not report.equal:
                         failed.append((ws, report))
                 result.record_all(
