@@ -3,19 +3,23 @@
 The distribution is materialized over removal censuses (how many cards of
 each weight class were removed) instead of ordered removal sequences.  A
 census DP counts the n-card subsets by the running count their removal
-leaves, up to n = N/2.  It holds one row per n and adds each weight class
-to the rows in place, in descending order of n, so a row reads only rows
-the class has not yet touched; all of it is integer.  The law past N/2
-is the mirror of the law at N - n, since removing the other N - n cards
-leaves scale * R - x where removing the n leaves x.  ``tc_distribution``
-builds the one DP row a law reads.  A law is held as those integer
-multiplicities over the common denominator C(N, n) * scale * (N - n),
-and its moments come from the integer power sums (S0, S1, S2) of x,
-which ``_power_sums`` takes in one pass over a DP row.  The mirror
-x -> start - x maps power sums by arithmetic alone (``_mirrored``), so
-the moment sweep reads each row of one DP to N/2 once and builds no law.
-Rationals appear only in the results; square roots only when a standard
-deviation is presented as a float.
+leaves, up to n = N/2.  It holds one row per n, each one Python int whose
+B-bit slots hold the counts of consecutive running counts, g apart, from
+the row's least one, and adds each weight class to the rows in place, in
+descending order of n, so a row reads only rows the class has not yet
+touched: one multiply, shift and add per row and number of the class's
+cards removed; all of it is integer.  The law past N/2 is the mirror of the law at N - n,
+since removing the other N - n cards leaves scale * R - x where removing
+the n leaves x.  ``tc_distribution`` builds the one DP row a law reads
+and unpacks it.  A law is held as those integer multiplicities over the
+common denominator C(N, n) * scale * (N - n), and its moments come from
+the integer power sums (S0, S1, S2) of x, which ``_power_sums`` takes in
+one pass over a law.  The moment sweep reads each packed row's sums from
+one remainder of its int instead (``_row_sums``), and the mirror
+x -> start - x maps power sums by arithmetic alone (``_mirrored``), so it
+reads each row of one DP to N/2 once and builds no law.  Rationals appear
+only in the results; square roots only when a standard deviation is
+presented as a float.
 
 The finite-shoe predictors average that law's variance over a uniform cut
 in closed form: the std of the true-count change past the cut, and a
@@ -78,10 +82,6 @@ class TrueCountDistribution:
             (Fraction(x, d), Fraction(self.ways[x], c)) for x in sorted(self.ways)
         )
 
-    def probabilities_sum(self) -> Fraction:
-        s0, _, _, c, _ = self.sums
-        return Fraction(s0, c)
-
     def mean(self) -> Fraction:
         _, s1, _, c, d = self.sums
         return Fraction(s1, c * d)
@@ -114,40 +114,127 @@ def _variance_numerator(s0: int, s1: int, s2: int, c: int) -> int:
     return s2 * c * c - s1 * s1 * (2 * c - s0)
 
 
+class PackedRows(NamedTuple):
+    """Census DP rows lo..hi, each one integer of ``width``-bit slots.
+
+    Slot i of ``rows[k]`` holds the number of (lo + k)-subsets whose removal
+    leaves the scaled running count ``bases[k] + step * i``.
+    """
+
+    rows: list[int]
+    bases: list[int]
+    step: int
+    width: int
+
+
+def _slot_width(N: int, hi: int, span: int) -> int:
+    """Bits per slot of the rows to ``hi`` of N cards, whose slots span ``span``.
+
+    A row n <= hi holds at most C(N, min(hi, N // 2)) subsets in all, and
+    sum i a_i and sum C(i, 2) a_i over its slots i <= span are at most span
+    and span^2 times that; one bit past their bound keeps all three below
+    2^width - 1, so ``_row_sums`` reads them as digits of one remainder.
+    """
+    return (math.comb(N, min(hi, N // 2)) * (span * span + 1)).bit_length() + 1
+
+
+def _packed_layers(
+    weights: Sequence[int], counts: Sequence[int], start: int, lo: int, hi: int
+) -> PackedRows:
+    """For each n in ``lo..hi``: the n-subsets by scaled running count, packed.
+
+    ``weights`` are in increasing order and ``start`` is the scaled running
+    count before any removal, scale * R.  A removal leaves start + n w_0 +
+    g i, where g is the gcd of the weights' gaps to the smallest weight w_0
+    and i the sum of the removed cards' steps (w - w_0) / g, so each row n
+    is one integer whose slot i - offset_n counts the subsets of index i;
+    offset_n is the row's least index.  Dynamic programming over weight
+    classes, one row per number of cards removed, updated in place.  A
+    class of l cards of step s adds to row r, for each c >= 1, C(l, c) times
+    row r - c shifted by its offset plus c s, one multiply, shift and add
+    on integers; the rows are updated in descending order, so each reads
+    rows that this class has not touched yet.  The classes come in
+    increasing weight order, so no term reaches below a nonempty row's
+    least index: only the first term into an empty row sets its offset.
+    Rows that can no longer end in ``lo..hi`` removals are emptied, and a
+    class builds only the binomials those rows read.  The multiplicities
+    are products of binomial coefficients summed over censuses, so row n
+    totals C(N, n) exactly, and no slot carries into the next
+    (``_slot_width``).
+    """
+    w0 = weights[0]
+    g = math.gcd(*(w - w0 for w in weights)) or 1
+    N = sum(counts)
+    width = _slot_width(N, hi, hi * (weights[-1] - w0) // g)
+    rows, offsets = [1] + [0] * hi, [0] * (hi + 1)
+    remaining, taken = N, 0  # cards in the classes after and before w
+    for w, l in zip(weights, counts):
+        remaining -= l
+        step = (w - w0) // g
+        # Rows below lo - remaining cannot reach lo with the classes left.
+        floor = max(0, lo - remaining)
+        top = min(taken + l, hi)
+        binom = {c: math.comb(l, c) for c in range(max(1, floor - taken), min(l, top) + 1)}
+        for r in range(top, floor - 1, -1):
+            # Row r - c is empty past the ``taken`` cards of the classes before w,
+            # so an empty row r > taken starts with c = r - taken, which sets its offset.
+            if r > taken:
+                c = r - taken
+                offset = offsets[taken] + c * step
+                row = binom[c] * rows[taken]
+            else:
+                row, offset, c = rows[r], offsets[r], 0
+            for c in range(c + 1, (l if l < r else r) + 1):
+                row += binom[c] * rows[r - c] << (offsets[r - c] + c * step - offset) * width
+            rows[r], offsets[r] = row, offset
+        for r in range(floor):
+            rows[r] = 0
+        taken += l
+    bases = [start + n * w0 + g * offsets[n] for n in range(lo, hi + 1)]
+    return PackedRows(rows[lo:], bases, g, width)
+
+
+def _unpacked(packed: PackedRows) -> list[dict[int, int]]:
+    """Each packed row as a scaled running count -> subsets dict."""
+    width, step = packed.width, packed.step
+    layers = []
+    for row, base in zip(packed.rows, packed.bases):
+        bits = format(row, "b")
+        bits = bits.zfill(-(-len(bits) // width) * width)
+        slots = (int(bits[j - width : j], 2) for j in range(len(bits), 0, -width))
+        layers.append({base + step * i: ways for i, ways in enumerate(slots) if ways})
+    return layers
+
+
 def _census_layers(
     weights: Sequence[int], counts: Sequence[int], start: int, lo: int, hi: int
 ) -> list[dict[int, int]]:
     """For each n in ``lo..hi``: scaled running count after n removals -> subsets.
 
-    ``start`` is the scaled running count before any removal, scale * R.
-    Dynamic programming over weight classes, one layer per number of cards
-    removed, updated in place.  A class of l cards of weight w adds to
-    layer r, for each c >= 1, C(l, c) times layer r - c shifted by c * w;
-    the layers are updated in descending order, so each reads layers that
-    this class has not touched yet.  Layers that can no longer end in
-    ``lo..hi`` removals are emptied.  The multiplicities are products of
-    binomial coefficients summed over censuses, so layer n totals C(N, n)
-    exactly.
+    The rows of ``_packed_layers``, unpacked; ``start`` is scale * R.
     """
-    layers: list[dict[int, int]] = [{start: 1}] + [{} for _ in range(hi)]
-    remaining, taken = sum(counts), 0  # cards in the classes after and before w
-    for w, l in zip(weights, counts):
-        remaining -= l
-        binom = [math.comb(l, c) for c in range(min(l, hi) + 1)]
-        # Layers below lo - remaining cannot reach lo with the classes left.
-        floor = max(0, lo - remaining)
-        for r in range(min(taken + l, hi), floor - 1, -1):
-            target = layers[r]
-            # Layer r - c is empty past the ``taken`` cards of the classes before w.
-            for c in range(max(1, r - taken), min(l, r) + 1):
-                shift, b = c * w, binom[c]
-                for x, ways in layers[r - c].items():
-                    key = x + shift
-                    target[key] = target.get(key, 0) + ways * b
-        for r in range(floor):
-            layers[r] = {}
-        taken += l
-    return layers[lo:]
+    return _unpacked(_packed_layers(weights, counts, start, lo, hi))
+
+
+def _row_sums(packed: PackedRows) -> list[tuple[int, int, int]]:
+    """``(S0, S1, S2)`` of each packed row, from one remainder per row.
+
+    With z = 2^width, a row is P = sum a_i z^i, and z = 1 + (z - 1) gives
+    P mod (z - 1)^3 = S0 + T1 (z - 1) + T2 (z - 1)^2, where T1 = sum i a_i
+    and T2 = sum C(i, 2) a_i.  The slot width keeps S0, T1 and T2 below
+    z - 1, so they are that remainder's base-(z - 1) digits.  A slot i
+    holds the running count x = base + step * i, so S1 = base S0 + step T1
+    and S2 = base^2 S0 + 2 base step T1 + step^2 (2 T2 + T1).
+    """
+    y = (1 << packed.width) - 1
+    square, cube, g = y * y, y**3, packed.step
+    sums = []
+    for row, base in zip(packed.rows, packed.bases):
+        t2, rest = divmod(row % cube, square)
+        t1, s0 = divmod(rest, y)
+        s1 = base * s0 + g * t1
+        sums.append((s0, s1, base * (s1 + g * t1) + g * g * (2 * t2 + t1)))
+    return sums
 
 
 def _scaled(counts) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
@@ -164,13 +251,14 @@ def _scaled(counts) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
 def _law_sums(scaled) -> list[tuple[int, int, int]]:
     """The power sums of the laws for n = 1 .. N - 1, from one DP to N/2.
 
-    ``scaled`` is ``_scaled`` of N >= 2 cards.  Each row n <= N/2 is read
-    once by ``_power_sums``; the sums past N/2 are those of row N - n
-    mirrored (``_mirrored``), the sums of the laws ``tc_distribution`` gives.
+    ``scaled`` is ``_scaled`` of N >= 2 cards.  Each packed row n <= N/2 is
+    read once, by one remainder (``_row_sums``); the sums past N/2 are those
+    of row N - n mirrored (``_mirrored``), the sums of the laws
+    ``tc_distribution`` gives.
     """
     weights, counts, _, start = scaled
     N = sum(counts)
-    rows = [_power_sums(ways) for ways in _census_layers(weights, counts, start, 1, N // 2)]
+    rows = _row_sums(_packed_layers(weights, counts, start, 1, N // 2))
     return rows + [_mirrored(rows[N - n - 1], start) for n in range(N // 2 + 1, N)]
 
 

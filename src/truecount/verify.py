@@ -16,8 +16,9 @@ more ``record_all``.  The moment sweep
 works in class-index space too: its compositions are tuples of class
 counts, each scaled to integers from its (weight, count) pairs.  It
 compares each law's integer power sums with the closed forms: it reads
-each census row to N/2 once, takes the sums past N/2 by the mirror
-identity, builds no law and records the checks in bulk; a failed check's
+the sums of each packed census row to N/2 from one remainder of the
+row's int, takes the sums past N/2 by the mirror identity, builds no law
+and records the checks in bulk; a failed check's
 detail gives both sides as fractions built from the power sums it
 compared.  The exhaustive lemma block and the moment sweep
 build no ``WeightComposition``: a composition's weight -> count dict is
@@ -322,8 +323,9 @@ def _check_moments(result: VerificationResult, pairs):
 
     ``pairs`` are the (weight, count) pairs of a composition, in the order
     a failure's text prints them.  Each law's moments are its integer power
-    sums (``_law_sums``: one pass per census row to N/2, the rows past it
-    mirrored by arithmetic) over its denominators C(N, n) and
+    sums (``_law_sums``: one remainder per packed census row to N/2, exact
+    because the slot width keeps the sums it reads below 2^width - 1, the
+    rows past it mirrored by arithmetic) over its denominators C(N, n) and
     scale * (N - n); the mean is r / (scale * N) and the closed-form
     variance n * spread / ((N - n) den), with the integers of
     ``_closed_form_terms``, which ``sigma_n_exact`` also uses.  The laws

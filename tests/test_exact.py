@@ -4,7 +4,10 @@ The oracle enumerates every ``n``-subset of the physical cards with
 :func:`itertools.combinations` and tallies true-count values with exact
 rationals — no shared code with the distribution under test.
 """
+import contextlib
+import io
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from truecount import (
     BadRangeError,
+    cli,
     exact,
     TrueCountDistribution,
     composition,
@@ -23,7 +27,7 @@ from truecount import (
     tc_distribution,
 )
 from truecount.counting import scaled_classes
-from truecount.verify import WEIGHT_SETS
+from truecount.verify import WEIGHT_SETS, _between
 
 
 def brute_force_distribution(counts, n):
@@ -49,6 +53,20 @@ SMALL_DECKS = [
     {Fraction(3, 2): 2, Fraction(-1, 2): 6},
     {Fraction(1, 2): 4, Fraction(-2): 1},
 ]
+
+
+@pytest.fixture
+def comb_calls(monkeypatch):
+    """The (l, c) of every ``math.comb`` call while the test runs."""
+    calls = []
+    real = math.comb
+
+    def counted(l, c):
+        calls.append((l, c))
+        return real(l, c)
+
+    monkeypatch.setattr(math, "comb", counted)
+    return calls
 
 
 class TestDistributionAgainstBruteForce:
@@ -78,7 +96,8 @@ class TestDistributionAgainstBruteForce:
     def test_probabilities_sum_to_one(self):
         comp = composition({1: 7, -1: 7, 0: 4})
         for n in (1, 5, 17):
-            assert tc_distribution(comp, n).probabilities_sum() == 1
+            s0, _, _, c, _ = tc_distribution(comp, n).sums
+            assert Fraction(s0, c) == 1
 
     def test_known_two_card_law(self):
         # Removing 2 of {+1,+1,-1,-1}: increment law 1/6, 2/3, 1/6.
@@ -96,21 +115,28 @@ class TestDistributionAgainstBruteForce:
         with pytest.raises(BadRangeError):
             tc_distribution(comp, 4)
 
-    def test_large_class_builds_only_the_binomials_read(self, monkeypatch):
+    def test_large_class_builds_only_the_binomials_read(self, comb_calls):
         # The DP removes at most min(l, n) cards of a class of l, so one law
         # of a large class takes C(l, c) for c <= n only.
-        calls = []
-        real = math.comb
-
-        def counted(l, c):
-            calls.append((l, c))
-            return real(l, c)
-
-        monkeypatch.setattr(math, "comb", counted)
         dist = tc_distribution(composition({1: 2000, -1: 1}), 1)
-        assert dist.probabilities_sum() == 1
-        # min(l, 1) + 1 binomials for each of the two classes, and C(N, 1).
-        assert len(calls) <= 2 + 2 + 1
+        s0, _, _, c, _ = dist.sums
+        assert s0 == c
+        # One binomial for each of the two classes, C(N, 1) for the slot
+        # width and C(N, 1) for the law's denominator.
+        assert len(comb_calls) <= 1 + 1 + 2
+
+    def test_large_class_at_a_large_n(self, comb_calls):
+        # Row 10,000 reads only rows 0 and 1 through the class of 20,000, so
+        # that class builds C(20000, c) for c = 9,999 and 10,000 alone.
+        dist = tc_distribution(composition({1: 20_000, -1: 1}), 10_000)
+        # The -1 card is removed with probability 10000/20001.
+        assert dist.atoms == (
+            (Fraction(-1), Fraction(10_000, 20_001)),
+            (Fraction(-9_999, 10_001), Fraction(10_001, 20_001)),
+        )
+        assert sorted(comb_calls) == [(1, 1), (20_000, 9_999), (20_000, 10_000)] + [
+            (20_001, 10_000)
+        ] * 2
 
 
 class TestMoments:
@@ -136,7 +162,8 @@ class TestMoments:
             for dist in (law, bent):
                 mass = sum(p for _, p in dist.atoms)
                 mean = sum(v * p for v, p in dist.atoms)
-                assert dist.probabilities_sum() == mass
+                s0, _, _, c, _ = dist.sums
+                assert Fraction(s0, c) == mass
                 assert dist.mean() == mean
                 assert dist.variance() == sum(p * (v - mean) ** 2 for v, p in dist.atoms)
 
@@ -249,8 +276,8 @@ def test_all_n_laws_match_single_n(counts):
     assert len(rows) == comp.total - 1
     for n, (s0, s1, s2) in enumerate(rows, start=1):
         single = tc_distribution(comp, n)
-        *_, c, d = single.sums
-        assert Fraction(s0, c) == single.probabilities_sum()
+        single_s0, _, _, c, d = single.sums
+        assert s0 == single_s0
         assert Fraction(s1, c * d) == single.mean()
         assert Fraction(exact._variance_numerator(s0, s1, s2, c), c**3 * d * d) == single.variance()
 
@@ -274,3 +301,59 @@ def test_census_layers_match_subset_enumeration(weights, data):
     for lo in range(1, N // 2 + 1):
         for hi in range(lo, N // 2 + 1):
             assert exact._census_layers(ws, ls, start, lo, hi) == rows[lo:hi + 1], (lo, hi)
+
+
+#: The sweeps' weight sets, then the weights of two builtin systems: halves
+#: (six classes, a scale of 2) and thorp-ultimate (nine classes, gaps of 1 to 4).
+READOUT_WEIGHTS = WEIGHT_SETS + tuple(
+    tuple(sorted(get_system(name).weight_multiplicities())) for name in ("halves", "thorp-ultimate")
+)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(weights=st.sampled_from(READOUT_WEIGHTS), data=st.data())
+def test_row_sums_read_the_unpacked_rows(weights, data):
+    """The remainder readout of every packed row to N/2, N <= 60, equals the
+    power sums of the row unpacked; (-1, 1) packs its slots g = 2 apart."""
+    total = data.draw(st.integers(2, 60))
+    cuts = sorted(data.draw(st.lists(
+        st.integers(0, total), min_size=len(weights) - 1, max_size=len(weights) - 1
+    )))
+    ws, ls, _ = scaled_classes(zip(weights, _between(cuts, total)))
+    start = -sum(w * l for w, l in zip(ws, ls))
+    packed = exact._packed_layers(ws, ls, start, 1, total // 2)
+    if len(ws) == 2 and ws[1] - ws[0] == 2:
+        assert packed.step == 2
+    rows = exact._unpacked(packed)
+    assert [sum(row.values()) for row in rows] == [math.comb(total, n) for n in range(1, total // 2 + 1)]
+    assert exact._row_sums(packed) == [exact._power_sums(row) for row in rows]
+
+
+#: Every weight of the sweeps' weight sets.
+SWEEP_WEIGHTS = sorted(set(itertools.chain(*WEIGHT_SETS)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.sampled_from(SWEEP_WEIGHTS), st.integers(1, 12), min_size=1, max_size=4
+    ).filter(lambda c: 2 <= sum(c.values()) <= 12)
+)
+def test_cli_exact_prints_the_enumerated_law(counts):
+    """``truecount exact`` on a valid composition exits 0 at every n and
+    prints the law of subset enumeration, in deck units."""
+    spec = ",".join(f"{w}:{l}" for w, l in counts.items())
+    N = sum(counts.values())
+    for n in range(1, N):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["exact", f"--composition={spec}", "-n", str(n), "--format", "json"])
+        assert code == 0, (spec, n)
+        rows = json.loads(out.getvalue())["rows"]
+        assert [row["label"] for row in rows[-3:]] == [
+            "mean (exact)", "sigma (enumerated)", "sigma (closed form)"
+        ]
+        law = sorted(brute_force_distribution(counts, n).items())
+        assert [(row["label"], row["cells"]) for row in rows[:-3]] == [
+            (str(52 * v), [str(p)]) for v, p in law
+        ], (spec, n)

@@ -597,40 +597,41 @@ class TestSweeps:
 
 
 def _bent_rows(move: bool):
-    """``exact._census_layers`` with one subset added to (or moved within) each row.
+    """``exact._packed_layers`` with one subset added to (or moved within) each row.
 
-    Adding a subset at the lowest running count breaks the total mass;
-    moving one from the lowest to the highest keeps the mass but shifts
-    the mean.  The laws past N/2 are the mirrors of the bent rows.
+    Adding a subset at the lowest running count (slot 0) breaks the total
+    mass; moving one from the lowest slot to the highest keeps the mass but
+    shifts the mean.  The laws past N/2 are the mirrors of the bent rows.
     """
-    real = exact._census_layers
+    real = exact._packed_layers
 
     def layers(*args):
-        out = []
-        for row in real(*args):
-            row = dict(row)
-            lo, hi = min(row), max(row)
-            row[lo] += -1 if move else 1
-            if move:
-                row[hi] += 1
-            out.append(row)
-        return out
+        packed = real(*args)
+        rows = []
+        for row in packed.rows:
+            top = 1 << (row.bit_length() - 1) // packed.width * packed.width
+            rows.append(row + top - 1 if move else row + 1)
+        return packed._replace(rows=rows)
 
     return layers
 
 
 def _layers_in_place(descending: bool):
-    """A plain in-place census DP, unpruned, with its layers updated in the given order."""
+    """A plain in-place packed census DP, unpruned and with no row offsets,
+    its layers updated in the given order."""
 
     def layers(weights, counts, start, lo, hi):
-        rows = [{start: 1}] + [{} for _ in range(hi)]
+        w0 = weights[0]
+        g = math.gcd(*(w - w0 for w in weights)) or 1
+        width = exact._slot_width(sum(counts), hi, hi * (weights[-1] - w0) // g)
+        rows = [1] + [0] * hi
         order = range(hi, 0, -1) if descending else range(1, hi + 1)
         for w, l in zip(weights, counts):
             for r in order:
                 for c in range(1, min(l, r) + 1):
-                    for x, ways in rows[r - c].items():
-                        rows[r][x + c * w] = rows[r].get(x + c * w, 0) + ways * math.comb(l, c)
-        return rows[lo:]
+                    rows[r] += math.comb(l, c) * rows[r - c] << c * (w - w0) // g * width
+        bases = [start + n * w0 for n in range(lo, hi + 1)]
+        return exact.PackedRows(rows[lo:], bases, g, width)
 
     return layers
 
@@ -639,7 +640,7 @@ class TestMomentChecksCatchWrongCensus:
     COMP = {1: 3, -1: 2, 0: 2}
 
     def _check(self, monkeypatch, move):
-        monkeypatch.setattr(exact, "_census_layers", _bent_rows(move))
+        monkeypatch.setattr(exact, "_packed_layers", _bent_rows(move))
         result = VerificationResult("theorem")
         verify._check_moments(result, composition(self.COMP).counts.items())
         assert result.checked == 3 * (sum(self.COMP.values()) - 1)
@@ -661,7 +662,7 @@ class TestMomentChecksCatchWrongCensus:
     def test_layer_order(self, monkeypatch, descending):
         """The in-place DP must update its layers in descending order: in
         ascending order a layer reads layers the class has already updated."""
-        monkeypatch.setattr(exact, "_census_layers", _layers_in_place(descending))
+        monkeypatch.setattr(exact, "_packed_layers", _layers_in_place(descending))
         result = VerificationResult("theorem")
         verify._check_moments(result, composition(self.COMP).counts.items())
         assert result.checked == 18
@@ -669,6 +670,25 @@ class TestMomentChecksCatchWrongCensus:
             assert result.passed
         else:
             assert any(f.startswith("probs sum") for f in result.failures)
+
+    def test_narrow_slot_width(self, monkeypatch):
+        """Slots wide enough for the multiplicities but not for the span^2
+        factor let T1 and T2 carry into each other's digits of the remainder:
+        the mass of every law holds, its mean or variance does not."""
+        monkeypatch.setattr(
+            exact, "_slot_width", lambda N, hi, span: math.comb(N, min(hi, N // 2)).bit_length() + 1
+        )
+        comp = composition({1: 5, -1: 5, 0: 3})
+        result = VerificationResult("theorem")
+        verify._check_moments(result, comp.counts.items())
+        assert result.checked == 36
+        assert [(f.split()[0], int(f.rsplit("n=", 1)[1])) for f in result.failures] == [
+            ("variance", 4), ("mean", 5), ("variance", 5), ("mean", 6), ("variance", 6),
+            ("mean", 7), ("variance", 7), ("mean", 8), ("variance", 8), ("variance", 9),
+        ]
+        # The unpacked rows, and so the laws, are still right.
+        for n in range(1, comp.total):
+            assert exact.tc_distribution(comp, n).variance() == exact.sigma_n_exact(comp, n).squared
 
     def test_mirror_sign_slip(self, monkeypatch):
         """A sign slip in the mirrored S1 fails the mean of every law past N/2."""
