@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+from fractions import Fraction
 from typing import Callable
 
 from .counting import (
@@ -140,11 +141,18 @@ def cmd_sigma_table(
 
 
 def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
-    """Exact distribution and moments for a composition spec."""
+    """Exact distribution and moments for a composition spec.
+
+    The law's mass, variance and mean are held to 1, the closed form and
+    R/N, as the moment sweep holds them; a mismatch raises ``InvariantError``.
+    """
     comp = parse_composition(comp_spec)
     dist = tc_distribution(comp, n)
     scale = 52 if units == "deck" else 1
     rows = [(str(v * scale), str(p)) for v, p in dist.atoms]
+    s0, *_, c, _ = dist.sums
+    if s0 != c:
+        raise InvariantError(f"enumerated probabilities sum to {Fraction(s0, c)} != 1")
     mean = dist.mean()
     var = dist.variance()
     closed = sigma_n_exact(comp, n)
@@ -152,6 +160,8 @@ def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
         raise InvariantError(
             f"enumerated variance {var} != closed form {closed.squared}"
         )
+    if mean != comp.true_count():
+        raise InvariantError(f"enumerated mean {mean} != R/N {comp.true_count()}")
     table = ReportTable(
         title=(
             f"True count after {n} of {comp.total} cards removed "

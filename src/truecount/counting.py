@@ -269,9 +269,6 @@ class WeightComposition:
     def running_count(self) -> Fraction:
         return -sum((w * l for w, l in self.counts.items()), Fraction(0))
 
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.counts))
-
     def deplete(self, removed: Iterable) -> "WeightComposition":
         """Remove one card per listed weight; raises EmptyClassError if short."""
         counts = dict(self.counts)

@@ -10,14 +10,12 @@ descending order of n, so a row reads only rows the class has not yet
 touched: one multiply, shift and add per row and number of the class's
 cards removed; all of it is integer.  The law past N/2 is the mirror of the law at N - n,
 since removing the other N - n cards leaves scale * R - x where removing
-the n leaves x.  ``tc_distribution`` builds the one DP row a law reads
-and unpacks it.  A law is held as those integer multiplicities over the
-common denominator C(N, n) * scale * (N - n), and its moments come from
-the integer power sums (S0, S1, S2) of x, which ``_power_sums`` takes in
-one pass over a law.  The moment sweep reads each packed row's sums from
-one remainder of its int instead (``_row_sums``), and the mirror
-x -> start - x maps power sums by arithmetic alone (``_mirrored``), so it
-reads each row of one DP to N/2 once and builds no law.  Rationals appear
+the n leaves x.  A law is the one packed DP row it reads, over the common
+denominator C(N, n) * scale * (N - n).  Its moments come from the integer
+power sums (S0, S1, S2) of x, read from one remainder of the row's int
+(``_row_sums``) and mirrored by arithmetic alone (``_mirrored``): the
+readout that the moment sweep checks for every row of one DP to N/2.
+Only a law's atoms unpack the row (``_unpacked``).  Rationals appear
 only in the results; square roots only when a standard deviation is
 presented as a float.
 
@@ -30,10 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .counting import (
@@ -55,24 +52,38 @@ class SigmaResult(NamedTuple):
 class TrueCountDistribution:
     """Finite rational law of the true count after ``n`` removals.
 
-    ``ways[x]`` is the number of ``n``-card subsets of ``source`` whose
-    removal leaves the running count ``x / scale``.  Such a removal leaves
-    the true count ``x / (scale * (N - n))``, with probability
-    ``ways[x] / C(N, n)``.  ``sums`` holds the integer power sums
-    ``(S0, S1, S2)`` of ``x`` weighted by ``ways``, then the two
-    denominators ``C(N, n)`` and ``scale * (N - n)``.
+    ``row`` is the census DP row m = min(n, N - n) of ``source``, packed
+    (``_packed_layers``), and ``start`` is scale * R; past N/2 the law is
+    that row mirrored, x -> start - x.  ``ways[x]`` is the number of
+    ``n``-card subsets whose removal leaves the running count ``x / scale``.
+    Such a removal leaves the true count ``x / (scale * (N - n))``, with
+    probability ``ways[x] / C(N, n)``.  ``sums`` holds the integer power
+    sums ``(S0, S1, S2)`` of ``x`` weighted by ``ways``, read from the
+    packed row as the moment sweep reads it, then the two denominators
+    ``C(N, n)`` and ``scale * (N - n)``.
     """
 
-    ways: dict[int, int]
+    # A row of a large shoe has more digits than ``str`` prints.
+    row: PackedRows = field(repr=False, compare=False)
+    start: int
     scale: int
     n: int
     source: WeightComposition
 
-    def __post_init__(self):
-        # Integer power sums of x and the two denominators, computed once.
+    @cached_property
+    def sums(self) -> tuple[int, int, int, int, int]:
         N = self.source.total
-        denominators = (math.comb(N, self.n), self.scale * (N - self.n))
-        object.__setattr__(self, "sums", (*_power_sums(self.ways), *denominators))
+        (sums,) = _row_sums(self.row)
+        if 2 * self.n > N:
+            sums = _mirrored(sums, self.start)
+        return (*sums, math.comb(N, self.n), self.scale * (N - self.n))
+
+    @cached_property
+    def ways(self) -> dict[int, int]:
+        (ways,) = _unpacked(self.row)
+        if 2 * self.n > self.source.total:
+            ways = {self.start - x: w for x, w in ways.items()}
+        return ways
 
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -90,13 +101,6 @@ class TrueCountDistribution:
         """Sum of p * (v - mean)**2, exact even if the p do not sum to 1."""
         s0, s1, s2, c, d = self.sums
         return Fraction(_variance_numerator(s0, s1, s2, c), c**3 * d * d)
-
-
-def _power_sums(ways: dict[int, int]) -> tuple[int, int, int]:
-    """``(S0, S1, S2)``: the sums of ways, ways * x and ways * x^2 over ``ways``."""
-    xs, counts = ways.keys(), ways.values()
-    wx = list(map(mul, counts, xs))
-    return sum(counts), sum(wx), sum(map(mul, wx, xs))
 
 
 def _mirrored(sums: tuple[int, int, int], start: int) -> tuple[int, int, int]:
@@ -206,16 +210,6 @@ def _unpacked(packed: PackedRows) -> list[dict[int, int]]:
     return layers
 
 
-def _census_layers(
-    weights: Sequence[int], counts: Sequence[int], start: int, lo: int, hi: int
-) -> list[dict[int, int]]:
-    """For each n in ``lo..hi``: scaled running count after n removals -> subsets.
-
-    The rows of ``_packed_layers``, unpacked; ``start`` is scale * R.
-    """
-    return _unpacked(_packed_layers(weights, counts, start, lo, hi))
-
-
 def _row_sums(packed: PackedRows) -> list[tuple[int, int, int]]:
     """``(S0, S1, S2)`` of each packed row, from one remainder per row.
 
@@ -271,10 +265,8 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     n = whole_number(n, "n", 1, N)
     weights, counts, scale, start = _scaled(comp.counts)
     m = min(n, N - n)
-    (ways,) = _census_layers(weights, counts, start, m, m)
-    if m != n:
-        ways = {start - x: w for x, w in ways.items()}
-    return TrueCountDistribution(ways=ways, scale=scale, n=n, source=comp)
+    row = _packed_layers(weights, counts, start, m, m)
+    return TrueCountDistribution(row=row, start=start, scale=scale, n=n, source=comp)
 
 
 def _closed_form_terms(scaled) -> tuple[int, int]:

@@ -162,6 +162,8 @@ def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:
     """Growth stats under a noisy advantage, to first order in the noise.
 
     With var_p0 = 0 this reduces exactly to the fixed-advantage closed form.
+    The first-order variance goes negative once 1 - (2p0 - 1) logit(p0) < 0
+    and var_p0 is large enough; that raises ``BadRangeError``.
     """
     p0, var = adv.p0, adv.var_p0
     if not 0.5 < p0 < 1:
@@ -171,6 +173,12 @@ def growth_var_fuzzy(adv: FuzzyAdvantage) -> GrowthStats:
     pq = p0 * (1 - p0)
     mean = base.mean + var / (2 * pq)
     variance = base.variance + (1 - (2 * p0 - 1) * logit) / pq * var
+    if variance < 0:
+        raise BadRangeError(
+            f"the first-order growth variance p0(1-p0) logit(p0)^2 + "
+            f"(1 - (2p0 - 1) logit(p0)) var_p0 / (p0(1-p0)) is negative at "
+            f"p0={shown(p0)}, var_p0={shown(var)}"
+        )
     return GrowthStats(mean, variance)
 
 

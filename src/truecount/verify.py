@@ -18,7 +18,9 @@ counts, each scaled to integers from its (weight, count) pairs.  It
 compares each law's integer power sums with the closed forms: it reads
 the sums of each packed census row to N/2 from one remainder of the
 row's int, takes the sums past N/2 by the mirror identity, builds no law
-and records the checks in bulk; a failed check's
+and records the checks in bulk.  Those are the sums every law's moments
+are: ``TrueCountDistribution`` reads its one row by the same readout and
+mirror.  A failed check's
 detail gives both sides as fractions built from the power sums it
 compared.  The exhaustive lemma block and the moment sweep
 build no ``WeightComposition``: a composition's weight -> count dict is

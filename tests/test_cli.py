@@ -346,6 +346,16 @@ class TestKelly:
             errors.append(err.split(" p0(1-p0)")[0])
         assert errors == ["error: var_p0 0.5 exceeds the probability bound"] * 2
 
+    def test_negative_first_order_variance_exit_2(self, capsys):
+        # 1 - (2p0 - 1) logit(p0) < 0 at p0 = 0.95: the first-order growth
+        # variance is negative, and the error names the inputs and the formula.
+        assert run_cli(capsys, "kelly", "--p0", "0.95", "--var-p0", "0.04") == (
+            2, "",
+            "error: the first-order growth variance p0(1-p0) logit(p0)^2 + "
+            "(1 - (2p0 - 1) logit(p0)) var_p0 / (p0(1-p0)) is negative at "
+            "p0=0.95, var_p0=0.04\n",
+        )
+
 
 class TestLongrun:
     def test_reference_case(self, capsys):

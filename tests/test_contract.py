@@ -17,10 +17,14 @@ one of more than 4,300 digits.
 
 For the CLI: ``cli.main`` on a valid command line with one or two flag
 values replaced by a bad or extreme one exits 0 with only finite numbers
-printed, or exits 2 with an ``error:`` line and nothing on stdout.
+printed, or exits 2 with an ``error:`` line and nothing on stdout.  And on
+a valid command line of ``sigma-table``, ``kelly`` or ``longrun``, drawn
+from each one's valid ranges, it exits 0 with the rows of its default
+table, every cell finite.
 """
 import contextlib
 import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -276,3 +280,56 @@ def test_cli_exits_0_with_finite_output_or_2_with_an_error(argv):
         assert any("error:" in line for line in err.getvalue().splitlines()), argv
     else:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+#: The builtin systems, one of which a valid ``sigma-table`` names.
+SYSTEMS = [system.name for system in tc.builtin_systems()]
+
+
+@st.composite
+def valid_argvs(draw) -> tuple[list[str], int]:
+    """A valid command line of a table command, and its default row count."""
+    command = draw(st.sampled_from(("sigma-table", "kelly", "longrun")))
+    if command == "sigma-table":
+        seats = draw(st.integers(3, 7))
+        positions = draw(st.lists(st.integers(1, seats), min_size=1, max_size=seats, unique=True))
+        argv = [
+            "--system", draw(st.sampled_from(SYSTEMS)),
+            "--decks", str(draw(st.sampled_from((2, 4, 6, 8)))),
+            "--penetration", repr(draw(st.floats(0.25, 0.75))),
+            "--seats", str(seats), "--positions", ",".join(map(str, sorted(positions))),
+        ]
+        if draw(st.booleans()):
+            argv += ["--hand-mean", repr(draw(st.floats(2.2, 3.2)))]
+        rows = 2
+    elif command == "kelly":
+        # Up to p0 = 0.8 the first-order growth variance cannot go negative.
+        p0 = draw(st.floats(0.5, 0.8, exclude_min=True))
+        argv = [
+            "--p0", repr(p0), "--var-p0", repr(draw(st.floats(0, 1)) * p0 * (1 - p0)),
+            "--hands", str(draw(st.integers(1, 10**6))),
+        ]
+        rows = 4
+    else:
+        argv = [
+            "--eps", repr(draw(st.floats(0.001, 0.1))),
+            "--sigma-bet-a", repr(draw(st.floats(0, 2))),
+            "--sigma-bet-b", repr(draw(st.floats(0, 2))),
+            "--threshold", repr(draw(st.floats(0.5, 4))),
+        ]
+        rows = 9
+    return [command, *argv, "--format", "json"], rows
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=valid_argvs())
+def test_cli_on_a_valid_command_line_exits_0_with_its_default_rows(case):
+    argv, rows = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    table = json.loads(out.getvalue())
+    assert len(table["rows"]) == rows, argv
+    cells = [cell for row in table["rows"] for cell in row["cells"]]
+    assert cells and all(isinstance(c, float) and math.isfinite(c) for c in cells), (argv, cells)

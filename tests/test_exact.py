@@ -5,6 +5,7 @@ The oracle enumerates every ``n``-subset of the physical cards with
 rationals — no shared code with the distribution under test.
 """
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -19,7 +20,6 @@ from truecount import (
     BadRangeError,
     cli,
     exact,
-    TrueCountDistribution,
     composition,
     get_system,
     sigma_n_approx,
@@ -152,13 +152,14 @@ class TestMoments:
 
     def test_moments_match_atoms_for_any_census(self):
         # The power-sum moments equal the sums over atoms, also for a census
-        # whose probabilities do not add up to 1.
+        # whose probabilities do not add up to 1: two subsets more in slot 0
+        # of the packed row.
         comp = composition({1: 3, -1: 2, Fraction(1, 2): 2})
         for n in range(1, comp.total):
             law = tc_distribution(comp, n)
-            ways = dict(law.ways)
-            ways[min(ways)] += 2
-            bent = TrueCountDistribution(ways, law.scale, law.n, comp)
+            (row,) = law.row.rows
+            bent = dataclasses.replace(law, row=law.row._replace(rows=[row + 2]))
+            assert sum(bent.ways.values()) == sum(law.ways.values()) + 2
             for dist in (law, bent):
                 mass = sum(p for _, p in dist.atoms)
                 mean = sum(v * p for v, p in dist.atoms)
@@ -166,6 +167,15 @@ class TestMoments:
                 assert Fraction(s0, c) == mass
                 assert dist.mean() == mean
                 assert dist.variance() == sum(p * (v - mean) ** 2 for v, p in dist.atoms)
+
+    def test_repr_of_an_8_deck_law(self, hi_lo):
+        # The packed row of a full 8-deck shoe at n = 208 has more digits
+        # than ``str`` prints, so it stays out of ``repr`` and equality.
+        comp = composition({w: 8 * l for w, l in hi_lo.weight_multiplicities().items()})
+        law = tc_distribution(comp, 208)
+        assert law.row.rows[0] > 10**4300
+        assert repr(law) == f"TrueCountDistribution(start=0, scale=1, n=208, source={comp!r})"
+        assert law == tc_distribution(comp, 208)
 
     def test_sigma1_worked_example(self):
         # 13 cards left: 5 high, 5 low, 3 medium; R = 0.
@@ -300,7 +310,8 @@ def test_census_layers_match_subset_enumeration(weights, data):
     ]
     for lo in range(1, N // 2 + 1):
         for hi in range(lo, N // 2 + 1):
-            assert exact._census_layers(ws, ls, start, lo, hi) == rows[lo:hi + 1], (lo, hi)
+            packed = exact._packed_layers(ws, ls, start, lo, hi)
+            assert exact._unpacked(packed) == rows[lo:hi + 1], (lo, hi)
 
 
 #: The sweeps' weight sets, then the weights of two builtin systems: halves
@@ -326,7 +337,10 @@ def test_row_sums_read_the_unpacked_rows(weights, data):
         assert packed.step == 2
     rows = exact._unpacked(packed)
     assert [sum(row.values()) for row in rows] == [math.comb(total, n) for n in range(1, total // 2 + 1)]
-    assert exact._row_sums(packed) == [exact._power_sums(row) for row in rows]
+    assert exact._row_sums(packed) == [
+        (sum(row.values()), sum(w * x for x, w in row.items()), sum(w * x * x for x, w in row.items()))
+        for row in rows
+    ]
 
 
 #: Every weight of the sweeps' weight sets.

@@ -1,5 +1,7 @@
 """Combinatorial identity checkers and the verification sweeps."""
+import contextlib
 import inspect
+import io
 import itertools
 import math
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import WeightComposition, composition, exact, verify
+from truecount import WeightComposition, cli, composition, exact, verify
 from truecount.counting import scaled_classes
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
@@ -137,7 +139,7 @@ class TestIdentityCheckers:
 )
 def test_lemma1_random(counts, data):
     comp = composition(counts)
-    weights = comp.weights()
+    weights = sorted(comp.counts)
     v0 = data.draw(st.sampled_from(weights))
     assert check_lemma1(comp, [], v0).equal
 
@@ -636,8 +638,17 @@ def _layers_in_place(descending: bool):
     return layers
 
 
+def _exact_cli(spec: str, n: int) -> tuple[int, str]:
+    """``truecount exact`` on one law: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["exact", "-c", spec, "-n", str(n)])
+    return code, err.getvalue()
+
+
 class TestMomentChecksCatchWrongCensus:
     COMP = {1: 3, -1: 2, 0: 2}
+    SPEC = "1:3,-1:2,0:2"
 
     def _check(self, monkeypatch, move):
         monkeypatch.setattr(exact, "_packed_layers", _bent_rows(move))
@@ -650,6 +661,8 @@ class TestMomentChecksCatchWrongCensus:
         failures = self._check(monkeypatch, move=False)
         for kind in ("probs sum", "mean", "variance"):
             assert any(f.startswith(kind) for f in failures), kind
+        # A law reads the same bent row, and ``truecount exact`` refuses it.
+        assert _exact_cli(self.SPEC, 2) == (2, "error: enumerated probabilities sum to 22/21 != 1\n")
 
     def test_moved_subset(self, monkeypatch):
         failures = self._check(monkeypatch, move=True)
@@ -674,7 +687,11 @@ class TestMomentChecksCatchWrongCensus:
     def test_narrow_slot_width(self, monkeypatch):
         """Slots wide enough for the multiplicities but not for the span^2
         factor let T1 and T2 carry into each other's digits of the remainder:
-        the mass of every law holds, its mean or variance does not."""
+        the mass of every law holds, its mean or variance does not.  A law
+        reads its moments from its packed row by the same remainder, so the
+        laws go wrong as the sweep does (a law packs its one row m with
+        slots sized for m, so at other n than the sweep's rows to N/2), and
+        ``truecount exact`` refuses them."""
         monkeypatch.setattr(
             exact, "_slot_width", lambda N, hi, span: math.comb(N, min(hi, N // 2)).bit_length() + 1
         )
@@ -686,9 +703,14 @@ class TestMomentChecksCatchWrongCensus:
             ("variance", 4), ("mean", 5), ("variance", 5), ("mean", 6), ("variance", 6),
             ("mean", 7), ("variance", 7), ("mean", 8), ("variance", 8), ("variance", 9),
         ]
-        # The unpacked rows, and so the laws, are still right.
-        for n in range(1, comp.total):
-            assert exact.tc_distribution(comp, n).variance() == exact.sigma_n_exact(comp, n).squared
+        wrong = [
+            n for n in range(1, comp.total)
+            if exact.tc_distribution(comp, n).variance() != exact.sigma_n_exact(comp, n).squared
+        ]
+        assert wrong == list(range(3, 11))
+        assert _exact_cli("1:5,-1:5,0:3", 5) == (
+            2, "error: enumerated variance 541/17424 != closed form 25/624\n"
+        )
 
     def test_mirror_sign_slip(self, monkeypatch):
         """A sign slip in the mirrored S1 fails the mean of every law past N/2."""
@@ -710,6 +732,10 @@ class TestMomentChecksCatchWrongCensus:
             mean, closed = re.match(r"mean (\S+) != R/N (\S+) for comp=", failure).groups()
             _assert_reduced(mean, closed)
             assert Fraction(mean) != Fraction(closed)
+        # The laws past N/2 read the same mirror, and ``truecount exact``
+        # refuses their mean: R/N is -1/7.
+        assert exact.tc_distribution(composition(self.COMP), 5).mean() == Fraction(1, 7)
+        assert _exact_cli(self.SPEC, 5) == (2, "error: enumerated mean 1/7 != R/N -1/7\n")
 
 
 @pytest.mark.parametrize("odd", [0, 1])
