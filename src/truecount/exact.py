@@ -260,8 +260,10 @@ def tc_distribution(comp: WeightComposition, n: int) -> TrueCountDistribution:
     """Exact law of the true count after removing ``n`` unseen cards.
 
     It reads the one DP row m = min(n, N - n), mirrored x -> start - x past N/2.
+    A composition of fewer than 2 cards, which leaves no n, raises
+    ``BadRangeError``.
     """
-    N = comp.total
+    N = whole_number(comp.total, "the composition's card count", 2)
     n = whole_number(n, "n", 1, N)
     weights, counts, scale, start = _scaled(comp.counts)
     m = min(n, N - n)
@@ -284,8 +286,12 @@ def _closed_form_terms(scaled) -> tuple[int, int]:
 
 
 def sigma_n_exact(comp: WeightComposition, n: int) -> SigmaResult:
-    """Closed-form std of the true count after ``n`` removals."""
-    N = comp.total
+    """Closed-form std of the true count after ``n`` removals.
+
+    A composition of fewer than 2 cards, which leaves no n, raises
+    ``BadRangeError``.
+    """
+    N = whole_number(comp.total, "the composition's card count", 2)
     n = whole_number(n, "n", 1, N)
     spread, den = _closed_form_terms(_scaled(comp.counts))
     squared = Fraction(n * spread, (N - n) * den)

@@ -9,10 +9,10 @@ composition's counts, so no weight is hashed per check.  Which lemma 1, 2
 and 3-4 checks apply after a prefix, and what they evaluate to, depends
 only on the counts left, so each sweep call evaluates the block of checks
 for a tuple of counts left once, in bulk (one integer pass per (k, q),
-a report built only for a failure).  A composition's blocks, one per
-prefix, go to one ``record_all``.  Lemma 6 takes weights scaled to
-integers once per weight set, and a composition's lemma 6 checks go to one
-more ``record_all``.  The moment sweep
+a report built only for a failure).  Lemma 6 is evaluated in bulk as
+well, per composition, from weights scaled to integers once per weight
+set (``_telescoping_block``).  A composition's removal blocks, one per
+prefix, and its lemma 6 checks go to one ``record_all``.  The moment sweep
 works in class-index space too: its compositions are tuples of class
 counts, each scaled to integers from its (weight, count) pairs.  It
 compares each law's integer power sums with the closed forms: it reads
@@ -50,7 +50,6 @@ from .exact import (
     _closed_form_terms,
     _law_sums,
     _scaled,
-    _telescoping,
     _variance_numerator,
     check_lemma1,
     check_lemma2,
@@ -211,6 +210,42 @@ def _removal_block(counts: tuple[int, ...]) -> tuple[int, list]:
     return checks, failed
 
 
+def _telescoping_block(r: int, scaled: list[int], D: int, N: int) -> list:
+    """Every lemma 6 check of the exhaustive sweep on one composition of N cards.
+
+    R = r / D and the class weights are ``scaled`` / D, all integers.  The
+    checks draw n = 1, then n = 2 weights (if N > 2), as tuples of class
+    indices in ``itertools.product`` order; the failed ones are returned as
+    ``(ws, report)`` in that order.  Each check evaluates the identity of
+    ``exact._telescoping`` in bulk: each class's term (r + s_i) N - r (N - 1)
+    is computed once, the left side is (r + sum s) N - r (N - n) and the
+    right side (N - 1) times the sum of the drawn classes' terms, over the
+    denominators D N (N - n) and D N (N - 1) (N - n) that the group of n
+    shares, compared by cross-multiplication.  An ``IdentityReport`` is
+    built only for a check that fails, from the integers compared.
+    """
+    classes = range(len(scaled))
+    terms = [(r + s) * N - r * (N - 1) for s in scaled]
+    failed = []
+    lhs_den, rhs_den = D * N * (N - 1), D * N * (N - 1) * (N - 1)
+    for v0 in classes:
+        lhs = (r + scaled[v0]) * N - r * (N - 1)
+        rhs = (N - 1) * terms[v0]
+        if lhs * rhs_den != rhs * lhs_den:
+            failed.append(((v0,), IdentityReport("lemma6", lhs, lhs_den, rhs, rhs_den)))
+    if N > 2:
+        lhs_den, rhs_den = D * N * (N - 2), D * N * (N - 1) * (N - 2)
+        for v0 in classes:
+            for v1 in classes:
+                lhs = (r + scaled[v0] + scaled[v1]) * N - r * (N - 2)
+                rhs = (N - 1) * (terms[v0] + terms[v1])
+                if lhs * rhs_den != rhs * lhs_den:
+                    failed.append(
+                        ((v0, v1), IdentityReport("lemma6", lhs, lhs_den, rhs, rhs_den))
+                    )
+    return failed
+
+
 def verify_lemmas(
     seed: int = 0,
     exhaustive_n: int = 8,
@@ -223,10 +258,11 @@ def verify_lemmas(
     For each drawable prefix (``_prefixes``) the lemma 1, 2 and 3-4 checks
     are the block of the counts it leaves (``_removal_block``), evaluated
     in bulk once per tuple of counts left for the length of the call; each
-    check evaluates its own identity.  A composition's blocks, one per
-    prefix, are recorded with one ``record_all``.  Lemma 6 takes the weights
-    scaled to integers once per weight set and R from the class counts, and
-    a composition's lemma 6 checks go to one more ``record_all``.  The
+    check evaluates its own identity.  Lemma 6 is evaluated in bulk too
+    (``_telescoping_block``), from the weights scaled to integers once per
+    weight set and R from the class counts.  Each composition goes to one
+    ``record_all``: the failures of its blocks, one per prefix, each
+    block's added only when it has some, then its lemma 6 failures.  The
     random block uses the weight-level checkers on compositions of 3 to
     ``RANDOM_N_MAX`` cards.
     An ``exhaustive_n`` below 2, which would leave the exhaustive block
@@ -255,46 +291,37 @@ def verify_lemmas(
         sorted_scaled, _, D = scaled_classes((w, 1) for w in weights)
         scaled_of = dict(zip(sorted(weights), sorted_scaled))
         scaled = [scaled_of[w] for w in weights]
-        classes = range(len(weights))
         for total in range(2, exhaustive_n + 1):
-            # The lemma 6 draws of n = 1 and 2 weights, as class indices and scaled.
-            drawn = [
-                (ws, [scaled[i] for i in ws])
-                for n in range(1, min(3, total))
-                for ws in itertools.product(classes, repeat=n)
-            ]
+            # The lemma 6 draws of n = 1 and 2 weights.
+            lemma6_checks = sum(len(weights) ** n for n in range(1, min(3, total)))
             for have in _count_tuples(len(weights), total):
-                checks, failed = 0, []
+                checks, failed = lemma6_checks, []
                 for prefix, counts in _prefixes(have):
                     block = blocks.get(counts)
                     if block is None:
                         block = blocks[counts] = _removal_block(counts)
                     checks += block[0]
-                    failed += [(prefix, *entry) for entry in block[1]]
-                result.record_all(
-                    checks,
-                    failed,
-                    lambda entry: describe(
-                        entry[3],
-                        zip(weights, have),
-                        prefix=tuple(weights[i] for i in entry[0]),
-                        k=entry[1],
-                        vs=tuple(weights[i] for i in entry[2]),
-                    ),
-                )
+                    if block[1]:
+                        failed += [(prefix, *entry) for entry in block[1]]
                 r = -sum(s * l for s, l in zip(scaled, have))
-                failed = []
-                for ws, scaled_ws in drawn:
-                    report = _telescoping(r, scaled_ws, D, total, len(ws))
-                    if not report.equal:
-                        failed.append((ws, report))
-                result.record_all(
-                    len(drawn),
-                    failed,
-                    lambda entry: describe(
-                        entry[1], zip(weights, have), ws=tuple(weights[i] for i in entry[0])
-                    ),
-                )
+                failed += _telescoping_block(r, scaled, D, total)
+
+                def detail(entry) -> str:
+                    """A removal entry is (prefix, k, vs, report), a lemma 6 one (ws, report)."""
+                    *where, report = entry
+                    pairs = zip(weights, have)
+                    if len(where) == 1:
+                        return describe(report, pairs, ws=tuple(weights[i] for i in where[0]))
+                    prefix, k, vs = where
+                    return describe(
+                        report,
+                        pairs,
+                        prefix=tuple(weights[i] for i in prefix),
+                        k=k,
+                        vs=tuple(weights[i] for i in vs),
+                    )
+
+                result.record_all(checks, failed, detail)
 
     rng = random.Random(seed)
     for _ in range(random_instances):

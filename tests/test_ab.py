@@ -34,6 +34,26 @@ def test_summary_medians_and_wins():
     assert p50["change_wins"] == 2  # 1.8 and 1.5; the tie at 2.0 wins for neither side
 
 
+def test_sign_test_p_values():
+    assert ab.sign_test_p(10, 0) == ab.sign_test_p(0, 10) == 2 / 1024
+    assert ab.sign_test_p(5, 5) == 1.0
+    assert ab.sign_test_p(9, 1) == 2 * 11 / 1024
+    assert ab.sign_test_p(0, 0) == 1.0
+
+
+def test_summary_sign_test_drops_ties():
+    better = [_pair(110.0 + i, 1.0) for i in range(10)]
+    assert ab.summarize(better)["throughput"]["sign_p"] == 2 / 1024
+    # 5 wins, 5 losses: no evidence either way.
+    even = [_pair(110.0, 1.0)] * 5 + [_pair(90.0, 3.0)] * 5
+    assert ab.summarize(even)["throughput"]["sign_p"] == 1.0
+    # The tie on call_p50_ms is dropped: 4 wins of 4 untied pairs.
+    tied = [_pair(100.0, 1.5)] * 4 + [_pair(100.0, 2.0)]
+    summary = ab.summarize(tied)
+    assert summary["call_p50_ms"]["sign_p"] == 2 / 16
+    assert summary["throughput"]["sign_p"] == 1.0  # every pair tied
+
+
 def test_summary_skips_metrics_a_side_lacks():
     pairs = [{"base": {"throughput": 1.0}, "change": {}}]
     assert ab.summarize(pairs) == {}

@@ -219,6 +219,12 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", "-c", "+1:2,-1:2", "-n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, cards", [("1:1", 1), ("1:0", 0), ("1:0,0:0", 0)])
+    def test_fewer_than_two_cards_exit_2(self, capsys, spec, cards):
+        assert run_cli(capsys, "exact", "-c", spec, "-n", "1") == (
+            2, "", f"error: the composition's card count must be >= 2, got {cards}\n"
+        )
+
     def test_bad_composition_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "exact", "-c", "nope", "-n", "1")
         assert code == 2
@@ -301,6 +307,16 @@ class TestVerify:
     )
     def test_default_sweeps_print_their_check_counts(self, capsys, scope, expected):
         assert run_cli(capsys, "verify", scope) == (0, expected, "")
+
+    @pytest.mark.parametrize("scope", ["lemmas", "theorem", "kelly", "all"])
+    def test_negative_seed_exit_2_before_any_sweep(self, capsys, monkeypatch, scope):
+        ran = []
+        for name in cli._VERIFY_SCOPES:
+            monkeypatch.setitem(cli._VERIFY_SCOPES, name, ran.append)
+        assert run_cli(capsys, "verify", scope, "--seed", "-5") == (
+            2, "", "error: seed must be >= 0, got -5\n"
+        )
+        assert ran == []
 
 
 class TestKelly:

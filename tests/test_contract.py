@@ -20,7 +20,8 @@ values replaced by a bad or extreme one exits 0 with only finite numbers
 printed, or exits 2 with an ``error:`` line and nothing on stdout.  And on
 a valid command line of ``sigma-table``, ``kelly`` or ``longrun``, drawn
 from each one's valid ranges, it exits 0 with the rows of its default
-table, every cell finite.
+table, every cell finite.  A valid ``simulate`` command line, of every mode
+and format, exits 0 and prints only finite statistics of the mode's names.
 """
 import contextlib
 import io
@@ -333,3 +334,80 @@ def test_cli_on_a_valid_command_line_exits_0_with_its_default_rows(case):
     assert len(table["rows"]) == rows, argv
     cells = [cell for row in table["rows"] for cell in row["cells"]]
     assert cells and all(isinstance(c, float) and math.isfinite(c) for c in cells), (argv, cells)
+
+
+@st.composite
+def valid_simulate_argvs(draw, mode: str, fmt: str) -> tuple[list[str], list[str]]:
+    """A valid ``simulate`` command line of ``mode`` and ``fmt``, and the
+    names of its statistics.
+
+    Few small trials; a shoe run's penetration leaves its tail one card
+    unseen, so the shoe never runs out.
+    """
+    if mode == "bankroll":
+        p = draw(st.floats(0.3, 0.8))
+        if draw(st.booleans()):
+            argv = ["--p", repr(p)]
+        else:
+            spread = draw(st.floats(0, 0.99)) * min(p, 1 - p)
+            argv = ["--p0", repr(p), "--var-p0", repr(spread * spread)]
+        argv += ["--hands", str(draw(st.integers(1, 500)))]
+        names = ["growth_rate"]
+    else:
+        decks = draw(st.integers(1, 2))
+        if mode == "seat-sigma":
+            seats = draw(st.integers(1, 7))
+            position = draw(st.integers(1, seats))
+            argv = ["--seats", str(seats), "--position", str(position)]
+            model = tc.SeatCardModel(seats, position)
+            if draw(st.booleans()):
+                hand_mean = draw(st.floats(2.0, 3.2))
+                argv += ["--hand-mean", repr(hand_mean)]
+                model = tc.SeatCardModel.with_hand_mean(seats, position, hand_mean)
+            tail = model.base_deal + seats * model.max_extra
+            names = ["sigma_bet", "sigma_play", "cards_per_hand"]
+        else:
+            n_cards = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+            argv = ["--n-cards", ",".join(map(str, n_cards))]
+            tail = max(n_cards)
+            names = [f"tc_increment_n{n}" for n in sorted(n_cards)]
+        # The cut leaves the tail and one card more.
+        cut = draw(st.integers(1, 52 * decks - tail - 1))
+        argv += [
+            "--system", draw(st.sampled_from(SYSTEMS)), "--decks", str(decks),
+            "--penetration", repr(cut / (52 * decks)),
+        ]
+    argv += [
+        "--trials", str(draw(st.integers(2, 40))), "--seed", str(draw(st.integers(0, 99))),
+        "--format", fmt,
+    ]
+    return ["simulate", "--mode", mode, *argv], names
+
+
+@pytest.mark.parametrize("fmt", tc.reports.FORMATS)
+@pytest.mark.parametrize("mode", ["seat-sigma", "tc-increment", "bankroll"])
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_simulate_on_a_valid_command_line_prints_finite_statistics(mode, fmt, data):
+    argv, names = data.draw(valid_simulate_argvs(mode, fmt))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    text = out.getvalue()
+    assert not NON_FINITE.search(text), (argv, text)
+    if fmt == "csv":
+        header, *rows = text.splitlines()
+        assert header == "statistic,mean,std,stderr", argv
+        stats = {name: dict(zip(("mean", "std", "stderr"), map(float, values)))
+                 for name, *values in (row.split(",") for row in rows)}
+    else:
+        report, end = json.JSONDecoder().raw_decode(text)
+        stats = report["stats"]
+        after = text[end:].splitlines()[1:]
+        assert fmt == "table" or after == [], argv
+        assert all(line.startswith("predicted ") for line in after), (argv, after)
+    assert sorted(stats) == sorted(names), argv
+    for row in stats.values():
+        assert sorted(row) == ["mean", "std", "stderr"], argv
+        assert all(isinstance(v, float) and math.isfinite(v) for v in row.values()), (argv, row)

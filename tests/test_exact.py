@@ -188,9 +188,14 @@ class TestMoments:
         assert comp.true_count("deck") == Fraction(52, 12)
         assert float(comp.true_count("deck")) == pytest.approx(4.33, abs=0.005)
 
-    def test_sigma_small_deck(self):
-        with pytest.raises(BadRangeError):
-            sigma_n_exact(composition({1: 1}), 1)
+    @pytest.mark.parametrize("function", [sigma_n_exact, tc_distribution])
+    @pytest.mark.parametrize("counts, cards", [({1: 1}, 1), ({1: 0}, 0), ({1: 0, -1: 0}, 0)])
+    def test_fewer_than_two_cards_name_the_card_count(self, function, counts, cards):
+        # No n lies in [1, N) for such a composition; the error says why,
+        # not that n falls outside an empty range.
+        with pytest.raises(BadRangeError) as error:
+            function(composition(counts), 1)
+        assert str(error.value) == f"the composition's card count must be >= 2, got {cards}"
 
 
 class TestApproximations:

@@ -39,21 +39,35 @@ def compositions_over(weights, total: int):
         yield WeightComposition(dict(zip(weights, counts)))
 
 
-def _bend_block(monkeypatch, old: str, new: str):
-    """Put in a copy of ``verify._removal_block`` whose source reads ``new`` for ``old``.
+def _bend(monkeypatch, name: str, *edits: tuple[str, str]):
+    """Put in a copy of ``verify.<name>`` whose source reads ``new`` for each ``old``.
 
-    ``old`` must occur in the source, so a fault planted this way cannot
-    miss the code it is meant to bend.
+    Each ``old`` of the ``(old, new)`` edits must occur in the source, so a
+    fault planted this way cannot miss the code it is meant to bend.
+    Returns the bent function.
     """
-    source = inspect.getsource(verify._removal_block)
-    assert old in source, old
+    source = inspect.getsource(getattr(verify, name))
+    for old, new in edits:
+        assert old in source, old
+        source = source.replace(old, new)
     namespace = {}
-    exec(source.replace(old, new), vars(verify), namespace)
-    monkeypatch.setattr(verify, "_removal_block", namespace["_removal_block"])
+    exec(source, vars(verify), namespace)
+    monkeypatch.setattr(verify, name, namespace[name])
+    return namespace[name]
 
 
-#: The block's comparison of the two sides, and a bend of it that fails
-#: every check, so the block reports each check's sides.
+def _bend_block(monkeypatch, old: str, new: str):
+    """``_bend`` of ``verify._removal_block``, the lemma 1, 2 and 3-4 block."""
+    return _bend(monkeypatch, "_removal_block", (old, new))
+
+
+def _bend_lemma6(monkeypatch, *edits: tuple[str, str]):
+    """``_bend`` of ``verify._telescoping_block``, the lemma 6 block."""
+    return _bend(monkeypatch, "_telescoping_block", *edits)
+
+
+#: The blocks' comparison of the two sides, and a bend of it that fails
+#: every check, so a block reports each check's sides.
 COMPARISON = "if lhs * rhs_den != rhs * lhs_den:"
 EVERY_CHECK_FAILS = "if True:"
 
@@ -292,13 +306,7 @@ class TestFailuresAreDiagnosable:
 
     def test_off_by_one_in_the_lemma6_core(self, monkeypatch):
         """The exhaustive block's lemma 6 details give ``ws`` as weights."""
-        real = verify._telescoping
-
-        def bent(*args):
-            report = real(*args)
-            return report._replace(rhs_num=report.rhs_num + 1)
-
-        monkeypatch.setattr(verify, "_telescoping", bent)
+        _bend_lemma6(monkeypatch, ("rhs * lhs_den", "(rhs := rhs + 1) * lhs_den"))
         result = verify_lemmas(exhaustive_n=3, random_instances=0)
         assert not result.passed
         assert all(f.startswith("lemma6 ") for f in result.failures)
@@ -306,6 +314,26 @@ class TestFailuresAreDiagnosable:
             "lemma6 comp={Fraction(-1, 1): 0, Fraction(1, 1): 2} ws=(Fraction(-1, 1),): "
             "lhs=-2 rhs=-3/2"
         )
+        assert (len(result.failures), result.checked) == (168, 802)  # every lemma 6 check
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("for s in scaled]", "for s in scaled[::-1]]"),
+            ("(terms[v0] + terms[v1])", "(terms[v0] + terms[v0])"),
+            ("scaled[v0] + scaled[v1]", "scaled[v0] + scaled[v0]"),
+            ("r * (N - 2)", "r * (N - 1)"),
+            ("D * N * (N - 1) * (N - 2)", "D * N * (N - 2) * (N - 2)"),
+        ],
+        ids=["terms", "right-sum", "left-sum", "left-offset", "right-den"],
+    )
+    def test_fault_in_the_lemma6_block(self, monkeypatch, old, new):
+        """A fault in any part of the bulk lemma 6 pass fails the sweep, on lemma 6 only."""
+        _bend_lemma6(monkeypatch, (old, new))
+        result = verify_lemmas(exhaustive_n=4, random_instances=0)
+        assert result.checked == 3_283
+        assert not result.passed
+        assert all(f.startswith("lemma6 ") for f in result.failures)
 
     def test_off_by_one_variance_numerator(self, monkeypatch):
         """The sweep and the law share one variance numerator; bend it in both."""
@@ -470,11 +498,16 @@ class TestIndexSpaceSweep:
         )
 
     def test_a_passing_block_builds_no_report(self, monkeypatch):
-        """An ``IdentityReport`` is built only for a check that fails."""
-        built = []
+        """An ``IdentityReport`` is built only for a check that fails.
+
+        Lemma 6 too is evaluated in bulk: a passing sweep builds no report
+        through ``_telescoping`` either.
+        """
+        built, telescoped = [], []
         monkeypatch.setattr(verify, "IdentityReport", lambda *sides: built.append(sides))
+        monkeypatch.setattr(exact, "_telescoping", lambda *args: telescoped.append(args))
         assert verify_lemmas(exhaustive_n=4, random_instances=0).passed
-        assert built == []
+        assert built == [] and telescoped == []
 
     def test_lemma6_scales_each_weight_in_any_order(self, monkeypatch):
         """A weight set out of increasing order still pairs each weight with its count.
@@ -483,21 +516,56 @@ class TestIndexSpaceSweep:
         composition and weights whose scaled values the check received.
         """
         monkeypatch.setattr(verify, "WEIGHT_SETS", tuple(ws[::-1] for ws in WEIGHT_SETS))
+        bent = _bend_lemma6(
+            monkeypatch,
+            (COMPARISON, EVERY_CHECK_FAILS),
+            ('IdentityReport("lemma6", lhs, lhs_den, rhs, rhs_den)',
+             'IdentityReport("lemma6", 0, 1, 1, 1)'),
+        )
         calls = []
 
-        def bent(r, s, D, N, n):
-            calls.append((r, tuple(s), D))
-            return IdentityReport("lemma6", 0, 1, 1, 1)
+        def recorded(r, scaled, D, N):
+            failed = bent(r, scaled, D, N)
+            calls.extend((r, tuple(scaled[i] for i in ws), D) for ws, _ in failed)
+            return failed
 
-        monkeypatch.setattr(verify, "_telescoping", bent)
+        monkeypatch.setattr(verify, "_telescoping_block", recorded)
         result = verify_lemmas(exhaustive_n=4, random_instances=0)
         assert result.checked == 3_283
-        assert len(result.failures) == len(calls) > 0
+        assert len(result.failures) == len(calls) == 378
         for (r, s, D), failure in zip(calls, result.failures):
             found = re.fullmatch(r"lemma6 comp=(\{.*\}) ws=(\(.*\)): lhs=0 rhs=1", failure)
             comp, ws = (eval(g, {"Fraction": Fraction}) for g in found.groups())
             assert r == -D * sum(w * l for w, l in comp.items()), failure
             assert s == tuple(D * w for w in ws), failure
+
+    def test_lemma6_block_matches_the_telescoping_core(self, monkeypatch):
+        """Every lemma 6 check to 5 cards, over every weight set, both sides.
+
+        With its comparison bent to fail every check, the bulk pass reports
+        each check, in sweep order, and its report must equal
+        ``_telescoping``'s for the same draw.
+        """
+        bent = _bend_lemma6(monkeypatch, (COMPARISON, EVERY_CHECK_FAILS))
+        compared = 0
+        for weights in WEIGHT_SETS:
+            D = math.lcm(*(w.denominator for w in weights))
+            scaled = [w.numerator * (D // w.denominator) for w in weights]
+            for total in range(2, 6):
+                draws = [
+                    ws
+                    for n in range(1, min(3, total))
+                    for ws in itertools.product(range(len(weights)), repeat=n)
+                ]
+                for comp in compositions_over(weights, total):
+                    r = -sum(s * comp.counts[w] for s, w in zip(scaled, weights))
+                    failed = bent(r, scaled, D, total)
+                    assert [ws for ws, _ in failed] == draws
+                    for ws, report in failed:
+                        core = _telescoping(r, [scaled[i] for i in ws], D, total, len(ws))
+                        assert report == core and core.equal
+                        compared += 1
+        assert compared == 5_186
 
 
 class TestSweeps:

@@ -15,14 +15,16 @@ REV: the spread of its pairs sizes the noise of the layout alone.
 ``--workload all`` runs the pairs of each workload in turn.
 
 Prints each pair's end-to-end metrics, then, per metric, the medians of
-both sides, their ratio and the pairs the change wins (by the direction
-``BENCHMARK.json`` gives), and writes all of it to ``--out``.  Exits 1 if
-any run fails or reports ``correct: false``.
+both sides, their ratio, the pairs the change wins (by the direction
+``BENCHMARK.json`` gives) and the exact two-sided sign-test p value of
+those wins against the pairs it loses, tied pairs dropped; writes all of
+it to ``--out``.  Exits 1 if any run fails or reports ``correct: false``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import signal
 import statistics
@@ -72,9 +74,23 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return result
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p value of ``wins`` against ``losses``.
+
+    Under the null each untied pair falls to either side with chance 1/2,
+    so the p value is twice the binomial tail of the smaller count, at
+    most 1; with no untied pair it is 1.
+    """
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def summarize(pairs: list[dict]) -> dict:
     """Per metric: both sides' medians, change / base, the pairs the change
-    wins and the distance between the quartiles of the base's runs.
+    wins, the sign-test p value of its wins against its losses
+    (``sign_test_p``) and the distance between the quartiles of the base's
+    runs.
 
     Each pair is ``{"base": {metric: value}, "change": {metric: value}}``; a
     metric is one of ``BETTER``, every one of them positive, and a tie wins
@@ -91,6 +107,7 @@ def summarize(pairs: list[dict]) -> dict:
         base = statistics.median(bases)
         change = statistics.median(c for _, c in rows)
         wins = sum((c > b) if better == "higher" else (c < b) for b, c in rows)
+        losses = sum((c < b) if better == "higher" else (c > b) for b, c in rows)
         q1, _, q3 = (statistics.quantiles(bases, n=4, method="inclusive")
                      if len(bases) > 1 else (base, base, base))
         summary[name] = {
@@ -100,6 +117,7 @@ def summarize(pairs: list[dict]) -> dict:
             "change_median": change,
             "ratio": change / base,
             "change_wins": wins,
+            "sign_p": sign_test_p(wins, losses),
             "pairs": len(rows),
         }
     return summary
@@ -166,7 +184,8 @@ def main(argv=None) -> int:
             for name, s in summary.items():
                 print(f"{workload} {name}: base {s['base_median']:.4g}, change "
                       f"{s['change_median']:.4g} ({s['ratio']:.3f}x), change better in "
-                      f"{s['change_wins']} of {s['pairs']} pairs; base IQR {s['base_iqr']:.4g}")
+                      f"{s['change_wins']} of {s['pairs']} pairs (sign test p {s['sign_p']:.3g}); "
+                      f"base IQR {s['base_iqr']:.4g}")
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
     finally:
