@@ -192,8 +192,8 @@ _VERIFY_SCOPES: dict[str, Callable] = {
 def cmd_verify(scope: str = "all", seed: int = 0) -> tuple[str, int]:
     """Run a verification sweep, or all three; returns (text, exit code).
 
-    The seed is checked before any sweep runs, so every scope refuses the
-    same seeds, the Kelly sweep's too, which takes none.
+    The seed is checked once, before any sweep runs, so every scope
+    refuses a bad seed, ``kelly`` too, whose sweep takes no seed.
     """
     seed = whole_number(seed, "seed", 0)
     if scope == "all":
