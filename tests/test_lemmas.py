@@ -61,11 +61,6 @@ def _bend_block(monkeypatch, old: str, new: str):
     return _bend(monkeypatch, "_removal_block", (old, new))
 
 
-def _bend_lemma6(monkeypatch, *edits: tuple[str, str]):
-    """``_bend`` of ``verify._telescoping_block``, the lemma 6 block."""
-    return _bend(monkeypatch, "_telescoping_block", *edits)
-
-
 #: The blocks' comparison of the two sides, and a bend of it that fails
 #: every check, so a block reports each check's sides.
 COMPARISON = "if lhs * rhs_den != rhs * lhs_den:"
@@ -306,7 +301,7 @@ class TestFailuresAreDiagnosable:
 
     def test_off_by_one_in_the_lemma6_core(self, monkeypatch):
         """The exhaustive block's lemma 6 details give ``ws`` as weights."""
-        _bend_lemma6(monkeypatch, ("rhs * lhs_den", "(rhs := rhs + 1) * lhs_den"))
+        _bend(monkeypatch, "_telescoping_block", ("rhs * lhs_den", "(rhs := rhs + 1) * lhs_den"))
         result = verify_lemmas(exhaustive_n=3, random_instances=0)
         assert not result.passed
         assert all(f.startswith("lemma6 ") for f in result.failures)
@@ -329,7 +324,7 @@ class TestFailuresAreDiagnosable:
     )
     def test_fault_in_the_lemma6_block(self, monkeypatch, old, new):
         """A fault in any part of the bulk lemma 6 pass fails the sweep, on lemma 6 only."""
-        _bend_lemma6(monkeypatch, (old, new))
+        _bend(monkeypatch, "_telescoping_block", (old, new))
         result = verify_lemmas(exhaustive_n=4, random_instances=0)
         assert result.checked == 3_283
         assert not result.passed
@@ -516,8 +511,9 @@ class TestIndexSpaceSweep:
         composition and weights whose scaled values the check received.
         """
         monkeypatch.setattr(verify, "WEIGHT_SETS", tuple(ws[::-1] for ws in WEIGHT_SETS))
-        bent = _bend_lemma6(
+        bent = _bend(
             monkeypatch,
+            "_telescoping_block",
             (COMPARISON, EVERY_CHECK_FAILS),
             ('IdentityReport("lemma6", lhs, lhs_den, rhs, rhs_den)',
              'IdentityReport("lemma6", 0, 1, 1, 1)'),
@@ -546,7 +542,7 @@ class TestIndexSpaceSweep:
         each check, in sweep order, and its report must equal
         ``_telescoping``'s for the same draw.
         """
-        bent = _bend_lemma6(monkeypatch, (COMPARISON, EVERY_CHECK_FAILS))
+        bent = _bend(monkeypatch, "_telescoping_block", (COMPARISON, EVERY_CHECK_FAILS))
         compared = 0
         for weights in WEIGHT_SETS:
             D = math.lcm(*(w.denominator for w in weights))
