@@ -241,9 +241,10 @@ class WeightComposition:
     """Census of a remaining deck by weight class.
 
     ``counts`` maps each weight to the whole number of remaining cards of
-    that class.  The running count follows the reveal convention: revealing a
-    card of weight ``w`` adds ``w`` to the running count, i.e.
-    ``R = -sum(w * l_w)``.
+    that class.  Each weight passes ``as_weight``, and weights that become
+    equal sum their counts.  The running count follows the reveal
+    convention: revealing a card of weight ``w`` adds ``w`` to the running
+    count, i.e. ``R = -sum(w * l_w)``.
     """
 
     counts: Mapping[Fraction, int] = field(default_factory=dict)
@@ -251,9 +252,10 @@ class WeightComposition:
     def __post_init__(self):
         counts = {}
         for w, l in self.counts.items():
+            w = as_weight(w)
             if l < 0:
                 raise EmptyClassError(f"negative count {shown(l)} for weight {w}")
-            counts[w] = whole_number(l, "count", 0)
+            counts[w] = counts.get(w, 0) + whole_number(l, "count", 0)
         object.__setattr__(self, "counts", counts)
 
     def __repr__(self) -> str:
@@ -295,7 +297,7 @@ class WeightComposition:
 
 def composition(counts: Mapping[object, int]) -> WeightComposition:
     """Build a composition from a plain weight -> count mapping."""
-    return WeightComposition({as_weight(w): l for w, l in counts.items()})
+    return WeightComposition(counts)
 
 
 def shown(count) -> str:

@@ -496,7 +496,9 @@ def _check_removal(
     """Lemma 3-4's identity and range rule, of which lemmas 1 and 2 are the k = 1 cases."""
     N, p, q = comp.total, len(prefix), len(vs) - 1
     k = whole_number(k, "k", 1)
-    if not vs or p + k + q > N - 1:
+    if not vs:
+        raise BadRangeError(f"{name} needs at least one drawn weight, got none")
+    if p + k + q > N - 1:
         raise BadRangeError(
             f"need p + k + q <= N - 1, got p={p}, k={shown(k)}, q={q}, N={shown(N)}"
         )

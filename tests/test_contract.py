@@ -230,6 +230,33 @@ def test_a_whole_step_within_the_float_range_is_a_step():
     assert tc.verify_kelly(lo=0.6, hi=0.61, step=2**63).summary() == "kelly: PASS (1 checks)"
 
 
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("counts, fractions", [
+    ({1: 2, -1: 3}, {Fraction(1): 2, Fraction(-1): 3}),
+    ({0.5: 2, -0.5: 3}, {HALF: 2, -HALF: 3}),
+    ({"1/2": 2, "-0.5": 3}, {HALF: 2, -HALF: 3}),
+    ({"1/2": 1, 0.5: 1, "-1/2": 3}, {HALF: 2, -HALF: 3}),
+])
+def test_a_composition_takes_any_weight_as_weight_does(counts, fractions):
+    """Int, float and string weights give the law and sigma_n of the equal
+    ``Fraction`` weights, and weights that become equal sum their counts."""
+    comp, same = tc.WeightComposition(counts), tc.WeightComposition(fractions)
+    assert comp == same and comp.true_count() == same.true_count()
+    assert all(type(w) is Fraction for w in comp.counts)
+    for n in range(1, same.total):
+        law, expected = tc.tc_distribution(comp, n), tc.tc_distribution(same, n)
+        assert (law.ways, law.sums) == (expected.ways, expected.sums)
+        assert tc.sigma_n_exact(comp, n) == tc.sigma_n_exact(same, n)
+
+
+@pytest.mark.parametrize("weight", ["x", math.nan, math.inf, None])
+def test_a_composition_refuses_a_weight_that_is_no_number(weight):
+    with pytest.raises(tc.ParseError, match="bad weight"):
+        tc.WeightComposition({weight: 1})
+
+
 #: A valid, quick command line of each subcommand that takes numbers.
 ARGV_CORES = (
     ["sigma-table", "--decks", "2", "--penetration", "0.5", "--seats", "3",

@@ -112,6 +112,14 @@ class TestIdentityCheckers:
         with pytest.raises(InfeasiblePrefixError):
             check_lemma1(comp, [2], 1)
 
+    def test_an_empty_draw_is_named(self, comp):
+        for empty_draw in (
+            lambda: check_lemma2(comp, [], []),
+            lambda: check_lemma34(comp, [], 1, []),
+        ):
+            with pytest.raises(BadRangeError, match="needs at least one drawn weight"):
+                empty_draw()
+
     def test_bad_ranges(self, comp):
         with pytest.raises(BadRangeError):
             check_lemma1(composition({1: 1, -1: 1}), [1], 1)

@@ -16,26 +16,32 @@ REV: the spread of its pairs sizes the noise of the layout alone.
 
 Prints each pair's end-to-end metrics, then, per metric, the medians of
 both sides, their ratio, the pairs the change wins (by the direction
-``BENCHMARK.json`` gives) and the exact two-sided sign-test p value of
-those wins against the pairs it loses, tied pairs dropped; writes all of
-it to ``--out``.  Exits 1 if any run fails or reports ``correct: false``.
+``BENCHMARK.json`` gives), the exact two-sided sign-test p value of
+those wins against the pairs it loses, tied pairs dropped, and both sides'
+``iqr``; then runs the tier-1 suite (``TIER1``) once on the change tree.
+Writes all of it, with the host, to ``--out``: the performance record.
+Exits 1 if any run fails or reports ``correct: false``, or tier 1 fails.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
+import os
+import platform
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-from bench_record import WORKLOAD_NAMES, tree_clean  # noqa: E402
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WORKLOAD_NAMES  # noqa: E402
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = float(BENCH["run_seconds"])
@@ -43,6 +49,31 @@ SECONDS = float(BENCH["run_seconds"])
 MIN_PAIRS = 10
 #: Each end-to-end metric's better direction, "higher" or "lower".
 BETTER = {m["name"]: m["better"] for m in BENCH["end_to_end"]}
+#: The tier-1 test suite, run with the tree's ``src`` first on PYTHONPATH.
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def rev_parse(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def tree_clean() -> bool:
+    """Whether the tracked files of this checkout match the commit HEAD names."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.returncode == 0 and not proc.stdout.strip()
+
+
+def run_tier1(tree: Path) -> dict:
+    """``TIER1`` in ``tree``: its wall time, exit code and last line of output."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)}
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -86,11 +117,16 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
+def iqr(xs: list[float]) -> float:
+    """The distance between the quartiles of ``xs``; 0 for one value."""
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (0.0,) * 3
+    return q3 - q1
+
+
 def summarize(pairs: list[dict]) -> dict:
     """Per metric: both sides' medians, change / base, the pairs the change
     wins, the sign-test p value of its wins against its losses
-    (``sign_test_p``) and the distance between the quartiles of the base's
-    runs.
+    (``sign_test_p``) and each side's ``iqr``.
 
     Each pair is ``{"base": {metric: value}, "change": {metric: value}}``; a
     metric is one of ``BETTER``, every one of them positive, and a tie wins
@@ -103,18 +139,16 @@ def summarize(pairs: list[dict]) -> dict:
                 if name in p["base"] and name in p["change"]]
         if not rows:
             continue
-        bases = [b for b, _ in rows]
-        base = statistics.median(bases)
-        change = statistics.median(c for _, c in rows)
+        bases, changes = [b for b, _ in rows], [c for _, c in rows]
+        base, change = statistics.median(bases), statistics.median(changes)
         wins = sum((c > b) if better == "higher" else (c < b) for b, c in rows)
         losses = sum((c < b) if better == "higher" else (c > b) for b, c in rows)
-        q1, _, q3 = (statistics.quantiles(bases, n=4, method="inclusive")
-                     if len(bases) > 1 else (base, base, base))
         summary[name] = {
             "better": better,
             "base_median": base,
-            "base_iqr": q3 - q1,
+            "base_iqr": iqr(bases),
             "change_median": change,
+            "change_iqr": iqr(changes),
             "ratio": change / base,
             "change_wins": wins,
             "sign_p": sign_test_p(wins, losses),
@@ -162,10 +196,7 @@ def main(argv=None) -> int:
     if args.pairs < (1 if args.null else MIN_PAIRS):
         parser.error(f"need --pairs >= {MIN_PAIRS}, or >= 1 with --null")
 
-    sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    sha, head = rev_parse(args.base), rev_parse("HEAD")
     # A SIGTERM exits through the finally below, which removes the exports.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
@@ -174,6 +205,8 @@ def main(argv=None) -> int:
         trees["change"] = export(sha, tmp / "null") if args.null else ROOT
         doc = {"base": sha, "change": sha if args.null else head, "null": args.null,
                "change_tree_clean": args.null or tree_clean(), "seconds": SECONDS,
+               "host": {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+                        "numpy": importlib.metadata.version("numpy")},
                "workloads": {}}
         all_ok = True
         for workload in WORKLOAD_NAMES if args.workload == "all" else (args.workload,):
@@ -185,7 +218,11 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: base {s['base_median']:.4g}, change "
                       f"{s['change_median']:.4g} ({s['ratio']:.3f}x), change better in "
                       f"{s['change_wins']} of {s['pairs']} pairs (sign test p {s['sign_p']:.3g}); "
-                      f"base IQR {s['base_iqr']:.4g}")
+                      f"IQR base {s['base_iqr']:.4g}, change {s['change_iqr']:.4g}")
+        doc["tier1"] = tier1 = run_tier1(trees["change"])
+        print(f"tier 1 on the change tree: exit {tier1['exit_code']} in {tier1['wall_s']:.1f} s: "
+              f"{tier1['summary']}")
+        all_ok = all_ok and tier1["exit_code"] == 0
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
     finally:
