@@ -140,6 +140,12 @@ def cmd_sigma_table(
     return table
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, reduced by one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
     """Exact distribution and moments for a composition spec.
 
@@ -149,8 +155,10 @@ def cmd_exact(comp_spec: str, n: int, units: str = "deck") -> ReportTable:
     comp = parse_composition(comp_spec)
     dist = tc_distribution(comp, n)
     scale = 52 if units == "deck" else 1
-    rows = [(str(v * scale), str(p)) for v, p in dist.atoms]
-    s0, *_, c, _ = dist.sums
+    s0, *_, c, d = dist.sums
+    ways = dist.ways
+    # The text of each atom (x / d, ways / c) of ``dist.atoms``, the value scaled.
+    rows = [(_ratio(x * scale, d), _ratio(ways[x], c)) for x in sorted(ways)]
     if s0 != c:
         raise InvariantError(f"enumerated probabilities sum to {Fraction(s0, c)} != 1")
     mean = dist.mean()

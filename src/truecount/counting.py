@@ -253,9 +253,13 @@ class WeightComposition:
         counts = {}
         for w, l in self.counts.items():
             w = as_weight(w)
-            if l < 0:
-                raise EmptyClassError(f"negative count {shown(l)} for weight {w}")
-            counts[w] = counts.get(w, 0) + whole_number(l, "count", 0)
+            try:
+                l = whole_number(l, "count", 0)
+            except BadRangeError:
+                if isinstance(l, numbers.Integral):  # whole, so negative
+                    raise EmptyClassError(f"negative count {shown(l)} for weight {w}") from None
+                raise
+            counts[w] = counts.get(w, 0) + l
         object.__setattr__(self, "counts", counts)
 
     def __repr__(self) -> str:
@@ -338,10 +342,16 @@ def real_number(value, name: str, lo=None):
     The one rule for every real the package takes: NaN, an infinity and an
     int such as 10**400, which no float holds, are refused before any
     arithmetic could overflow on them, and a report shows the value given."""
-    if type(value) is not float and not isinstance(value, numbers.Real):
-        raise BadRangeError(f"need a real {name}, got {value!r}")
+    x = value
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise BadRangeError(f"need a real {name}, got {value!r}")
+        # In numpy's float32 the float range's bound rounds to inf, so a real
+        # that is not rational is tested as the float it converts to.
+        if not isinstance(value, numbers.Rational):
+            x = float(value)
     # NaN fails both comparisons; an int or a Fraction compares exactly.
-    if not (abs(value) <= sys.float_info.max and (lo is None or value >= lo)):
+    if not (abs(x) <= sys.float_info.max and (lo is None or x >= lo)):
         bound = "" if lo is None else f" >= {lo}"
         raise BadRangeError(f"need a finite {name}{bound}, got {shown(value)}")
     return value

@@ -139,7 +139,10 @@ def optimality_grid(p0s: Sequence[float], tolerance: float = 1e-6) -> Optimality
     half the distance to f = 1 where that is closer, so the probe stays
     inside the domain of the growth functional.
     """
-    p0 = np.asarray(p0s)
+    try:
+        p0 = np.asarray(p0s)
+    except ValueError:  # a ragged sequence, such as [0.6, [2]]
+        raise BadRangeError("need a non-empty 1-D array of p0, got a ragged sequence") from None
     if p0.dtype.kind != "f":  # ints, objects or strings, which a cast to float could overflow
         for p in p0.flat:
             real_number(p, "p0")

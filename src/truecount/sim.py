@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Sequence
@@ -37,6 +36,7 @@ from . import counting, kernels
 from .counting import CountSystem, real_number, shown, whole_number
 from .errors import BadRangeError, InvariantError, ShoeExhaustedError
 from .kelly import FuzzyAdvantage, kelly_fraction
+from .reports import _json_text
 from .seats import SeatCardModel
 
 
@@ -105,7 +105,7 @@ class SimulationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return _json_text(self.to_json_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()

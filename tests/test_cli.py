@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from truecount import (
     BadRangeError,
@@ -22,6 +23,7 @@ from truecount import (
     parse_system_file,
     predicted_increment_std,
     predicted_seat_sigma,
+    tc_distribution,
 )
 from truecount.cli import main, parse_composition, parse_config, run_simulation
 from truecount.errors import ConfigError
@@ -214,6 +216,24 @@ class TestExact:
         )
         assert code == 0
         assert "2/3" in out
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(counts=st.dictionaries(
+        st.integers(-6, 6).map(lambda k: Fraction(k, 2)), st.integers(0, 15),
+        min_size=1, max_size=4,
+    ).filter(lambda counts: 2 <= sum(counts.values()) <= 30))
+    def test_rows_are_the_atoms_of_the_law(self, counts):
+        """Each row is the text of one atom of ``tc_distribution``: the value,
+        scaled to the units, then the probability."""
+        spec = ",".join(f"{w}:{l}" for w, l in counts.items())
+        comp = parse_composition(spec)
+        for n in range(1, comp.total):
+            atoms = tc_distribution(comp, n).atoms
+            for units, scale in (("deck", 52), ("card", 1)):
+                table = cli.cmd_exact(spec, n, units)
+                rows = list(zip(table.row_labels, table.cells))[:len(atoms)]
+                assert rows == [(str(v * scale), [str(p)]) for v, p in atoms], (spec, n)
+                assert len(table.row_labels) == len(atoms) + 3
 
     def test_bad_n_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "exact", "-c", "+1:2,-1:2", "-n", "4")

@@ -1,4 +1,8 @@
 """The package's public surface."""
+import contextlib
+import io
+import re
+import shlex
 from pathlib import Path
 
 import truecount
@@ -36,11 +40,41 @@ def test_public_surface():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_names_no_removed_helper():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     for names in REMOVED.values():
         for name in names:
             assert f"`{name}`" not in readme, name
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``truecount`` line of the README's ``sh`` blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("truecount ")]
+
+
+#: The files that README command lines name: a seat-sigma config and the hi-lo weights.
+README_FILES = {
+    "run.cfg": "mode = seat-sigma\nsystem = hi-lo\ndecks = 8\npenetration = 0.5\n"
+               "seats = 7\nposition = 7\ntrials = 50\nseed = 3\n",
+    "my.sys": "A -1\n2 1\n3 1\n4 1\n5 1\n6 1\n7 0\n8 0\n9 0\nT -1\n",
+}
+
+
+def test_readme_commands_exit_0(tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 9 and ["verify", "all"] in commands
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    for argv in commands:
+        argv = [str(tmp_path / a) if a in README_FILES else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, argv
+        assert out.getvalue(), argv
 
 
 def test_sim_samples_and_exact_predicts():
