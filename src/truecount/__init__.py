@@ -8,7 +8,6 @@ from .counting import (
     CountSystem,
     WeightComposition,
     builtin_systems,
-    composition,
     get_system,
     make_count_system,
     parse_composition,
@@ -86,7 +85,6 @@ __all__ = [
     "UnknownSystemError",
     "WeightComposition",
     "builtin_systems",
-    "composition",
     "get_system",
     "growth_stats_binomial",
     "growth_var_fuzzy",

@@ -83,7 +83,8 @@ class CountSystem:
         return MappingProxyType(agg)
 
     @cached_property
-    def _sigma0_squared(self) -> Fraction:
+    def sigma0_squared(self) -> Fraction:
+        """Variance of the system's weights over a full deck, exactly."""
         return sum(
             (w * w * Fraction(m, 52) for w, m in self._per_deck.items()),
             Fraction(0),
@@ -94,16 +95,14 @@ class CountSystem:
         """:func:`scaled_classes` of one deck: its cards per class."""
         return scaled_classes(self._per_deck)
 
-    def weight_multiplicities(self) -> dict[Fraction, int]:
-        """Cards per 52-card deck aggregated by weight class."""
-        return dict(self._per_deck)
-
-    def sigma0_squared(self) -> Fraction:
-        return self._sigma0_squared
+    def shoe(self, decks: int) -> "WeightComposition":
+        """Every card of a ``decks``-deck shoe (``_whole_decks``), by weight class."""
+        decks = _whole_decks(decks)
+        return WeightComposition({w: m * decks for w, m in self._per_deck.items()})
 
     def sigma0(self) -> float:
         """Standard deviation of the system's weights over a full deck."""
-        return float_sqrt(self._sigma0_squared, f"sigma0 of {self.name}")
+        return float_sqrt(self.sigma0_squared, f"sigma0 of {self.name}")
 
 
 #: The largest float, exactly: a Fraction compares with it faster than with a float.
@@ -299,11 +298,6 @@ class WeightComposition:
         raise ParseError(f"units must be 'card' or 'deck', got {units!r}")
 
 
-def composition(counts: Mapping[object, int]) -> WeightComposition:
-    """Build a composition from a plain weight -> count mapping."""
-    return WeightComposition(counts)
-
-
 def shown(count) -> str:
     """``count`` as error texts and a composition's repr print it, the one
     rule for every count: a power of two past 2**32, such as the seed range,
@@ -336,20 +330,23 @@ def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
+def _comparable(value):
+    """``value`` as a range check compares it, or None if it is no real; a real
+    not rational as a float, since in numpy's float32 the float range ends at inf."""
+    if type(value) is float or isinstance(value, numbers.Rational):
+        return value
+    return float(value) if isinstance(value, numbers.Real) else None
+
+
 def real_number(value, name: str, lo=None):
     """``value`` unchanged if it is a ``numbers.Real`` within the float range
     and, if ``lo`` is given, at least ``lo``; else :class:`BadRangeError`.
     The one rule for every real the package takes: NaN, an infinity and an
     int such as 10**400, which no float holds, are refused before any
     arithmetic could overflow on them, and a report shows the value given."""
-    x = value
-    if type(value) is not float:
-        if not isinstance(value, numbers.Real):
-            raise BadRangeError(f"need a real {name}, got {value!r}")
-        # In numpy's float32 the float range's bound rounds to inf, so a real
-        # that is not rational is tested as the float it converts to.
-        if not isinstance(value, numbers.Rational):
-            x = float(value)
+    x = _comparable(value)
+    if x is None:
+        raise BadRangeError(f"need a real {name}, got {value!r}")
     # NaN fails both comparisons; an int or a Fraction compares exactly.
     if not (abs(x) <= sys.float_info.max and (lo is None or x >= lo)):
         bound = "" if lo is None else f" >= {lo}"
@@ -363,19 +360,21 @@ def real_number(value, name: str, lo=None):
 MAX_SHOE_CARDS = 10**9
 
 
-def _shoe_cut(decks: int, penetration: float) -> tuple[int, int]:
-    """The decks of a shoe as an int and the cards dealt before its cut.
-
-    The simulators and the exact predictors all take their cut here, so
-    they refuse the same shoes: a whole number of decks, at least one, of
-    fewer than ``MAX_SHOE_CARDS`` cards.
-    """
+def _whole_decks(decks: int) -> int:
+    """``decks`` as an int: whole, at least one, of fewer than ``MAX_SHOE_CARDS`` cards."""
     decks = whole_number(decks, "decks", 1)
     if 52 * decks >= MAX_SHOE_CARDS:
         raise BadRangeError(
             f"need a shoe of fewer than {MAX_SHOE_CARDS} cards, got {shown(decks)} decks"
         )
-    if not 0 < penetration < 1:
+    return decks
+
+
+def _shoe_cut(decks: int, penetration: float) -> tuple[int, int]:
+    """``_whole_decks(decks)`` and the cards dealt before the cut, which the
+    simulators and the exact predictors all take here."""
+    decks = _whole_decks(decks)
+    if not (isinstance(penetration, numbers.Real) and 0 < penetration < 1):
         raise BadRangeError(f"penetration must be in (0, 1), got {shown(penetration)}")
     return decks, round(52 * decks * penetration)
 

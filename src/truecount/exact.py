@@ -34,8 +34,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .counting import (
-    CountSystem, WeightComposition, _shoe_cut, as_weight, float_sqrt, scaled_classes,
-    shown, whole_number,
+    CountSystem, WeightComposition, _comparable, _shoe_cut, as_weight, float_sqrt,
+    scaled_classes, shown, whole_number,
 )
 from .errors import BadRangeError, EmptyClassError, InfeasiblePrefixError
 from .seats import SeatCardModel
@@ -302,11 +302,12 @@ def sigma_n_approx(N: float, n: float, system: CountSystem) -> float:
     """Approximation sqrt(n) * Sigma0 / N; accepts non-integer average n."""
     # NaN fails every comparison, so it is refused with the rest; an int N
     # past the float range would overflow the division.
-    if not 0 <= n < N <= sys.float_info.max:
+    x_N, x_n = _comparable(N), _comparable(n)
+    if x_N is None or x_n is None or not 0 <= x_n < x_N <= sys.float_info.max:
         raise BadRangeError(
             f"need 0 <= n < N < inf, N within the float range, got n={shown(n)}, N={shown(N)}"
         )
-    return math.sqrt(n) * system.sigma0() / N
+    return math.sqrt(x_n) * system.sigma0() / x_N
 
 
 def _increment_variance(s0_sq: Fraction, n0: int, seen: int, n: int) -> Fraction:
@@ -339,7 +340,7 @@ def predicted_increment_std(
     """
     n = whole_number(n, "n", 0)
     system.sigma0()  # in the float range; no increment variance exceeds its square
-    s0_sq = system.sigma0_squared()
+    s0_sq = system.sigma0_squared
     decks, cut = _shoe_cut(decks, penetration)
     return 52 * math.sqrt(_increment_variance(s0_sq, 52 * decks, cut, n))
 
@@ -372,7 +373,7 @@ def predicted_seat_sigma(
     decks, cut = _shoe_cut(decks, penetration)
     n0 = 52 * decks
     system.sigma0()  # in the float range; no increment variance exceeds its square
-    s0_sq = system.sigma0_squared()
+    s0_sq = system.sigma0_squared
     ahead, behind = (_convolve(model.extra_cards_law, k) for k in model.hands_between)
     var_bet = var_play = 0.0
     for h, p in ahead.items():

@@ -122,6 +122,36 @@ def test_record_holds_host_and_tier1_and_a_failing_tier1_fails_the_run(
     assert summary["change_wins"] == 0 and summary["base_iqr"] == summary["change_iqr"] == 0
 
 
+@pytest.mark.parametrize("null", [False, True])
+def test_both_sides_run_from_sibling_exports_of_one_path_length(monkeypatch, tmp_path, null):
+    """Neither side runs from the checkout, so its location is no part of a pair."""
+    exported, ran = {}, set()
+
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        exported[dest] = rev
+        return dest
+
+    def run_once(tree, workload, seed):
+        ran.add(tree)
+        return {"ok": True, "failed": 0, "metrics": {"throughput": {"value": 5.0}}}
+
+    monkeypatch.setattr(ab, "rev_parse", lambda rev: "ab" * 20)
+    monkeypatch.setattr(ab, "snapshot", lambda: "cd" * 20)
+    monkeypatch.setattr(ab, "tree_clean", lambda: False)
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    _tier1_printing(monkeypatch, 0)
+    argv = ["--base", "HEAD", "--workload", "mc", "--out", str(tmp_path / "ab.json")]
+    assert ab.main(argv + ["--null"] * null) == 0
+    base, change = exported
+    assert ran == {base, change} and ab.ROOT not in ran
+    assert base.parent == change.parent and len(base.name) == len(change.name)
+    assert (base.name, change.name) == ("base", "null" if null else "chge")
+    assert exported[change] == ("ab" if null else "cd") * 20
+
+
 @pytest.mark.parametrize("argv", [["--pairs", "9"], ["--pairs", "0", "--null"]])
 def test_too_few_pairs_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exit_:

@@ -16,7 +16,7 @@ import pytest
 from truecount import (
     FixedAdvantageModel,
     SeatCardModel,
-    composition,
+    WeightComposition,
     get_system,
     growth_stats_binomial,
     long_run,
@@ -178,7 +178,7 @@ def test_criterion_4_lemma_suite():
 # -- 5. Worked example -------------------------------------------------------
 
 def test_criterion_5_worked_example():
-    comp = composition({1: 5, -1: 5, 0: 3})
+    comp = WeightComposition({1: 5, -1: 5, 0: 3})
     sigma1 = 52 * sigma_n_exact(comp, 1).value
     tc = float(comp.deplete([1]).true_count("deck"))
     ok = (

@@ -289,7 +289,7 @@ class TestFloatRange:
     def test_sigma_table_sigma0_squared(self, capsys, tmp_path):
         # sigma0^2 of the ace-deuce system is 8 w^2 / 52.
         system = parse_system_file(Path(ace_deuce_file(tmp_path, 3)).read_text())
-        assert system.sigma0_squared() == Fraction(8 * 9, 52)
+        assert system.sigma0_squared == Fraction(8 * 9, 52)
         largest = math.isqrt(13 * self.MAX // 2)
         for w in (10**300, largest + 1):
             assert_typed_error(

@@ -22,8 +22,13 @@ a valid command line of ``sigma-table``, ``kelly`` or ``longrun``, drawn
 from each one's valid ranges, it exits 0 with the rows of its default
 table, every cell finite.  A valid ``simulate`` command line, of every mode
 and format, exits 0 and prints only finite statistics of the mode's names.
+
+For coverage: every parameter of a callable of ``truecount.__all__``, or of
+a public method of one of its classes, is named by a case's key,
+``"<callable> <parameter>"``, or exempted in ``EXEMPT`` with its reason.
 """
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -39,7 +44,7 @@ import truecount as tc
 from truecount import cli, exact, kelly
 
 HI_LO = tc.get_system("hi-lo")
-SMALL = tc.composition({1: 3, -1: 2, 0: 1})
+SMALL = tc.WeightComposition({1: 3, -1: 2, 0: 1})
 FIXED = tc.FixedAdvantageModel(0.52)
 
 #: Values that are no numbers, which no comparison may meet bare.
@@ -60,8 +65,8 @@ class Case(NamedTuple):
 
 
 CASES = {
-    "composition count": Case(lambda v: tc.composition({1: v, -1: 2}), 2),
-    "WeightComposition count": Case(
+    "CountSystem.shoe decks": Case(lambda v: HI_LO.shoe(v), 1),
+    "WeightComposition counts": Case(
         lambda v: tc.WeightComposition({Fraction(1): v, Fraction(-1): 2}), 2),
     "tc_distribution n": Case(lambda v: tc.tc_distribution(SMALL, v), 2),
     "sigma_n_exact n": Case(lambda v: tc.sigma_n_exact(SMALL, v), 2),
@@ -73,10 +78,11 @@ CASES = {
         lambda v: tc.predicted_seat_sigma(HI_LO, v, 0.5, tc.SeatCardModel(3, 2)), 1),
     "SeatCardModel seats": Case(lambda v: tc.SeatCardModel(v, 1), 3),
     "SeatCardModel position": Case(lambda v: tc.SeatCardModel(3, v), 2),
-    "SeatCardModel extra cards": Case(
+    "SeatCardModel extra_cards_law": Case(
         lambda v: tc.SeatCardModel(3, 2, ((0, 0.5), (v, 0.5))), 1),
-    "with_hand_mean seats": Case(lambda v: tc.SeatCardModel.with_hand_mean(v, 1, 2.6), 3),
-    "with_hand_mean position": Case(
+    "SeatCardModel.with_hand_mean seats": Case(
+        lambda v: tc.SeatCardModel.with_hand_mean(v, 1, 2.6), 3),
+    "SeatCardModel.with_hand_mean position": Case(
         lambda v: tc.SeatCardModel.with_hand_mean(3, v, 2.6), 2),
     "simulate_tc_increment decks": Case(
         lambda v: tc.simulate_tc_increment(HI_LO, v, 0.5, [1, 3], 4, 5), 1),
@@ -95,7 +101,7 @@ CASES = {
     "simulate_bankroll n_hands": Case(lambda v: tc.simulate_bankroll(FIXED, v, 4, 5), 10),
     "simulate_bankroll trials": Case(lambda v: tc.simulate_bankroll(FIXED, 10, v, 5), 4),
     "simulate_bankroll seed": Case(lambda v: tc.simulate_bankroll(FIXED, 10, 4, v), 5),
-    "trial_rng seed": Case(lambda v: tc.trial_rng(v, 1), 5),
+    "trial_rng master_seed": Case(lambda v: tc.trial_rng(v, 1), 5),
     "trial_rng chunk": Case(lambda v: tc.trial_rng(5, v), 1),
     "GrowthStats.std n": Case(lambda v: tc.GrowthStats(0.01, 0.02).std(v), 100),
     "verify_lemmas seed": Case(
@@ -107,9 +113,9 @@ CASES = {
     "verify_theorem seed": Case(
         lambda v: tc.verify_theorem(seed=v, exhaustive_limits=(), sampled_totals=(4,),
                                     samples_per_total=1), 3),
-    "verify_theorem exhaustive limit": Case(
+    "verify_theorem exhaustive_limits": Case(
         lambda v: tc.verify_theorem(exhaustive_limits=(3, v), sampled_totals=()), 3, True),
-    "verify_theorem sampled total": Case(
+    "verify_theorem sampled_totals": Case(
         lambda v: tc.verify_theorem(exhaustive_limits=(), sampled_totals=(4, v),
                                     samples_per_total=1), 4, True),
     "verify_theorem samples_per_total": Case(
@@ -200,7 +206,9 @@ REAL_VALUES = (
 REAL_CASES = {
     "FuzzyAdvantage var_p0": (lambda v: tc.FuzzyAdvantage(0.52, v), 1e-4),
     "TwoPointAdvantageModel var_p0": (lambda v: tc.TwoPointAdvantageModel(0.52, v), 1e-4),
-    "with_hand_mean mean cards": (lambda v: tc.SeatCardModel.with_hand_mean(3, 1, v), 2.6),
+    "TwoPointAdvantageModel p0": (lambda v: tc.TwoPointAdvantageModel(v, 1e-4), 0.52),
+    "SeatCardModel.with_hand_mean mean_cards_per_hand": (
+        lambda v: tc.SeatCardModel.with_hand_mean(3, 1, v), 2.6),
     "GrowthStats mean": (lambda v: tc.GrowthStats(v, 0.02), 0.01),
     "GrowthStats variance": (lambda v: tc.GrowthStats(0.01, v), 0.02),
     "long_run eps": (lambda v: tc.long_run(v, 0.9), 0.01),
@@ -216,6 +224,16 @@ REAL_CASES = {
     "growth_stats_binomial p": (lambda v: tc.growth_stats_binomial(v), 0.52),
     "verify_kelly lo": (lambda v: tc.verify_kelly(lo=v, hi=0.61, step=0.005), 0.6),
     "verify_kelly hi": (lambda v: tc.verify_kelly(lo=0.6, hi=v, step=0.005), 0.61),
+    "sigma_n_approx N": (lambda v: tc.sigma_n_approx(v, 2, HI_LO), 52),
+    "sigma_n_approx n": (lambda v: tc.sigma_n_approx(52, v, HI_LO), 2),
+    "predicted_increment_std penetration": (
+        lambda v: tc.predicted_increment_std(HI_LO, 1, v, 3), 0.5),
+    "predicted_seat_sigma penetration": (
+        lambda v: tc.predicted_seat_sigma(HI_LO, 1, v, tc.SeatCardModel(3, 2)), 0.5),
+    "simulate_tc_increment penetration": (
+        lambda v: tc.simulate_tc_increment(HI_LO, 1, v, [1, 3], 4, 5), 0.5),
+    "simulate_seat_sigma penetration": (
+        lambda v: tc.simulate_seat_sigma(HI_LO, 1, v, tc.SeatCardModel(3, 2), 4, 5), 0.5),
 }
 
 
@@ -248,6 +266,72 @@ RANGE_CASES = {
 def test_a_real_out_of_its_range_is_shown_in_the_error(call):
     with pytest.raises(tc.TrueCountError, match=re.escape("-1/about 10**5000")):
         call(MANY_DIGITS)
+
+
+SYSTEM = "a CountSystem, which make_count_system validates"
+COMPOSITION = "a WeightComposition, whose counts have their case"
+MODEL = "a model, whose counts and reals have their cases"
+WEIGHTS = "weights, which as_weight takes or refuses with ParseError"
+TEXT = "text or a name, refused with a ParseError or UnknownSystemError"
+
+#: Public parameters that no case drives, each with its reason.  A key is
+#: ``"<callable> <parameter>"``, or a callable alone for all its parameters.
+EXEMPT = {
+    "CountSystem": "make_count_system validates a system; the constructor takes what it built",
+    "SigmaResult": "a result, which only sigma_n_exact builds",
+    "SimulationReport": "a report, which only the simulators build",
+    "TrueCountDistribution": "a law, which only tc_distribution builds",
+    "get_system name": TEXT,
+    "make_count_system name": TEXT,
+    "make_count_system weights_by_rank": WEIGHTS,
+    "parse_composition spec": TEXT,
+    "parse_system_file text": TEXT,
+    "parse_system_file name": TEXT,
+    "WeightComposition.deplete removed": WEIGHTS,
+    "WeightComposition.true_count units": TEXT,
+    "growth_var_fuzzy adv": MODEL,
+    "simulate_bankroll adv_model": MODEL,
+    "predicted_seat_sigma model": MODEL,
+    "simulate_seat_sigma model": MODEL,
+    "sigma_n_exact comp": COMPOSITION,
+    "tc_distribution comp": COMPOSITION,
+    **dict.fromkeys((f"{name} system" for name in (
+        "predicted_increment_std", "predicted_seat_sigma", "sigma_n_approx",
+        "simulate_seat_sigma", "simulate_tc_increment")), SYSTEM),
+}
+
+
+def public_parameters() -> list[str]:
+    """``"<callable> <parameter>"`` for every parameter of the callables of
+    ``truecount.__all__`` and of the public methods of its classes; an
+    error class, which takes its message, is left out."""
+    found = []
+    for name in tc.__all__:
+        obj = getattr(tc, name)
+        if not callable(obj) or inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        callables = [(name, obj)]
+        if inspect.isclass(obj):
+            callables += [
+                (f"{name}.{attr}", getattr(obj, attr)) for attr, value in vars(obj).items()
+                if not attr.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, classmethod))
+            ]
+        found += [f"{label} {parameter}" for label, call in callables
+                  for parameter in inspect.signature(call).parameters if parameter != "self"]
+    return found
+
+
+def test_every_public_parameter_has_a_case_or_an_exemption():
+    """A new public argument fails here until a case drives it or EXEMPT says why not."""
+    parameters = public_parameters()
+    named = {*CASES, *REAL_CASES, *RANGE_CASES}
+    missing = [p for p in parameters
+               if p not in named and p not in EXEMPT and p.split()[0] not in EXEMPT]
+    assert missing == []
+    labels = {*parameters, *(p.split()[0] for p in parameters)}
+    assert sorted(set(EXEMPT) - labels) == []  # no exemption outlives its parameter
+    assert sorted(set(EXEMPT) & named) == []  # nor one that a case drives
 
 
 def test_a_whole_step_within_the_float_range_is_a_step():

@@ -1,19 +1,21 @@
 """Count systems, compositions, parsing, and their error paths."""
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from truecount import (
+    BadRangeError,
     EmptyClassError,
     EmptyDeckError,
     ParseError,
     UnbalancedSystemError,
     UnknownSystemError,
+    WeightComposition,
     builtin_systems,
-    composition,
     get_system,
     make_count_system,
     parse_composition,
@@ -23,20 +25,16 @@ from truecount.counting import (
     _BUILTIN_WEIGHTS,
     CountSystem,
     InvalidMultiplicityError,
+    _shoe_cut,
     as_weight,
     scaled_classes,
 )
 from truecount.verify import WEIGHT_SETS
 
 
-def full_shoe(system, decks):
-    """Every card of a ``decks``-deck shoe, by weight class."""
-    return composition({w: m * decks for w, m in system.weight_multiplicities().items()})
-
-
 class TestCountSystem:
     def test_hi_lo_weight_classes(self, hi_lo):
-        assert hi_lo.weight_multiplicities() == {
+        assert hi_lo.shoe(1).counts == {
             Fraction(-1): 20,
             Fraction(0): 12,
             Fraction(1): 20,
@@ -44,18 +42,14 @@ class TestCountSystem:
 
     def test_every_builtin_is_balanced(self):
         for system in builtin_systems():
-            total = sum(
-                w * m
-                for w, m in system.weight_multiplicities().items()
-            )
-            assert total == 0, system.name
+            assert system.shoe(1).running_count == 0, system.name
 
     def test_builtin_multiplicities_total_52(self):
         for system in builtin_systems():
-            assert sum(system.weight_multiplicities().values()) == 52
+            assert system.shoe(1).total == 52
 
     def test_sigma0_hi_lo_exact_square(self, hi_lo):
-        assert hi_lo.sigma0_squared() == Fraction(40, 52)
+        assert hi_lo.sigma0_squared == Fraction(40, 52)
 
     def test_get_system_case_insensitive(self):
         assert get_system("Hi-Lo").name == "hi-lo"
@@ -114,12 +108,12 @@ class TestBuiltinRegistry:
         assert len(builtin_systems()) == len(_BUILTIN_WEIGHTS)
         zen = get_system("zen")
         rebuilt = make_count_system("zen", _BUILTIN_WEIGHTS["zen"])
-        mult = zen.weight_multiplicities()
-        mult[Fraction(0)] = 99
-        mult[Fraction(7)] = 1
-        assert zen.weight_multiplicities() == rebuilt.weight_multiplicities()
-        assert full_shoe(zen, 2).total == 104
-        assert zen.sigma0_squared() == rebuilt.sigma0_squared()
+        deck = zen.shoe(1).counts
+        deck[Fraction(0)] = 99
+        deck[Fraction(7)] = 1
+        assert zen.shoe(1) == rebuilt.shoe(1)
+        assert zen.shoe(2).total == 104
+        assert zen.sigma0_squared == rebuilt.sigma0_squared
         assert zen.scaled_classes == rebuilt.scaled_classes
 
     def test_constructor_copies_its_mappings(self):
@@ -138,18 +132,18 @@ class TestBuiltinRegistry:
             assert sum(counts) == 52
             assert sum(w * c for w, c in zip(weights, counts)) == 0
             by_class = {Fraction(w, scale): c for w, c in zip(weights, counts)}
-            assert by_class == system.weight_multiplicities()
+            assert by_class == system.shoe(1).counts
         assert get_system("halves").scaled_classes[2] == 2
         assert get_system("hi-lo").scaled_classes == ((-1, 0, 1), (20, 12, 20), 1)
 
     def test_composition_scaled_classes(self):
-        comp = composition({"1/2": 3, -1: 2, "-3/2": 0, 0: 1})
+        comp = WeightComposition({"1/2": 3, -1: 2, "-3/2": 0, 0: 1})
         assert scaled_classes(comp.counts) == ((-2, 0, 1), (2, 1, 3), 2)
         # An empty class is dropped, but its weight still sets the scale.
-        comp = composition({1: 2, -1: 2, "1/2": 0})
+        comp = WeightComposition({1: 2, -1: 2, "1/2": 0})
         assert scaled_classes(comp.counts) == ((-2, 2), (2, 2), 2)
         for system in builtin_systems():
-            deck = full_shoe(system, 1).counts
+            deck = system.shoe(1).counts
             assert scaled_classes(deck) == system.scaled_classes
 
     def test_scaled_classes_from_pairs_mapping_and_fractions(self):
@@ -162,7 +156,7 @@ class TestBuiltinRegistry:
             return weights, counts, scale
 
         rng = random.Random(7)
-        decks = [system.weight_multiplicities() for system in builtin_systems()]
+        decks = [system.shoe(1).counts for system in builtin_systems()]
         decks += [
             {w: rng.randint(0, 4) for w in weights}
             for weights in WEIGHT_SETS for _ in range(20)
@@ -179,45 +173,63 @@ class TestBuiltinRegistry:
             assert scaled_classes(iter(counts.items())) == expected, counts
 
 
+class TestShoe:
+    @pytest.mark.parametrize("decks", [1, 2, 6, 8])
+    def test_every_card_of_the_decks_by_weight_class(self, decks):
+        for system in builtin_systems():
+            cards = Counter()
+            for rank, w in system.weights.items():
+                cards[w] += system.rank_multiplicity[rank] * decks
+            assert system.shoe(decks) == WeightComposition(cards), system.name
+
+    @pytest.mark.parametrize("decks", [0, -2, 19_230_770])
+    def test_refuses_the_decks_the_cut_refuses(self, hi_lo, decks):
+        with pytest.raises(BadRangeError) as cut:
+            _shoe_cut(decks, 0.5)
+        with pytest.raises(BadRangeError) as shoe:
+            hi_lo.shoe(decks)
+        assert str(shoe.value) == str(cut.value)
+
+
 class TestComposition:
     def test_total_and_running_count(self):
-        comp = composition({1: 5, -1: 3, 0: 2})
+        comp = WeightComposition({1: 5, -1: 3, 0: 2})
         assert comp.total == 10
         # Reveal convention: R = -sum(w * remaining) = -(5 - 3) = -2.
         assert comp.running_count == -2
 
     def test_fresh_shoe_running_count_zero(self, hi_lo):
-        shoe = full_shoe(hi_lo, 8)
+        shoe = hi_lo.shoe(8)
         assert shoe.total == 416
         assert shoe.running_count == 0
 
     def test_deplete_updates_running_count(self, hi_lo):
-        shoe = full_shoe(hi_lo, 1)
+        shoe = hi_lo.shoe(1)
         after = shoe.deplete([1, 1, -1])
         assert after.total == 49
         assert after.running_count == 1
 
     def test_deplete_exhausted_class(self):
-        comp = composition({1: 1, -1: 1})
+        comp = WeightComposition({1: 1, -1: 1})
         with pytest.raises(EmptyClassError):
             comp.deplete([1, 1])
 
     def test_negative_count_rejected(self):
         with pytest.raises(EmptyClassError):
-            composition({1: -1})
+            WeightComposition({1: -1})
 
     def test_true_count_units(self):
-        comp = composition({1: 4, -1: 5, 0: 3})
+        comp = WeightComposition({1: 4, -1: 5, 0: 3})
         assert comp.true_count("card") == Fraction(1, 12)
         assert comp.true_count("deck") == Fraction(52, 12)
 
     def test_true_count_empty_deck(self):
         with pytest.raises(EmptyDeckError):
-            composition({1: 0}).true_count()
+            WeightComposition({1: 0}).true_count()
 
     def test_true_count_bad_units(self):
         with pytest.raises(ParseError):
-            composition({1: 1}).true_count("shoe")
+            WeightComposition({1: 1}).true_count("shoe")
 
 
 class TestParsing:
@@ -248,7 +260,7 @@ class TestParsing:
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, "nan", "inf"])
     def test_non_finite_weight_rejected(self, w):
         with pytest.raises(ParseError, match="bad weight"):
-            composition({w: 2})
+            WeightComposition({w: 2})
         weights = {"A": w, **{r: 0 for r in "23456789"}, "T": 0}
         with pytest.raises(ParseError, match="bad weight"):
             make_count_system("custom", weights)
@@ -287,6 +299,6 @@ class TestParsing:
     )
 )
 def test_running_count_matches_definition(counts):
-    comp = composition(counts)
+    comp = WeightComposition(counts)
     assert comp.running_count == -sum(w * l for w, l in counts.items())
     assert comp.total == sum(counts.values())

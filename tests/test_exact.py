@@ -20,7 +20,7 @@ from truecount import (
     BadRangeError,
     cli,
     exact,
-    composition,
+    WeightComposition,
     get_system,
     sigma_n_approx,
     sigma_n_exact,
@@ -72,7 +72,7 @@ def comb_calls(monkeypatch):
 class TestDistributionAgainstBruteForce:
     @pytest.mark.parametrize("counts", SMALL_DECKS)
     def test_all_n(self, counts):
-        comp = composition(counts)
+        comp = WeightComposition(counts)
         for n in range(1, comp.total):
             dist = tc_distribution(comp, n)
             assert dict(dist.atoms) == brute_force_distribution(counts, n)
@@ -81,7 +81,7 @@ class TestDistributionAgainstBruteForce:
     def test_all_n_from_one_dp(self, counts):
         # The moment sweep's one DP gives, for every n, the power sums of the
         # enumerated law: ways = p * C(N, n) and x = v * scale * (N - n).
-        comp = composition(counts)
+        comp = WeightComposition(counts)
         scaled = exact._scaled(comp.counts)
         N, scale = comp.total, scaled[2]
         rows = exact._law_sums(scaled)
@@ -94,14 +94,14 @@ class TestDistributionAgainstBruteForce:
             )
 
     def test_probabilities_sum_to_one(self):
-        comp = composition({1: 7, -1: 7, 0: 4})
+        comp = WeightComposition({1: 7, -1: 7, 0: 4})
         for n in (1, 5, 17):
             s0, _, _, c, _ = tc_distribution(comp, n).sums
             assert Fraction(s0, c) == 1
 
     def test_known_two_card_law(self):
         # Removing 2 of {+1,+1,-1,-1}: increment law 1/6, 2/3, 1/6.
-        dist = tc_distribution(composition({1: 2, -1: 2}), 2)
+        dist = tc_distribution(WeightComposition({1: 2, -1: 2}), 2)
         assert dist.atoms == (
             (Fraction(-1), Fraction(1, 6)),
             (Fraction(0), Fraction(2, 3)),
@@ -109,7 +109,7 @@ class TestDistributionAgainstBruteForce:
         )
 
     def test_bad_n(self):
-        comp = composition({1: 2, -1: 2})
+        comp = WeightComposition({1: 2, -1: 2})
         with pytest.raises(BadRangeError):
             tc_distribution(comp, 0)
         with pytest.raises(BadRangeError):
@@ -118,7 +118,7 @@ class TestDistributionAgainstBruteForce:
     def test_large_class_builds_only_the_binomials_read(self, comb_calls):
         # The DP removes at most min(l, n) cards of a class of l, so one law
         # of a large class takes C(l, c) for c <= n only.
-        dist = tc_distribution(composition({1: 2000, -1: 1}), 1)
+        dist = tc_distribution(WeightComposition({1: 2000, -1: 1}), 1)
         s0, _, _, c, _ = dist.sums
         assert s0 == c
         # One binomial for each of the two classes, C(N, 1) for the slot
@@ -128,7 +128,7 @@ class TestDistributionAgainstBruteForce:
     def test_large_class_at_a_large_n(self, comb_calls):
         # Row 10,000 reads only rows 0 and 1 through the class of 20,000, so
         # that class builds C(20000, c) for c = 9,999 and 10,000 alone.
-        dist = tc_distribution(composition({1: 20_000, -1: 1}), 10_000)
+        dist = tc_distribution(WeightComposition({1: 20_000, -1: 1}), 10_000)
         # The -1 card is removed with probability 10000/20001.
         assert dist.atoms == (
             (Fraction(-1), Fraction(10_000, 20_001)),
@@ -142,7 +142,7 @@ class TestDistributionAgainstBruteForce:
 class TestMoments:
     @pytest.mark.parametrize("counts", SMALL_DECKS)
     def test_variance_closed_form(self, counts):
-        comp = composition(counts)
+        comp = WeightComposition(counts)
         N = comp.total
         s1 = sigma_n_exact(comp, 1).squared
         for n in range(1, N):
@@ -154,7 +154,7 @@ class TestMoments:
         # The power-sum moments equal the sums over atoms, also for a census
         # whose probabilities do not add up to 1: two subsets more in slot 0
         # of the packed row.
-        comp = composition({1: 3, -1: 2, Fraction(1, 2): 2})
+        comp = WeightComposition({1: 3, -1: 2, Fraction(1, 2): 2})
         for n in range(1, comp.total):
             law = tc_distribution(comp, n)
             (row,) = law.row.rows
@@ -171,7 +171,7 @@ class TestMoments:
     def test_repr_of_an_8_deck_law(self, hi_lo):
         # The packed row of a full 8-deck shoe at n = 208 has more digits
         # than ``str`` prints, so it stays out of ``repr`` and equality.
-        comp = composition({w: 8 * l for w, l in hi_lo.weight_multiplicities().items()})
+        comp = hi_lo.shoe(8)
         law = tc_distribution(comp, 208)
         assert law.row.rows[0] > 10**4300
         assert repr(law) == f"TrueCountDistribution(start=0, scale=1, n=208, source={comp!r})"
@@ -179,12 +179,12 @@ class TestMoments:
 
     def test_sigma1_worked_example(self):
         # 13 cards left: 5 high, 5 low, 3 medium; R = 0.
-        comp = composition({1: 5, -1: 5, 0: 3})
+        comp = WeightComposition({1: 5, -1: 5, 0: 3})
         assert sigma_n_exact(comp, 1).squared == Fraction(5, 936)
         assert 52 * sigma_n_exact(comp, 1).value == pytest.approx(3.80, abs=0.005)
 
     def test_post_removal_true_count(self):
-        comp = composition({1: 5, -1: 5, 0: 3}).deplete([1])
+        comp = WeightComposition({1: 5, -1: 5, 0: 3}).deplete([1])
         assert comp.true_count("deck") == Fraction(52, 12)
         assert float(comp.true_count("deck")) == pytest.approx(4.33, abs=0.005)
 
@@ -194,7 +194,7 @@ class TestMoments:
         # No n lies in [1, N) for such a composition; the error says why,
         # not that n falls outside an empty range.
         with pytest.raises(BadRangeError) as error:
-            function(composition(counts), 1)
+            function(WeightComposition(counts), 1)
         assert str(error.value) == f"the composition's card count must be >= 2, got {cards}"
 
 
@@ -216,10 +216,7 @@ class TestApproximations:
         # The relative gap to the exact value shrinks as the deck grows.
         gaps = []
         for decks in (1, 8, 64):
-            comp = composition(
-                {w: m * decks for w, m in hi_lo.weight_multiplicities().items()}
-            )
-            exact = sigma_n_exact(comp, 10).value
+            exact = sigma_n_exact(hi_lo.shoe(decks), 10).value
             approx = sigma_n_approx(52 * decks, 10, hi_lo)
             gaps.append(abs(approx - exact) / exact)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -252,7 +249,7 @@ SMALL_COUNTS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(counts=SMALL_COUNTS, data=st.data())
 def test_distribution_matches_brute_force_random(counts, data):
-    comp = composition(counts)
+    comp = WeightComposition(counts)
     n = data.draw(st.integers(min_value=1, max_value=comp.total - 1))
     dist = tc_distribution(comp, n)
     assert dict(dist.atoms) == brute_force_distribution(counts, n)
@@ -273,7 +270,7 @@ def _sweep_decks():
 @pytest.mark.parametrize("counts", list(_sweep_decks()))
 def test_every_law_matches_subset_enumeration(counts):
     # Both sides of N/2, where the laws are mirrored.
-    comp = composition(counts)
+    comp = WeightComposition(counts)
     for n in range(1, comp.total):
         law = tc_distribution(comp, n)
         assert law.n == n
@@ -286,7 +283,7 @@ def test_all_n_laws_match_single_n(counts):
     # One DP for every n (the moment sweep's) gives the same moments as the
     # DP restricted to one n.  Both mirror the rows past N/2, so this is a
     # consistency check only; test_all_n_from_one_dp holds the sweep to the oracle.
-    comp = composition(counts)
+    comp = WeightComposition(counts)
     rows = exact._law_sums(exact._scaled(comp.counts))
     assert len(rows) == comp.total - 1
     for n, (s0, s1, s2) in enumerate(rows, start=1):
@@ -322,7 +319,7 @@ def test_census_layers_match_subset_enumeration(weights, data):
 #: The sweeps' weight sets, then the weights of two builtin systems: halves
 #: (six classes, a scale of 2) and thorp-ultimate (nine classes, gaps of 1 to 4).
 READOUT_WEIGHTS = WEIGHT_SETS + tuple(
-    tuple(sorted(get_system(name).weight_multiplicities())) for name in ("halves", "thorp-ultimate")
+    tuple(sorted(get_system(name).shoe(1).counts)) for name in ("halves", "thorp-ultimate")
 )
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truecount import WeightComposition, cli, composition, exact, verify
+from truecount import WeightComposition, cli, exact, verify
 from truecount.counting import scaled_classes
 from truecount.errors import BadRangeError, InfeasiblePrefixError
 from truecount.exact import (
@@ -69,7 +69,7 @@ EVERY_CHECK_FAILS = "if True:"
 
 @pytest.fixture
 def comp():
-    return composition({1: 4, -1: 3, 0: 3})
+    return WeightComposition({1: 4, -1: 3, 0: 3})
 
 
 class TestIdentityCheckers:
@@ -122,7 +122,7 @@ class TestIdentityCheckers:
 
     def test_bad_ranges(self, comp):
         with pytest.raises(BadRangeError):
-            check_lemma1(composition({1: 1, -1: 1}), [1], 1)
+            check_lemma1(WeightComposition({1: 1, -1: 1}), [1], 1)
         with pytest.raises(BadRangeError):
             check_lemma2(comp, [], [])
         with pytest.raises(BadRangeError):
@@ -130,7 +130,7 @@ class TestIdentityCheckers:
         with pytest.raises(BadRangeError):
             check_lemma6(0, 4, 4, [1, 1, 1, 1])
         # p + k + q = N - 1 is in range for all three; one card more is not.
-        two = composition({1: 1, -1: 1})
+        two = WeightComposition({1: 1, -1: 1})
         assert check_lemma1(two, [], 1).equal
         assert check_lemma2(two, [], [1]).equal
         assert check_lemma34(two, [], 1, [1]).equal
@@ -155,7 +155,7 @@ class TestIdentityCheckers:
     data=st.data(),
 )
 def test_lemma1_random(counts, data):
-    comp = composition(counts)
+    comp = WeightComposition(counts)
     weights = sorted(comp.counts)
     v0 = data.draw(st.sampled_from(weights))
     assert check_lemma1(comp, [], v0).equal
@@ -204,7 +204,7 @@ def test_lemmas_match_ordered_draw_frequencies(data):
     q = data.draw(st.integers(min_value=0, max_value=min(1, N - 2 - p)))
     # Drawn from the whole weight set, so a weight may have no cards in the deck.
     vs = data.draw(st.lists(st.sampled_from(weights), min_size=q + 1, max_size=q + 1))
-    comp = composition(Counter(deck))
+    comp = WeightComposition(Counter(deck))
 
     report = check_lemma1(comp, prefix, vs[0])
     assert report.lhs == _draw_frequency(deck, prefix, 1, vs[:1])
@@ -348,7 +348,7 @@ class TestFailuresAreDiagnosable:
         monkeypatch.setattr(exact, "_variance_numerator", bent)
         monkeypatch.setattr(verify, "_variance_numerator", bent)
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition({1: 3, -1: 2, 0: 2}).counts.items())
+        verify._check_moments(result, WeightComposition({1: 3, -1: 2, 0: 2}).counts.items())
         assert len(result.failures) == 6
         assert all(f.startswith("variance ") for f in result.failures)
         var, closed = re.match(
@@ -725,7 +725,7 @@ class TestMomentChecksCatchWrongCensus:
     def _check(self, monkeypatch, move):
         monkeypatch.setattr(exact, "_packed_layers", _bent_rows(move))
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition(self.COMP).counts.items())
+        verify._check_moments(result, WeightComposition(self.COMP).counts.items())
         assert result.checked == 3 * (sum(self.COMP.values()) - 1)
         return result.failures
 
@@ -749,7 +749,7 @@ class TestMomentChecksCatchWrongCensus:
         ascending order a layer reads layers the class has already updated."""
         monkeypatch.setattr(exact, "_packed_layers", _layers_in_place(descending))
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition(self.COMP).counts.items())
+        verify._check_moments(result, WeightComposition(self.COMP).counts.items())
         assert result.checked == 18
         if descending:
             assert result.passed
@@ -767,7 +767,7 @@ class TestMomentChecksCatchWrongCensus:
         monkeypatch.setattr(
             exact, "_slot_width", lambda N, hi, span: math.comb(N, min(hi, N // 2)).bit_length() + 1
         )
-        comp = composition({1: 5, -1: 5, 0: 3})
+        comp = WeightComposition({1: 5, -1: 5, 0: 3})
         result = VerificationResult("theorem")
         verify._check_moments(result, comp.counts.items())
         assert result.checked == 36
@@ -794,7 +794,7 @@ class TestMomentChecksCatchWrongCensus:
 
         monkeypatch.setattr(exact, "_mirrored", slipped)
         result = VerificationResult("theorem")
-        verify._check_moments(result, composition(self.COMP).counts.items())
+        verify._check_moments(result, WeightComposition(self.COMP).counts.items())
         assert result.checked == 18
         assert [(f.split()[0], f.rsplit("n=", 1)[1]) for f in result.failures] == [
             ("mean", "4"), ("mean", "5"), ("mean", "6")
@@ -806,7 +806,7 @@ class TestMomentChecksCatchWrongCensus:
             assert Fraction(mean) != Fraction(closed)
         # The laws past N/2 read the same mirror, and ``truecount exact``
         # refuses their mean: R/N is -1/7.
-        assert exact.tc_distribution(composition(self.COMP), 5).mean() == Fraction(1, 7)
+        assert exact.tc_distribution(WeightComposition(self.COMP), 5).mean() == Fraction(1, 7)
         assert _exact_cli(self.SPEC, 5) == (2, "error: enumerated mean 1/7 != R/N -1/7\n")
 
 
@@ -821,7 +821,7 @@ def test_sweep_sums_are_the_laws_sums(odd, weights, data):
     )))
     pairs = tuple(zip(weights, verify._between(cuts, total)))
     sums = exact._law_sums(exact._scaled(pairs))
-    comp = composition(dict(pairs))
+    comp = WeightComposition(dict(pairs))
     assert sums == [exact.tc_distribution(comp, n).sums[:3] for n in range(1, total)]
 
 
@@ -833,7 +833,7 @@ def test_moment_sweep_scales_each_composition_once(monkeypatch):
         return scaled_classes(counts)
 
     monkeypatch.setattr(exact, "scaled_classes", counted)
-    comp = composition({Fraction(-3, 2): 3, Fraction(1, 2): 4, 1: 2})
+    comp = WeightComposition({Fraction(-3, 2): 3, Fraction(1, 2): 4, 1: 2})
     result = VerificationResult("theorem")
     verify._check_moments(result, comp.counts.items())
     assert result.passed and result.checked == 3 * (comp.total - 1)
@@ -855,5 +855,5 @@ def test_passing_sweeps_build_no_composition(monkeypatch):
     lemmas = verify_lemmas(exhaustive_n=4, random_instances=0)
     assert theorem.passed and lemmas.passed and lemmas.checked == 3_283
     assert built == []
-    composition({1: 1})
+    WeightComposition({1: 1})
     assert built == [1]  # the count sees a construction

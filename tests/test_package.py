@@ -1,5 +1,6 @@
 """The package's public surface."""
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -11,7 +12,9 @@ from truecount import cli, counting, exact, kelly, seats, sim, verify
 #: Helpers that restated another function or gave a second path to its
 #: result, by the module that held them.
 REMOVED = {
-    counting: ("fresh_shoe", "format_composition", "format_weight", "check_decks"),
+    counting: (
+        "fresh_shoe", "format_composition", "format_weight", "check_decks", "composition",
+    ),
     exact: ("sigma1_exact", "sigma1_approx", "tc_distributions", "_laws"),
     kelly: (
         "advantage_variance", "OptimalityReport", "optimality_reports",
@@ -38,16 +41,46 @@ def test_public_surface():
         for name in names:
             assert not hasattr(truecount, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # One name per value: the shoe and sigma0 squared have no second spelling.
+    for name in ("weight_multiplicities", "_sigma0_squared"):
+        assert not hasattr(truecount.CountSystem, name), name
 
 
 README = Path(__file__).parents[1] / "README.md"
 
 
+def readme_spans() -> list[str]:
+    """The backticked spans of the README's prose, code blocks left out."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    return re.findall(r"`([^`]+)`", prose)
+
+
 def test_readme_names_no_removed_helper():
-    readme = README.read_text()
+    spans = readme_spans()
     for names in REMOVED.values():
         for name in names:
-            assert f"`{name}`" not in readme, name
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            assert not [span for span in spans if word.search(span)], name
+
+
+def resolve(name: str):
+    """``name`` by import of its longest importable prefix, then ``getattr``."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part)
+        return obj
+
+
+def test_readme_dotted_names_resolve():
+    names = {span for span in readme_spans() if re.fullmatch(r"truecount(\.\w+)+", span)}
+    assert "truecount.kernels.running_counts" in names
+    for name in names:
+        resolve(name)
 
 
 def readme_commands() -> list[list[str]]:
@@ -90,6 +123,14 @@ def test_one_whole_number_rule():
     src = Path(truecount.__file__).parent
     holders = sorted(p.name for p in src.glob("*.py") if "numbers.Integral" in p.read_text())
     assert holders == ["counting.py"]
+
+
+def test_one_shoe_rule():
+    """Only ``counting._whole_decks`` bounds a shoe's cards."""
+    src = Path(truecount.__file__).parent
+    rules = [p.name for p in src.glob("*.py") for line in p.read_text().splitlines()
+             if ">= MAX_SHOE_CARDS" in line]
+    assert rules == ["counting.py"]
 
 
 def test_one_seat_rule():

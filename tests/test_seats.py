@@ -111,7 +111,7 @@ class TestOneSeatRule:
         n_bet, n_play = (int(n) for n in model.mean_cards_between)
         assert (n_bet, n_play) == model.mean_cards_between
         n0, cut = 52 * decks, 26 * decks
-        s0_sq = hi_lo.sigma0_squared()
+        s0_sq = hi_lo.sigma0_squared
         want = (
             52 * math.sqrt(_increment_variance(s0_sq, n0, cut, n_bet)),
             52 * math.sqrt(_increment_variance(s0_sq, n0, cut + n_bet, n_play)),

@@ -15,7 +15,7 @@ from truecount import (
     ShoeExhaustedError,
     TwoPointAdvantageModel,
     builtin_systems,
-    composition,
+    WeightComposition,
     get_system,
     growth_stats_binomial,
     kelly_fraction,
@@ -652,7 +652,7 @@ class TestPredictorFloatRange:
     def test_just_inside_the_float_range(self, predict):
         inside = ace_deuce_system(LARGEST_FLOAT_WEIGHT)
         outside = ace_deuce_system(LARGEST_FLOAT_WEIGHT + 1)
-        assert inside.sigma0_squared() <= Fraction(sys.float_info.max) < outside.sigma0_squared()
+        assert inside.sigma0_squared <= Fraction(sys.float_info.max) < outside.sigma0_squared
         assert all(math.isfinite(sigma) and sigma > 0 for sigma in predict(inside))
 
 
@@ -700,7 +700,7 @@ class TestIncrementVariance:
     def test_one_fraction_equals_the_three_step_chain(self):
         checked = 0
         for system in builtin_systems():
-            s0_sq = system.sigma0_squared()
+            s0_sq = system.sigma0_squared
             for decks in range(1, 9):
                 n0 = 52 * decks
                 for seen in {0, 1, 13, n0 // 4, n0 // 2, 3 * n0 // 4, n0 - 20, n0 - 2}:
@@ -717,17 +717,16 @@ class TestIncrementVariance:
 
     def test_n_past_the_cards_left(self, hi_lo):
         with pytest.raises(BadRangeError):
-            exact._increment_variance(hi_lo.sigma0_squared(), 52, 40, 12)
+            exact._increment_variance(hi_lo.sigma0_squared, 52, 40, 12)
 
     @staticmethod
     def cut_census_average(system, decks, seen, n):
         """sigma_n squared of each composition a cut of ``seen`` cards
         leaves, averaged over the cut censuses by their subsets."""
-        weights, counts = zip(*sorted(system.weight_multiplicities().items()))
-        counts = [l * decks for l in counts]
+        weights, counts = zip(*sorted(system.shoe(decks).counts.items()))
         total = sum(
             ways * sigma_n_exact(
-                composition({w: l - r for w, l, r in zip(weights, counts, removed)}), n
+                WeightComposition({w: l - r for w, l, r in zip(weights, counts, removed)}), n
             ).squared
             for removed, ways in exact._censuses(counts, seen)
         )
@@ -742,7 +741,7 @@ class TestIncrementVariance:
         systems = builtin_systems() if decks == 1 and seen <= 4 else [get_system("hi-lo")]
         for system in systems:
             want = self.cut_census_average(system, decks, seen, n)
-            got = exact._increment_variance(system.sigma0_squared(), 52 * decks, seen, n)
+            got = exact._increment_variance(system.sigma0_squared, 52 * decks, seen, n)
             assert got == want, (system.name, decks, seen, n)
 
 

@@ -4,21 +4,24 @@ Usage, from the root of a source checkout:
 
     python3 tools/ab.py --base REV [--workload W] [--pairs K] [--null] [--out AB_<n>.json]
 
-Exports REV with ``git archive`` into a temporary directory, which is
-removed afterwards.  Pair i runs ``perfbench/run.py --workload W --seed i
---seconds S --trace 0`` on both trees, one after the other, where S is
-``BENCHMARK.json``'s ``run_seconds``; the side that runs first alternates
-from pair to pair, so a drift of the host's speed falls on both sides
-alike.  A record that backs a gain needs at least ten pairs, so fewer are
-refused except with ``--null``, whose change side is a second export of
-REV: the spread of its pairs sizes the noise of the layout alone.
-``--workload all`` runs the pairs of each workload in turn.
+Exports REV with ``git archive`` into ``base`` in a temporary directory,
+which is removed afterwards, and the checkout's tracked files, uncommitted
+edits included, into its sibling ``chge``: both sides run from paths of one
+length, so where a tree lies cannot pass for what its code does.  Pair i
+runs ``perfbench/run.py --workload W --seed i --seconds S --trace 0`` on
+both trees, one after the other, where S is ``BENCHMARK.json``'s
+``run_seconds``; the side that runs first alternates from pair to pair, so
+a drift of the host's speed falls on both sides alike.  A record that
+backs a gain needs at least ten pairs, so fewer are refused except with
+``--null``, whose change side is a second export of REV, in ``null``: the
+spread of its pairs sizes the noise of the layout alone.  ``--workload
+all`` runs the pairs of each workload in turn.
 
 Prints each pair's end-to-end metrics, then, per metric, the medians of
 both sides, their ratio, the pairs the change wins (by the direction
 ``BENCHMARK.json`` gives), the exact two-sided sign-test p value of
 those wins against the pairs it loses, tied pairs dropped, and both sides'
-``iqr``; then runs the tier-1 suite (``TIER1``) once on the change tree.
+``iqr``; then runs the tier-1 suite (``TIER1``) once in the change's export.
 Writes all of it, with the host, to ``--out``: the performance record.
 Exits 1 if any run fails or reports ``correct: false``, or tier 1 fails.
 """
@@ -74,6 +77,15 @@ def run_tier1(tree: Path) -> dict:
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def snapshot() -> str:
+    """A commit of the checkout's tracked files, uncommitted edits included:
+    the one ``git stash create`` makes, which moves no ref and touches no
+    file, or HEAD when nothing is edited."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    return stash or rev_parse("HEAD")
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -201,8 +213,8 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        trees = {"base": export(sha, tmp / "base")}
-        trees["change"] = export(sha, tmp / "null") if args.null else ROOT
+        trees = {"base": export(sha, tmp / "base"), "change": (
+            export(sha, tmp / "null") if args.null else export(snapshot(), tmp / "chge"))}
         doc = {"base": sha, "change": sha if args.null else head, "null": args.null,
                "change_tree_clean": args.null or tree_clean(), "seconds": SECONDS,
                "host": {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
