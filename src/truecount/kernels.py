@@ -15,24 +15,26 @@ def backend_name() -> str:
     return "numpy"
 
 
-def running_counts(weights, classes):
+def running_counts(weights, after):
     """Scaled running-count change of every trial after each next card.
 
-    ``classes`` is the weight class of each trial's next cards (one row per
-    card) and ``weights`` each class's weight, scaled to integers.  Row 0 of
-    the (cards + 1, trials) table is zero, and row j the change after j
-    cards.  No change passes ``bound`` = max |weight| × cards in size, so the
-    table takes the smallest integer type that holds -bound - 1: it then
-    holds +bound too (-bound alone gives int8 at bound 128, which +128
-    overflows).  ``bound`` must lie below 2**63.
+    ``weights`` holds each weight class's weight, scaled to integers, in
+    class order, and ``after`` how many classes follow the class of each
+    trial's next cards (one row per card): the card is of class
+    ``len(weights) - 1 - after``, so its weight is read from ``weights``
+    reversed.  Row 0 of the (cards + 1, trials) table is zero, and row j the
+    change after j cards.  No change passes ``bound`` = max |weight| × cards
+    in size, so the table takes the smallest integer type that holds
+    -bound - 1: it then holds +bound too (-bound alone gives int8 at bound
+    128, which +128 overflows).  ``bound`` must lie below 2**63.
     """
-    bound = int(np.abs(weights).max()) * len(classes)
+    bound = int(np.abs(weights).max()) * len(after)
     dtype = np.min_scalar_type(-bound - 1)
-    table = np.empty((len(classes) + 1, classes.shape[-1]), dtype=dtype)
+    table = np.empty((len(after) + 1, after.shape[-1]), dtype=dtype)
     table[0] = 0
-    # The classes index ``weights`` in range, so "clip" clips nothing; it
+    # The counts index ``weights`` in range, so "clip" clips nothing; it
     # spares the buffered copy of ``out`` that the default mode makes.
-    weights.astype(dtype).take(classes, out=table[1:], mode="clip")
+    weights[::-1].astype(dtype).take(after, out=table[1:], mode="clip")
     # Row by row: a cumsum along the card axis takes longer.
     for j in range(1, len(table)):
         table[j] += table[j - 1]

@@ -11,16 +11,20 @@ A shoe trial never shuffles the shoe: it needs only the running count at
 the cut and the next few cards.  The census of the cards dealt before the
 cut is drawn multivariate hypergeometric for the whole chunk, then the tail
 card by card, each uniform among the cards left, which is the law of a
-uniformly shuffled shoe.  Each tail card costs two int32 array passes
-over the chunk, a compare and a subtract; its weight class is read off the
-stored compares once the whole tail is drawn, and
-:func:`truecount.kernels.running_counts` turns the classes into one table
+uniformly shuffled shoe.  Each tail card costs three array passes over
+the chunk, into buffers that every card of the tail reuses: an int32
+compare against the running totals of the cards left, a subtract, and a
+count of the totals the card lies below, kept as one int8 per card and
+trial.  That count names the card's weight class, and
+:func:`truecount.kernels.running_counts` turns the counts into one table
 per chunk of every trial's running-count change after each tail card, in
 the smallest integer type that holds it (int8 while the largest scaled
 weight times the tail length is at most 127, as for hi-lo seats), kept
-apart from each trial's int64 count at the cut.  Arrays of per-trial
-draws keep their trials on the last axis.  A bankroll trial draws its hands
-per state of its model's (weight, p) law, then its wins.
+apart from each trial's int64 count at the cut.  A seat's extra cards per
+hand come from one uniform each, by a count of the running totals of the
+hand-length law that it reaches.  Arrays of per-trial draws keep their
+trials on the last axis.  A bankroll trial draws its hands per state of its
+model's (weight, p) law, then its wins.
 """
 from __future__ import annotations
 
@@ -158,9 +162,14 @@ def _draw_cut_and_tail(
     position ``u`` among the cards left, and its class is the first whose
     running total of cards left exceeds ``u``.  The rows that ``u`` lies
     below are then exactly the rows of that class and after, which are the
-    rows that lose the card: one compare and one subtract per card, and the
-    classes are read off the stored compares once the tail is drawn.  The
-    last row, all the cards left, is always above ``u``, so it is not kept.
+    rows that lose the card.  The last row, all the cards left, is always
+    above ``u``, so it is not kept.  Each card costs one compare into a
+    single boolean row per class that every card reuses, one subtract, and
+    one count of the rows it lay below, which is the number of classes after
+    its class; ``running_counts`` reads the weights from those counts.  No
+    array grows with the classes times the tail: freed, one that large is
+    handed back to the system by the allocator and faulted in again by the
+    next call.
     """
     census = rng.multivariate_hypergeometric(counts, cut, size=size)
     # Cards left in each class and the classes before it, one row per class
@@ -172,14 +181,15 @@ def _draw_cut_and_tail(
     for k in range(1, counts.size - 1):
         cum_left[k] += cum_left[k - 1]
     n_left = int(counts.sum()) - cut
-    below = np.empty((tail_len, counts.size - 1, size), dtype=bool)
+    below = np.empty_like(cum_left, dtype=bool)
+    # An int8 count holds up to 127 rows; a system has at most 13 classes.
+    after = np.empty((tail_len, size), dtype=np.int8)
     for j in range(tail_len):
         u = rng.integers(0, n_left - j, size=size, dtype=np.int32)
-        np.less(u, cum_left, out=below[j])
-        cum_left -= below[j]
-    # An int8 count holds up to 127 rows; a system has at most 13 classes.
-    classes = counts.size - 1 - below.sum(axis=1, dtype=np.int8)
-    return census @ weights, kernels.running_counts(weights, classes)
+        np.less(u, cum_left, out=below)
+        cum_left -= below
+        np.add.reduce(below, axis=0, dtype=np.int8, out=after[j])
+    return census @ weights, kernels.running_counts(weights, after)
 
 
 def _shoe_run(
@@ -254,12 +264,21 @@ def simulate_tc_increment(
 def _sample_extras(
     rng: np.random.Generator, model: SeatCardModel, size: int
 ) -> np.ndarray:
-    """Extra cards of every seat in ``size`` trials, one row per seat."""
+    """Extra cards of every seat in ``size`` trials, one row per seat.
+
+    Each hand's uniform ``u`` takes the law's entry whose index is the
+    number of the law's running totals, all but the last, that ``u``
+    reaches.  That is the entry a binary search of all the totals
+    (``searchsorted(side="right")``) gives, clamped to the last entry for a
+    ``u`` that reaches a total rounding left short of 1.
+    """
     values = np.array([h for h, _ in model.extra_cards_law], dtype=np.int64)
     cum = np.cumsum([p for _, p in model.extra_cards_law])
     u = rng.random((size, model.seats))
-    index = np.searchsorted(cum, u, side="right")
-    return values[np.minimum(index, values.size - 1, out=index)].T
+    index = np.zeros(u.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        index += u >= c
+    return values[index].T
 
 
 def simulate_seat_sigma(

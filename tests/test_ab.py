@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,10 +106,13 @@ def test_record_holds_host_and_tier1_and_a_failing_tier1_fails_the_run(
         dest.mkdir(parents=True)
         return dest
 
-    result = {"ok": True, "failed": 0, "metrics": {"throughput": {"value": 5.0}}}
+    def run_once(tree, workload, seed):
+        return {"ok": True, "failed": 0, "metrics": {"throughput": {"value": 5.0}},
+                "minflt": 100 * seed + len(tree.name)}
+
     monkeypatch.setattr(ab, "rev_parse", lambda rev: "ab" * 20)
     monkeypatch.setattr(ab, "export", export)
-    monkeypatch.setattr(ab, "run_once", lambda tree, workload, seed: result)
+    monkeypatch.setattr(ab, "run_once", run_once)
     monkeypatch.setattr(signal, "signal", lambda *args: None)
     _tier1_printing(monkeypatch, code)
     out = tmp_path / "ab.json"
@@ -120,6 +124,26 @@ def test_record_holds_host_and_tier1_and_a_failing_tier1_fails_the_run(
     assert doc["base"] == doc["change"] == "ab" * 20
     summary = doc["workloads"]["mc"]["summary"]["throughput"]
     assert summary["change_wins"] == 0 and summary["base_iqr"] == summary["change_iqr"] == 0
+    # Each side's faults per pair, and their medians: base 104 and 204, null 104 and 204.
+    pairs = doc["workloads"]["mc"]["pairs"]
+    assert [p["minflt"] for p in pairs] == [{"base": 104, "change": 104},
+                                            {"base": 204, "change": 204}]
+    assert doc["workloads"]["mc"]["minflt"] == {"base_median": 154, "change_median": 154}
+
+
+def test_run_once_records_the_page_faults_of_its_run(monkeypatch, tmp_path):
+    """The run's own minor faults, from a real child that prints a result line."""
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {}})
+    child = f"b = bytearray(1 << 22); b[::4096] = b'x' * 1024; print({line!r})"
+    run = subprocess.run
+
+    def stub(argv, **kwargs):
+        assert argv[1:3] == ["perfbench/run.py", "--workload"]
+        return run([sys.executable, "-c", child], **kwargs)
+
+    monkeypatch.setattr(ab.subprocess, "run", stub)
+    result = ab.run_once(tmp_path, "mc", 1)
+    assert result["ok"] and type(result["minflt"]) is int and result["minflt"] > 0
 
 
 @pytest.mark.parametrize("null", [False, True])
@@ -134,7 +158,7 @@ def test_both_sides_run_from_sibling_exports_of_one_path_length(monkeypatch, tmp
 
     def run_once(tree, workload, seed):
         ran.add(tree)
-        return {"ok": True, "failed": 0, "metrics": {"throughput": {"value": 5.0}}}
+        return {"ok": True, "failed": 0, "metrics": {"throughput": {"value": 5.0}}, "minflt": 0}
 
     monkeypatch.setattr(ab, "rev_parse", lambda rev: "ab" * 20)
     monkeypatch.setattr(ab, "snapshot", lambda: "cd" * 20)

@@ -221,13 +221,96 @@ class TestTailDraw:
                 want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 want = per_card_tail_draw(want_rng, size, weights, counts, cut, tail_len)
                 got = sim._draw_cut_and_tail(got_rng, size, weights, counts, cut, tail_len)
-                r_cut, tail = want
-                cums = np.cumsum(np.column_stack([np.zeros(size, np.int64), tail]), axis=1)
-                got_cut, change = got
-                assert got_cut.dtype == np.int64 and change.shape == (tail_len + 1, size)
-                assert np.array_equal(got_cut, r_cut)
-                assert np.array_equal(got_cut + change, r_cut + cums.T)
+                assert_same_shoes(want, got, size, tail_len)
                 assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("trials", [1300, 5000])
+    @pytest.mark.parametrize("system", builtin_systems(), ids=lambda s: s.name)
+    def test_matches_per_card_draw_on_full_shoes(self, system, trials):
+        # 8 decks at 75% penetration, 30 cards past the cut; 5000 trials
+        # take two chunks of the run's stream.
+        decks, cut = counting._shoe_cut(8, 0.75)
+        weights, counts, _ = sim._shoe_classes(system, decks)
+        for c, start in enumerate(range(0, trials, sim.CHUNK)):
+            size = min(sim.CHUNK, trials - start)
+            want_rng, got_rng = trial_rng(trials, c), trial_rng(trials, c)
+            want = per_card_tail_draw(want_rng, size, weights, counts, cut, 30)
+            got = sim._draw_cut_and_tail(got_rng, size, weights, counts, cut, 30)
+            assert_same_shoes(want, got, size, 30)
+            assert rng_state(got_rng) == rng_state(want_rng)
+
+
+def rng_state(rng) -> str:
+    """A generator's whole state as text, its arrays as lists."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def assert_same_shoes(want, got, size, tail_len):
+    """``per_card_tail_draw``'s counts and ``_draw_cut_and_tail``'s agree."""
+    r_cut, tail = want
+    cums = np.cumsum(np.column_stack([np.zeros(size, np.int64), tail]), axis=1)
+    got_cut, change = got
+    assert got_cut.dtype == np.int64 and change.shape == (tail_len + 1, size)
+    assert np.array_equal(got_cut, r_cut)
+    assert np.array_equal(got_cut + change, r_cut + cums.T)
+
+
+def searchsorted_extras(rng, model, size):
+    """The seats' extra cards as first drawn: each hand's entry of the law
+    by a binary search of the law's running totals, clamped to the last."""
+    values = np.array([h for h, _ in model.extra_cards_law], dtype=np.int64)
+    cum = np.cumsum([p for _, p in model.extra_cards_law])
+    u = rng.random((size, model.seats))
+    index = np.searchsorted(cum, u, side="right")
+    return values[np.minimum(index, values.size - 1, out=index)].T
+
+
+EXTRA_LAWS = {
+    "default": SeatCardModel(7, 1),
+    "one-point-0": SeatCardModel(7, 1, ((0, 1.0),)),
+    "one-point-3": SeatCardModel(5, 2, ((3, 1.0),)),
+    "hand-mean-2.6": SeatCardModel.with_hand_mean(7, 7, 2.6),
+    "hand-mean-3.37": SeatCardModel.with_hand_mean(3, 1, 3.37),
+    "zero-entry": SeatCardModel(7, 4, ((0, 0.5), (1, 0.0), (2, 0.5))),
+    "tenths": SeatCardModel(6, 3, tuple((h, 0.1) for h in range(10))),
+}
+
+
+class TestSeatExtras:
+    """The running-total counts give each hand's extra cards bit for bit
+    as the binary search did, on the same stream."""
+
+    def test_tenths_fall_short_of_one(self):
+        law = EXTRA_LAWS["tenths"].extra_cards_law
+        assert np.cumsum([p for _, p in law])[-1] < 1.0
+
+    @pytest.mark.parametrize("size", [1, 1300])
+    @pytest.mark.parametrize("model", EXTRA_LAWS.values(), ids=EXTRA_LAWS)
+    def test_matches_binary_search(self, model, size):
+        want_rng, got_rng = trial_rng(size, 0), trial_rng(size, 0)
+        want = searchsorted_extras(want_rng, model, size)
+        got = sim._sample_extras(got_rng, model, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.shape == (model.seats, size)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("model", EXTRA_LAWS.values(), ids=EXTRA_LAWS)
+    def test_matches_binary_search_at_the_running_totals(self, model):
+        # Uniforms at, just below and just above each running total, and
+        # the largest below 1, which passes a total that falls short of 1.
+        cum = np.cumsum([p for _, p in model.extra_cards_law])
+        edges = np.concatenate([
+            [0.0, 1.0 - 2.0**-53], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+        ])
+        edges = edges[edges < 1.0]
+
+        class Planted:
+            def random(self, shape):
+                return np.resize(edges, shape)
+
+        size = -(-edges.size // model.seats)
+        want = searchsorted_extras(Planted(), model, size)
+        assert np.array_equal(sim._sample_extras(Planted(), model, size), want)
 
 
 def per_model_bankroll_growth(model, n_hands, trials, seed):
@@ -297,7 +380,7 @@ class TestKernels:
         classes = rng.integers(0, weights.size, size=(25, 64)).astype(np.int8)
         n_bet = rng.integers(0, 20, size=64).astype(np.int64)
         n_play = rng.integers(0, 5, size=64).astype(np.int64)
-        table = kernels.running_counts(weights, classes)
+        table = kernels.running_counts(weights, weights.size - 1 - classes)
         assert table.shape == (26, 64) and table.dtype == np.int64
         rows = np.arange(64)
         r_play, r_dealer = table[n_bet, rows], table[n_bet + n_play, rows]
@@ -332,7 +415,7 @@ class TestKernels:
         rng = np.random.default_rng(w_max)
         classes = rng.integers(0, weights.size, size=(cards, 40)).astype(np.int8)
         classes[:, 0], classes[:, 1] = weights.size - 1, 0
-        table = kernels.running_counts(weights, classes)
+        table = kernels.running_counts(weights, weights.size - 1 - classes)
         want = np.cumsum(np.vstack([np.zeros((1, 40), np.int64), weights[classes]]), axis=0)
         assert table.dtype == dtype and want[-1, 0] == w_max * cards
         assert np.array_equal(table.astype(np.int64), want)

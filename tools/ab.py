@@ -22,7 +22,12 @@ both sides, their ratio, the pairs the change wins (by the direction
 ``BENCHMARK.json`` gives), the exact two-sided sign-test p value of
 those wins against the pairs it loses, tied pairs dropped, and both sides'
 ``iqr``; then runs the tier-1 suite (``TIER1``) once in the change's export.
-Writes all of it, with the host, to ``--out``: the performance record.
+Each run's minor page faults, its own and its processes' (``ru_minflt`` of
+``RUSAGE_CHILDREN`` before and after it), go on its pair's line and into its
+pair's record as ``minflt``, and both sides' medians into the workload's
+``minflt``: a workload whose memory the allocator hands back to the system
+and faults in again shows it there.  Writes all of it, with the host, to
+``--out``: the performance record.
 Exits 1 if any run fails or reports ``correct: false``, or tier 1 fails.
 """
 from __future__ import annotations
@@ -33,6 +38,7 @@ import json
 import math
 import os
 import platform
+import resource
 import shutil
 import signal
 import statistics
@@ -100,18 +106,22 @@ def export(rev: str, dest: Path) -> Path:
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One measured run of ``perfbench/run.py`` in ``tree``: its printed result,
-    with ``ok`` false if the run exited non-zero or reports a wrong output."""
+    with ``ok`` false if the run exited non-zero or reports a wrong output,
+    and ``minflt`` the minor page faults of the run and its processes."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": None, "metrics": {}}
     result["ok"] = proc.returncode == 0 and result["correct"] is True
+    result["minflt"] = minflt
     if not result["ok"]:
         result["stderr"] = proc.stderr[-2000:]
     return result
@@ -183,6 +193,7 @@ def run_pairs(trees: dict, workload: str, pairs: int) -> tuple[list, bool]:
             "seed": i, "first": order[0],
             **{side: values(r) for side, r in results.items()},
             "failed": {side: r["failed"] for side, r in results.items()},
+            "minflt": {side: r["minflt"] for side, r in results.items()},
         })
         for side, r in results.items():
             if not r["ok"]:
@@ -192,7 +203,7 @@ def run_pairs(trees: dict, workload: str, pairs: int) -> tuple[list, bool]:
         print(f"{workload} pair {i} ({order[0]} first): " + ", ".join(
             f"{name} {row['base'].get(name, float('nan')):.4g} -> "
             f"{row['change'].get(name, float('nan')):.4g}" for name in BETTER
-        ), flush=True)
+        ) + f", minflt {row['minflt']['base']} -> {row['minflt']['change']}", flush=True)
     return records, ok
 
 
@@ -225,12 +236,17 @@ def main(argv=None) -> int:
             records, ok = run_pairs(trees, workload, args.pairs)
             all_ok = all_ok and ok
             summary = summarize(records)
-            doc["workloads"][workload] = {"pairs": records, "summary": summary}
+            minflt = {f"{side}_median": statistics.median(r["minflt"][side] for r in records)
+                      for side in ("base", "change")}
+            doc["workloads"][workload] = {"pairs": records, "summary": summary,
+                                          "minflt": minflt}
             for name, s in summary.items():
                 print(f"{workload} {name}: base {s['base_median']:.4g}, change "
                       f"{s['change_median']:.4g} ({s['ratio']:.3f}x), change better in "
                       f"{s['change_wins']} of {s['pairs']} pairs (sign test p {s['sign_p']:.3g}); "
                       f"IQR base {s['base_iqr']:.4g}, change {s['change_iqr']:.4g}")
+            print(f"{workload} minflt: base {minflt['base_median']:.4g}, "
+                  f"change {minflt['change_median']:.4g}")
         doc["tier1"] = tier1 = run_tier1(trees["change"])
         print(f"tier 1 on the change tree: exit {tier1['exit_code']} in {tier1['wall_s']:.1f} s: "
               f"{tier1['summary']}")
