@@ -9,7 +9,6 @@ from .counting import (
     WeightComposition,
     builtin_systems,
     get_system,
-    make_count_system,
     parse_composition,
     parse_system_file,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "growth_var_fuzzy",
     "kelly_fraction",
     "long_run",
-    "make_count_system",
     "parse_composition",
     "parse_system_file",
     "predicted_increment_std",

@@ -1,5 +1,10 @@
 """Balanced count systems and weight-class deck compositions.
 
+A :class:`CountSystem` checks itself when it is built: its ranks form one
+of the two deck layouts, from which its per-rank multiplicities follow,
+its weights are half-integers, and a full deck sums to 0.  The builtins
+and :func:`parse_system_file` build through the same constructor.
+
 Weights and running counts are kept as exact :class:`fractions.Fraction`
 values throughout, so every downstream distribution computation stays
 rational.  Floats only appear at presentation boundaries (``sigma0``).
@@ -33,6 +38,8 @@ _RANK_ALIASES = {"10": "T", "t": "T", "a": "A", "j": "J", "q": "Q", "k": "K"}
 
 
 def _canon_rank(rank: str) -> str:
+    if not isinstance(rank, str):
+        raise ParseError(f"a rank must be a string such as 'A' or '10', got {rank!r}")
     rank = rank.strip()
     return _RANK_ALIASES.get(rank, rank.upper() if rank.isalpha() else rank)
 
@@ -58,22 +65,42 @@ def as_weight(value) -> Fraction:
 
 @dataclass(frozen=True)
 class CountSystem:
-    """A balanced card-counting scheme: per-rank weights and multiplicities.
+    """A balanced card-counting scheme: a weight per rank.
 
-    ``weights`` and ``rank_multiplicity`` are read-only copies, so an
-    instance can be shared (the builtins are built once per process) and
-    its per-deck constants computed once.
+    ``weights`` must cover either the 10-rank merged layout (``T`` stands
+    for the 16 ten-value cards of a deck) or all 13 ranks, each rank a
+    string such as ``"T"`` or its alias ``"10"``, and each weight a
+    half-integer that :func:`as_weight` takes.  The constructor checks all
+    of it: a rank set of neither layout raises
+    :class:`InvalidMultiplicityError`, a bad rank or weight
+    :class:`ParseError`, and a full-deck weight sum other than 0
+    :class:`UnbalancedSystemError`.  ``weights`` is a read-only copy with
+    canonical ranks, so an instance can be shared (the builtins are built
+    once per process) and its per-deck constants computed once.
     """
 
     name: str
     weights: Mapping[str, Fraction]
-    rank_multiplicity: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-        object.__setattr__(
-            self, "rank_multiplicity", MappingProxyType(dict(self.rank_multiplicity))
-        )
+        weights = {_canon_rank(r): as_weight(w) for r, w in self.weights.items()}
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+        if frozenset(weights) not in (frozenset(MERGED_RANKS), frozenset(FULL_RANKS)):
+            raise InvalidMultiplicityError(
+                f"expected ranks {MERGED_RANKS} or {FULL_RANKS}, got {sorted(weights)}"
+            )
+        for rank, w in weights.items():
+            if (2 * w).denominator != 1:
+                raise ParseError(f"weight for rank {rank} is not a half-integer: {w}")
+        total = sum((w * m for w, m in self._per_deck.items()), Fraction(0))
+        if total != 0:
+            raise UnbalancedSystemError(f"{self.name}: full-deck weight sum is {total}, not 0")
+
+    @cached_property
+    def rank_multiplicity(self) -> Mapping[str, int]:
+        """Cards of each rank in one deck: 16 tens in the merged layout, else 4."""
+        merged = len(self.weights) == len(MERGED_RANKS)
+        return MappingProxyType({r: 16 if merged and r == "T" else 4 for r in self.weights})
 
     @cached_property
     def _per_deck(self) -> Mapping[Fraction, int]:
@@ -133,32 +160,6 @@ def scaled_classes(
     return weights, counts, scale
 
 
-def make_count_system(name: str, weights_by_rank: Mapping[str, object]) -> CountSystem:
-    """Validate and build a balanced count system.
-
-    ``weights_by_rank`` must cover either the 10-rank merged layout
-    (ten-class worth 16 cards) or all 13 ranks.  Raises
-    :class:`UnbalancedSystemError` when the full-deck weight sum is nonzero.
-    """
-    weights = {_canon_rank(r): as_weight(w) for r, w in weights_by_rank.items()}
-    ranks = frozenset(weights)
-    if ranks == frozenset(MERGED_RANKS):
-        mult = {r: 16 if r == "T" else 4 for r in MERGED_RANKS}
-    elif ranks == frozenset(FULL_RANKS):
-        mult = {r: 4 for r in FULL_RANKS}
-    else:
-        raise InvalidMultiplicityError(
-            f"expected ranks {MERGED_RANKS} or {FULL_RANKS}, got {sorted(ranks)}"
-        )
-    for rank, w in weights.items():
-        if (2 * w).denominator != 1:
-            raise ParseError(f"weight for rank {rank} is not a half-integer: {w}")
-    total = sum((w * mult[r] for r, w in weights.items()), Fraction(0))
-    if total != 0:
-        raise UnbalancedSystemError(f"{name}: full-deck weight sum is {total}, not 0")
-    return CountSystem(name=name, weights=weights, rank_multiplicity=mult)
-
-
 _BUILTIN_WEIGHTS: dict[str, dict[str, object]] = {
     "hi-lo": {
         "A": -1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1,
@@ -215,7 +216,7 @@ _BUILTIN_WEIGHTS: dict[str, dict[str, object]] = {
 def _builtin_registry() -> Mapping[str, CountSystem]:
     """Every builtin system, validated once per process."""
     return MappingProxyType(
-        {name: make_count_system(name, w) for name, w in _BUILTIN_WEIGHTS.items()}
+        {name: CountSystem(name, w) for name, w in _BUILTIN_WEIGHTS.items()}
     )
 
 
@@ -422,4 +423,4 @@ def parse_system_file(text: str, name: str = "custom") -> CountSystem:
             weights[rank] = Fraction(fields[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"line {lineno}: bad weight {fields[1]!r}") from exc
-    return make_count_system(name, weights)
+    return CountSystem(name, weights)

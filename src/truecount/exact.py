@@ -22,6 +22,9 @@ presented as a float.
 The finite-shoe predictors average that law's variance over a uniform cut
 in closed form: the std of the true-count change past the cut, and a
 seat's sigma_bet and sigma_play, the targets of :mod:`truecount.sim`.
+The moment sweep of :mod:`truecount.verify` checks the closed-form
+sigma_n (``sigma_n_exact``) against every law, and the ``check_lemma*``
+functions compare both sides of a removal identity exactly.
 """
 from __future__ import annotations
 
@@ -459,42 +462,20 @@ def _censuses(counts: Sequence[int], k: int) -> list[tuple[tuple[int, ...], int]
     return table
 
 
-def _removal_identity(
-    name: str,
-    counts: Sequence[int],
-    slots: Sequence[int],
-    k: int,
-    censuses: Sequence[tuple[Sequence[int], int]],
-) -> IdentityReport:
-    """Chance that the next draws are of classes ``slots``, with and without k removals.
-
-    ``counts`` lists the cards left in each class after the prefix, M in
-    all, ``slots`` the class of each drawn weight v_j, and ``censuses`` is
-    ``_censuses(counts, k)``.  left_j is the count of v_j's class when v_j
-    is drawn.  Right: prod_j left_j over the falling factorial
-    M(M - 1)...(M - q).  Left: k unseen cards are removed at random first;
-    a removal census c (c_i cards of class i) has chance
-    ways_c / C(M, k) and leaves left_j - c_(slot_j) cards for draw j, over
-    (M - k)...(M - k - q).
-    """
-    M, draws = sum(counts), len(slots)
-    left = [counts[i] - slots[:j].count(i) for j, i in enumerate(slots)]
-    lhs = 0
-    for removed, ways in censuses:
-        for l, i in zip(left, slots):
-            ways *= l - removed[i]
-        lhs += ways
-    return IdentityReport(
-        name,
-        lhs, math.comb(M, k) * math.perm(M - k, draws),
-        math.prod(left), math.perm(M, draws),
-    )
-
-
 def _check_removal(
     name: str, comp: WeightComposition, prefix: Sequence, k: int, vs: Sequence
 ) -> IdentityReport:
-    """Lemma 3-4's identity and range rule, of which lemmas 1 and 2 are the k = 1 cases."""
+    """Lemma 3-4's identity and range rule, of which lemmas 1 and 2 are the k = 1 cases.
+
+    The chance that the next draws are of classes ``slots``, with and
+    without k removals.  ``counts`` lists the cards left in each class
+    after the prefix, M in all, and ``slots`` the class of each drawn
+    weight v_j; left_j is the count of v_j's class when v_j is drawn.
+    Right: prod_j left_j over the falling factorial M(M - 1)...(M - q).
+    Left: k unseen cards are removed at random first; a removal census c
+    (c_i cards of class i, ``_censuses``) has chance ways_c / C(M, k) and
+    leaves left_j - c_(slot_j) cards for draw j, over (M - k)...(M - k - q).
+    """
     N, p, q = comp.total, len(prefix), len(vs) - 1
     k = whole_number(k, "k", 1)
     if not vs:
@@ -504,7 +485,18 @@ def _check_removal(
             f"need p + k + q <= N - 1, got p={p}, k={shown(k)}, q={q}, N={shown(N)}"
         )
     counts, slots = _layout(comp, prefix, vs)
-    return _removal_identity(name, counts, slots, k, _censuses(counts, k))
+    M, draws = sum(counts), len(slots)
+    left = [counts[i] - slots[:j].count(i) for j, i in enumerate(slots)]
+    lhs = 0
+    for removed, ways in _censuses(counts, k):
+        for l, i in zip(left, slots):
+            ways *= l - removed[i]
+        lhs += ways
+    return IdentityReport(
+        name,
+        lhs, math.comb(M, k) * math.perm(M - k, draws),
+        math.prod(left), math.perm(M, draws),
+    )
 
 
 def check_lemma1(comp: WeightComposition, prefix: Sequence, v0) -> IdentityReport:

@@ -159,7 +159,7 @@ def _removal_block(counts: tuple[int, ...]) -> tuple[int, list]:
     a tuple of class indices.  Which checks apply depends only on
     M = sum(counts): k + q <= M - 1 for all three (lemmas 1 and 2 remove
     k = 1).  Each check evaluates its own identity, the one of
-    ``_removal_identity``, in bulk: the census table of k removals is built
+    ``exact._check_removal``, in bulk: the census table of k removals is built
     once per k, as each census's ways and, per class, the cards each census
     leaves in it; the left side is one integer sum over the table and the
     right side a product of the counts left, over the denominators

@@ -268,7 +268,7 @@ def test_a_real_out_of_its_range_is_shown_in_the_error(call):
         call(MANY_DIGITS)
 
 
-SYSTEM = "a CountSystem, which make_count_system validates"
+SYSTEM = "a CountSystem, which its constructor validates"
 COMPOSITION = "a WeightComposition, whose counts have their case"
 MODEL = "a model, whose counts and reals have their cases"
 WEIGHTS = "weights, which as_weight takes or refuses with ParseError"
@@ -277,13 +277,12 @@ TEXT = "text or a name, refused with a ParseError or UnknownSystemError"
 #: Public parameters that no case drives, each with its reason.  A key is
 #: ``"<callable> <parameter>"``, or a callable alone for all its parameters.
 EXEMPT = {
-    "CountSystem": "make_count_system validates a system; the constructor takes what it built",
     "SigmaResult": "a result, which only sigma_n_exact builds",
     "SimulationReport": "a report, which only the simulators build",
     "TrueCountDistribution": "a law, which only tc_distribution builds",
+    "CountSystem name": TEXT,
+    "CountSystem weights": WEIGHTS,
     "get_system name": TEXT,
-    "make_count_system name": TEXT,
-    "make_count_system weights_by_rank": WEIGHTS,
     "parse_composition spec": TEXT,
     "parse_system_file text": TEXT,
     "parse_system_file name": TEXT,

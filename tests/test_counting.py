@@ -17,7 +17,6 @@ from truecount import (
     WeightComposition,
     builtin_systems,
     get_system,
-    make_count_system,
     parse_composition,
     parse_system_file,
 )
@@ -60,24 +59,38 @@ class TestCountSystem:
 
     def test_unbalanced_rejected(self):
         weights = {r: 0 for r in "A23456789"} | {"T": 1}
-        with pytest.raises(UnbalancedSystemError):
-            make_count_system("bad", weights)
+        with pytest.raises(UnbalancedSystemError, match="bad: full-deck weight sum is 16, not 0"):
+            CountSystem("bad", weights)
 
     def test_wrong_rank_set_rejected(self):
         with pytest.raises(InvalidMultiplicityError):
-            make_count_system("bad", {"A": 1, "2": -1})
+            CountSystem("bad", {"A": 1, "2": -1})
+        with pytest.raises(InvalidMultiplicityError, match=r"got \['A'\]$"):
+            CountSystem("x", {"A": 1})
+
+    def test_multiplicities_are_derived_not_given(self):
+        with pytest.raises(TypeError):
+            CountSystem("x", {"A": 1}, {"A": 4})
+        with pytest.raises(AttributeError):
+            get_system("hi-lo").rank_multiplicity = {"T": 4}
+
+    @pytest.mark.parametrize("rank", [10, 1.0, None])
+    def test_a_rank_that_is_no_string_is_refused(self, rank):
+        weights = {r: 0 for r in "A23456789"} | {rank: 0}
+        with pytest.raises(ParseError, match="a rank must be a string"):
+            CountSystem("bad", weights)
 
     def test_non_half_integer_weight_rejected(self):
         weights = {r: 0 for r in "A23456789"} | {"T": 0}
         weights["2"] = "1/3"
         weights["3"] = "-1/3"
-        with pytest.raises(ParseError):
-            make_count_system("bad", weights)
+        with pytest.raises(ParseError, match="weight for rank 2 is not a half-integer: 1/3"):
+            CountSystem("bad", weights)
 
     def test_full_13_rank_layout(self):
         weights = {r: 0 for r in ("A", "2", "3", "4", "5", "6", "7", "8", "9")}
         weights |= {"T": 1, "J": 1, "Q": -1, "K": -1}
-        system = make_count_system("custom13", weights)
+        system = CountSystem("custom13", weights)
         assert system.rank_multiplicity["T"] == 4
 
     def test_halves_uses_exact_fractions(self):
@@ -107,7 +120,7 @@ class TestBuiltinRegistry:
         systems.clear()
         assert len(builtin_systems()) == len(_BUILTIN_WEIGHTS)
         zen = get_system("zen")
-        rebuilt = make_count_system("zen", _BUILTIN_WEIGHTS["zen"])
+        rebuilt = CountSystem("zen", _BUILTIN_WEIGHTS["zen"])
         deck = zen.shoe(1).counts
         deck[Fraction(0)] = 99
         deck[Fraction(7)] = 1
@@ -118,12 +131,21 @@ class TestBuiltinRegistry:
 
     def test_constructor_copies_its_mappings(self):
         weights = dict(get_system("hi-lo").weights)
-        mult = dict(get_system("hi-lo").rank_multiplicity)
-        system = CountSystem("copy", weights, mult)
+        system = CountSystem("copy", weights)
         weights["A"] = Fraction(3)
-        mult["A"] = 0
         assert system.weights["A"] == -1
         assert system.rank_multiplicity["A"] == 4
+        assert system.shoe(1) == get_system("hi-lo").shoe(1)
+
+    def test_constructor_canonicalizes_rank_aliases(self):
+        weights = dict(_BUILTIN_WEIGHTS["hi-lo"])
+        weights["10"] = weights.pop("T")
+        weights["a"] = weights.pop("A")
+        system = CountSystem("aliased", weights)
+        assert set(system.weights) == set(get_system("hi-lo").weights)
+        assert system.weights["T"] == system.weights["A"] == -1
+        assert system.rank_multiplicity["T"] == 16
+        assert system.shoe(1) == get_system("hi-lo").shoe(1)
 
     def test_scaled_classes(self):
         for system in builtin_systems():
@@ -263,7 +285,7 @@ class TestParsing:
             WeightComposition({w: 2})
         weights = {"A": w, **{r: 0 for r in "23456789"}, "T": 0}
         with pytest.raises(ParseError, match="bad weight"):
-            make_count_system("custom", weights)
+            CountSystem("custom", weights)
 
     def test_parse_system_file(self):
         text = """

@@ -14,6 +14,7 @@ from truecount import cli, counting, exact, kelly, seats, sim, verify
 REMOVED = {
     counting: (
         "fresh_shoe", "format_composition", "format_weight", "check_decks", "composition",
+        "make_count_system",
     ),
     exact: ("sigma1_exact", "sigma1_approx", "tc_distributions", "_laws"),
     kelly: (
