@@ -72,18 +72,24 @@ class CountSystem:
     string such as ``"T"`` or its alias ``"10"``, and each weight a
     half-integer that :func:`as_weight` takes.  The constructor checks all
     of it: a rank set of neither layout raises
-    :class:`InvalidMultiplicityError`, a bad rank or weight
-    :class:`ParseError`, and a full-deck weight sum other than 0
-    :class:`UnbalancedSystemError`.  ``weights`` is a read-only copy with
-    canonical ranks, so an instance can be shared (the builtins are built
-    once per process) and its per-deck constants computed once.
+    :class:`InvalidMultiplicityError`, a bad or repeated rank (``"T"`` and
+    ``"10"`` are one rank) or a bad weight :class:`ParseError`, and a
+    full-deck weight sum other than 0 :class:`UnbalancedSystemError`.
+    ``weights`` is a read-only copy with canonical ranks, so an instance
+    can be shared (the builtins are built once per process) and its
+    per-deck constants computed once.
     """
 
     name: str
     weights: Mapping[str, Fraction]
 
     def __post_init__(self):
-        weights = {_canon_rank(r): as_weight(w) for r, w in self.weights.items()}
+        weights = {}
+        for r, w in self.weights.items():
+            rank = _canon_rank(r)
+            if rank in weights:
+                raise ParseError(f"duplicate rank {rank} (given again as {r!r})")
+            weights[rank] = as_weight(w)
         object.__setattr__(self, "weights", MappingProxyType(weights))
         if frozenset(weights) not in (frozenset(MERGED_RANKS), frozenset(FULL_RANKS)):
             raise InvalidMultiplicityError(

@@ -74,6 +74,11 @@ class TestCountSystem:
         with pytest.raises(AttributeError):
             get_system("hi-lo").rank_multiplicity = {"T": 4}
 
+    def test_a_rank_given_twice_is_refused(self):
+        weights = {r: 0 for r in "23456789"} | {"A": 4, "T": 1, "10": -1}
+        with pytest.raises(ParseError, match=r"duplicate rank T \(given again as '10'\)"):
+            CountSystem("twice", weights)
+
     @pytest.mark.parametrize("rank", [10, 1.0, None])
     def test_a_rank_that_is_no_string_is_refused(self, rank):
         weights = {r: 0 for r in "A23456789"} | {rank: 0}
